@@ -34,8 +34,9 @@ import json
 import math
 import os
 import pickle
+import weakref
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.cpu import SIMULATOR_VERSION
 from repro.cpu.stats import CoreStats
@@ -154,7 +155,7 @@ def task_key(task, *, version: str = SIMULATOR_VERSION) -> str:
     """
     payload = {
         "version": str(version),
-        "config": dataclasses.asdict(task.config),
+        "config": _config_fields(task.config),
         "trace": task.trace.fingerprint(),
         "precompute_table": (
             sorted(task.precompute_table)
@@ -165,6 +166,32 @@ def task_key(task, *, version: str = SIMULATOR_VERSION) -> str:
         "core": core_family(getattr(task, "core", "batched")),
     }
     return hashlib.sha256(canonical_blob(payload)).hexdigest()
+
+
+#: ``id(obj) -> (weak reference to obj, its fields)`` for the
+#: configurations :func:`task_key` has seen and that are still alive.
+#: Keyed by identity, not equality: equal objects may still encode
+#: differently (``1`` vs ``1.0``).  An entry leaves with its object,
+#: so the memo never outgrows the live configurations.
+_fields_memo: Dict[int, Tuple[weakref.ref, Dict[str, object]]] = {}
+
+
+def _config_fields(obj) -> Dict[str, object]:
+    """``dataclasses.asdict(obj)`` for a frozen dataclass (a
+    :class:`~repro.cpu.MachineConfig`), memoized per object: a screen
+    keys each of its 88 configurations once per benchmark, and
+    ``asdict`` is most of a key's cost.  The mapping is shared with
+    the memo; :func:`canonical_blob` only reads it."""
+    key = id(obj)
+    entry = _fields_memo.get(key)
+    if entry is None:
+        fields = dataclasses.asdict(obj)
+        try:
+            ref = weakref.ref(obj, lambda _: _fields_memo.pop(key, None))
+        except TypeError:  # no __weakref__ slot: convert every time
+            return fields
+        entry = _fields_memo[key] = (ref, fields)
+    return entry[1]
 
 
 class ResultCache:

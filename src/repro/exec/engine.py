@@ -15,11 +15,12 @@ Guarantees:
   whether or not any cell was retried, resubmitted after a worker
   death, or restored from a journal.
 * **Parallelism** — with ``jobs >= 2`` the grid fans out across a
-  supervised pool of fork workers.  Each worker holds one task at a
-  time; the supervisor tracks per-task deadlines, detects workers
-  that die or hang, resubmits their in-flight cells (bounded), and
-  falls back to in-process execution if the pool keeps losing
-  workers.
+  supervised pool of fork workers.  Each worker runs one task at a
+  time with one more sent ahead, so it never waits on the
+  supervisor's bookkeeping; the supervisor tracks per-task deadlines,
+  detects workers that die or hang, resubmits their in-flight cells
+  (bounded), and falls back to in-process execution if the pool
+  keeps losing workers.
 * **Fault tolerance** — a :class:`~repro.exec.fault.RetryPolicy`
   bounds re-attempts of failing cells; ``on_error`` chooses between
   failing fast (``"raise"``), retrying then failing (``"retry"``),
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import time
 import warnings
 from collections import deque
@@ -188,59 +188,67 @@ _POLL_SECONDS = 0.05
 _MAX_RESUBMITS = 2
 
 
-def _worker_main(tasks, inbox, results, worker_id) -> None:
+def _worker_main(tasks, conn) -> None:
     """Pool worker loop: one task at a time, results keyed by index.
 
     Any exception — including an injected one — is reported as a
     structured error result rather than crashing the worker, so the
     supervisor can apply the retry policy.  Only an actual process
-    death (kill fault, OOM, segfault) takes the worker down.
+    death (kill fault, OOM, segfault) takes the worker down.  Results
+    go out on the worker's own pipe synchronously, before the next
+    cell is read, so a worker that dies on its next cell has already
+    delivered the one before.
     """
     global _IN_WORKER  # repro: noqa[REP004] -- per-process flag, set only in the child after fork
     _IN_WORKER = True
     while True:
-        message = inbox.get()
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
         if message is None:
             return
         index, attempt = message
         try:
             stats = _execute_cell(tasks[index], index, attempt)
-            payload = (worker_id, index, True, stats)
+            payload = (index, True, stats)
         except BaseException as exc:  # repro: noqa[REP007] -- worker must report every failure (incl. injected interrupts) to the supervisor, which re-applies interrupt semantics
-            payload = (worker_id, index, False,
-                       (type(exc).__name__, str(exc)))
+            payload = (index, False, (type(exc).__name__, str(exc)))
         try:
-            results.put(payload)
+            conn.send(payload)
         except Exception:  # pragma: no cover - broken result pipe
             os._exit(1)  # repro: noqa[REP204] -- result pipe is gone; nothing a dying worker can report survives cleanup
 
 
 class _Worker:
-    """One supervised worker process and its dispatch state."""
+    """One supervised worker process and its dispatch state.
 
-    def __init__(self, context, tasks, results, worker_id: int):
-        self.inbox = context.SimpleQueue()
+    A worker holds at most two cells: ``current``, the one it runs (as
+    far as the supervisor knows), and ``queued``, sent ahead into its
+    pipe so it can start as soon as ``current`` is done.
+    """
+
+    def __init__(self, context, tasks):
+        self.conn, child = context.Pipe()
         self.process = context.Process(
-            target=_worker_main,
-            args=(tasks, self.inbox, results, worker_id),
-            daemon=True,
+            target=_worker_main, args=(tasks, child), daemon=True,
         )
         self.process.start()
-        #: (index, deadline) of the in-flight task, or None when idle.
+        child.close()
+        #: (index, deadline) of the running task, or None when idle.
         self.current: Optional[Tuple[int, Optional[float]]] = None
+        #: (index, attempt) of the task sent ahead, or None.
+        self.queued: Optional[Tuple[int, int]] = None
 
-    def dispatch(self, index: int, attempt: int,
-                 timeout: Optional[float]) -> None:
-        deadline = (time.monotonic() + timeout) if timeout else None
-        self.current = (index, deadline)
-        self.inbox.put((index, attempt))
+    def send(self, index: int, attempt: int) -> None:
+        self.conn.send((index, attempt))
 
     def stop(self) -> None:
         """Best-effort shutdown: polite for idle, forceful for busy."""
         if self.process.is_alive():
-            if self.current is None:
+            if self.current is None and self.queued is None:
                 try:
-                    self.inbox.put(None)
+                    self.conn.send(None)
                 except Exception:
                     self.process.terminate()
             else:
@@ -249,6 +257,7 @@ class _Worker:
         if self.process.is_alive():  # pragma: no cover - stubborn child
             self.process.kill()
             self.process.join(timeout=1.0)
+        self.conn.close()
 
 
 class _PoolUnhealthy(Exception):
@@ -354,22 +363,29 @@ class _Observer:
         if self.metrics is not None:
             self._guard(self.metrics.observe, name, value)
 
-    def sim_stats(self, stats: CoreStats) -> None:
-        """Fold one completed cell's simulator counters into ``sim.*``
-        (opt-in; tolerates stats restored from pre-attribution caches).
+    def completed(self, stats: CoreStats, simulated: bool) -> None:
+        """Count one completed cell: ``tasks.completed``, plus
+        ``tasks.simulated`` if it was executed rather than restored
+        and, opt-in, its simulator counters under ``sim.*`` — one
+        registry call, so a streamed run appends one folded
+        ``counter`` record per cell (tolerates stats restored from
+        pre-attribution caches).
         """
-        if not self.simulator_counters:
-            return
-        self._guard(self._sim_stats, stats)
+        if self.metrics is not None:
+            self._guard(self._completed, stats, simulated)
 
-    def _sim_stats(self, stats: CoreStats) -> None:
-        registry = self.metrics
-        registry.count("sim.cycles", int(stats.cycles))
-        registry.count("sim.instructions", int(stats.instructions))
-        registry.count("sim.precompute_hits",
-                       int(stats.precompute_hits))
-        stalls = getattr(stats, "stall_cycles", None) or {}
-        registry.absorb_counts(stalls, prefix="sim.stall.")
+    def _completed(self, stats: CoreStats, simulated: bool) -> None:
+        deltas = {"tasks.completed": 1}
+        if simulated:
+            deltas["tasks.simulated"] = 1
+        if self.simulator_counters:
+            deltas["sim.cycles"] = int(stats.cycles)
+            deltas["sim.instructions"] = int(stats.instructions)
+            deltas["sim.precompute_hits"] = int(stats.precompute_hits)
+            stalls = getattr(stats, "stall_cycles", None) or {}
+            for cause, cycles in stalls.items():
+                deltas["sim.stall." + cause] = int(cycles)
+        self.metrics.count_many(deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +435,9 @@ def run_grid(
         :data:`~repro.cpu.SIMULATOR_VERSION`.
     chunk_size:
         Accepted for backward compatibility and ignored: the
-        supervised pool dispatches tasks singly so that per-task
-        deadlines and dead-worker resubmission stay exact.
+        supervised pool sends each worker its running cell plus one
+        queued behind it (see :func:`_run_pool`), which keeps per-task
+        deadlines and dead-worker resubmission exact.
     retry:
         :class:`RetryPolicy` for failing cells.  ``None`` selects no
         retries under ``on_error="raise"`` and the default policy (3
@@ -454,8 +471,12 @@ def run_grid(
         metrics registry receives the ``tasks.*`` / ``cache.*`` /
         ``workers.*`` counters, the ``queue.depth`` gauge, and the
         ``task.seconds`` histogram (plus opt-in ``sim.*`` counters
-        aggregated from every completed cell).  All hooks run on the
-        same guarded path as ``progress``; see :class:`_Observer`.
+        aggregated from every completed cell, emitted together with
+        ``tasks.completed`` as one registry call per cell).  On the
+        pool path a cell's ``queue`` span ends, and its ``run`` span
+        and ``timeout`` deadline start, when it becomes its worker's
+        running cell — not when it is sent ahead.  All hooks run on
+        the same guarded path as ``progress``; see :class:`_Observer`.
     audit:
         Sampled re-execution audit of cache/journal hits: an
         :class:`~repro.guard.audit.AuditPolicy` or a bare fraction in
@@ -529,7 +550,7 @@ def run_grid(
         state["done"] += 1
         obs.progress(state["done"], total)
 
-    def _store(i: int, stats: CoreStats) -> None:
+    def _store(i: int, stats: CoreStats, simulated: bool = False) -> None:
         """A completed cell: result list, cache, journal, progress."""
         expected = audit_expect.pop(i, None)
         if expected is not None:
@@ -561,8 +582,7 @@ def run_grid(
                 )
         if journal is not None:
             journal.record(keys[i], stats)
-        obs.count("tasks.completed")
-        obs.sim_stats(stats)
+        obs.completed(stats, simulated)
         _advance()
 
     def _attempt_number(i: int) -> int:
@@ -691,8 +711,7 @@ def run_grid(
                     obs.finish(span, outcome="ok")
                     obs.observe("task.seconds",
                                 time.monotonic() - started)
-                    obs.count("tasks.simulated")
-                    _store(i, stats)
+                    _store(i, stats, simulated=True)
                     break
 
     try:
@@ -744,7 +763,7 @@ def _run_pool(
     jobs: int,
     timeout: Optional[float],
     max_worker_deaths: int,
-    store: Callable[[int, CoreStats], None],
+    store: Callable[..., None],
     task_failed: Callable[[int, str, str, str], bool],
     attempt_number: Callable[[int], int],
     resolved: Set[int],
@@ -757,15 +776,29 @@ def _run_pool(
     spawned) it is the list of still-unfinished task indices, which
     the caller runs in-process.
 
+    Dispatch is **send-ahead**: besides the cell it runs, each worker
+    holds one more in its pipe, so it moves on the moment it returns a
+    result.  On a result the supervisor first promotes the worker's
+    queued cell and sends it the next one, and only then stores the
+    result (cache, journal, telemetry).  The last ``jobs`` cells are
+    never sent ahead, so the tail stays balanced across workers.  A
+    queued cell costs nothing if its worker dies or is killed for a
+    timeout: it goes back to the queue without an attempt charged.
+
     Telemetry (all parent-side, via ``obs``): each pending task gets
-    an async ``queue`` span from enqueue to dispatch, then a ``run``
-    span on its worker's lane from dispatch to result; timeouts,
-    deaths and degradation become instant events.  Span identities
-    derive from (task index, attempt), so traces from identical runs
-    match structurally no matter which worker drew which task.
+    an async ``queue`` span from enqueue until it becomes its worker's
+    current cell, then a ``run`` span on that worker's lane until its
+    result arrives; the per-task deadline starts with the ``run``
+    span, never while the cell waits behind another.  Timeouts, deaths
+    and degradation become instant events.  Span identities derive
+    from (task index, attempt), so traces from identical runs match
+    structurally no matter which worker drew which task.
     """
+    # Imported here, like the pool itself: in-process grids never
+    # load the socket machinery behind it.
+    from multiprocessing.connection import wait as wait_for
+
     context = multiprocessing.get_context("fork")
-    results_q = context.Queue()
     todo = deque(pending)
     workers: Dict[int, _Worker] = {}
     next_id = 0
@@ -785,28 +818,180 @@ def _run_pool(
     for i in todo:
         _enqueue_span(i)
 
+    def _held() -> List[int]:
+        """Cells out with workers: running, then sent ahead."""
+        held = [w.current[0] for w in workers.values()
+                if w.current is not None]
+        held.extend(w.queued[0] for w in workers.values()
+                    if w.queued is not None)
+        return held
+
     def _remaining() -> List[int]:
         left = [i for i in todo if i not in resolved]
-        for worker in workers.values():
-            if worker.current is not None:
-                i = worker.current[0]
-                if i not in resolved and i not in left:
-                    left.append(i)
+        for i in _held():
+            if i not in resolved and i not in left:
+                left.append(i)
         return left
 
-    def _inflight() -> int:
-        return sum(1 for w in workers.values() if w.current is not None)
+    def _send(worker: _Worker) -> Optional[Tuple[int, int]]:
+        """Send ``worker`` the next unresolved cell waiting in
+        ``todo``; None if there is none or the worker is gone."""
+        while todo:
+            i = todo.popleft()
+            if i in resolved:
+                obs.finish_open(queue_spans.pop(i, None),
+                                outcome="superseded")
+                continue
+            attempt = attempt_number(i)
+            try:
+                worker.send(i, attempt)
+            except OSError:
+                # The worker is gone; the health check will see it.
+                todo.appendleft(i)
+                return None
+            return i, attempt
+        return None
 
+    def _start(wid: int, worker: _Worker, i: int, attempt: int) -> None:
+        """Cell ``i`` becomes the one ``worker`` runs: its queue span
+        ends, its run span and deadline begin."""
+        now = time.monotonic()
+        worker.current = (i, now + timeout if timeout else None)
+        obs.finish_open(queue_spans.pop(i, None), outcome="dispatched")
+        run_spans[i] = obs.begin(
+            "run", "task", track=wid + 1, index=i, attempt=attempt,
+        )
+        run_started[i] = now
+        obs.gauge("queue.depth", len(todo))
+
+    def _feed(wid: int, worker: _Worker) -> None:
+        """Give an idle worker a cell, then one ahead while more than
+        ``jobs`` cells wait."""
+        if worker.current is None:
+            sent = _send(worker)
+            if sent is None:
+                return
+            _start(wid, worker, *sent)
+        if worker.queued is None and len(todo) > jobs:
+            worker.queued = _send(worker)
+
+    def _requeue(worker: _Worker) -> None:
+        """Return a lost worker's sent-ahead cell, uncharged."""
+        if worker.queued is not None:
+            todo.appendleft(worker.queued[0])
+            worker.queued = None
+
+    def _receive(wid: int, worker: _Worker, message, alive: bool) -> None:
+        i, ok, payload = message
+        if ok:
+            obs.finish_open(run_spans.pop(i, None), outcome="ok")
+        else:
+            obs.finish_open(run_spans.pop(i, None), outcome="error",
+                            error=payload[0])
+        started = run_started.pop(i, None)
+        if worker.current is not None and worker.current[0] == i:
+            # The worker has moved on to its queued cell (a worker
+            # that died after this result died running that one).
+            worker.current = None
+            if worker.queued is not None:
+                _start(wid, worker, *worker.queued)
+                worker.queued = None
+            if alive:
+                _feed(wid, worker)
+        if i in resolved:
+            return
+        if ok:
+            if started is not None:
+                obs.observe("task.seconds", time.monotonic() - started)
+            store(i, payload, simulated=True)
+        else:
+            error_type, message_text = payload
+            if task_failed(i, "error", error_type, message_text):
+                todo.append(i)
+                _enqueue_span(i)
+
+    def _drain(wid: int, worker: _Worker) -> None:
+        """Handle whatever a dead worker delivered before it died."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                return
+            _receive(wid, worker, message, alive=False)
+
+    def _check_health() -> None:
+        nonlocal deaths
+        now = time.monotonic()
+        for wid, worker in list(workers.items()):
+            current = worker.current
+            if current is not None:
+                i, deadline = current
+                if deadline is not None and now > deadline \
+                        and not worker.conn.poll():
+                    # Hung task: kill the worker deliberately
+                    # (doesn't count against pool health).
+                    worker.process.kill()
+                    worker.process.join(timeout=1.0)
+                    del workers[wid]
+                    _requeue(worker)
+                    obs.finish_open(run_spans.pop(i, None),
+                                    outcome="timeout")
+                    run_started.pop(i, None)
+                    if i not in resolved and task_failed(
+                        i, "timeout", "",
+                        f"exceeded {timeout:.3g}s wall-clock budget",
+                    ):
+                        todo.append(i)
+                        _enqueue_span(i)
+                    continue
+            if not worker.process.is_alive():
+                # Unexpected death (kill fault, OOM, segfault).
+                worker.process.join(timeout=1.0)
+                _drain(wid, worker)
+                del workers[wid]
+                _requeue(worker)
+                deaths += 1
+                code = worker.process.exitcode
+                obs.count("workers.deaths")
+                obs.event("worker-death", "fault", code=code)
+                if worker.current is not None:
+                    i = worker.current[0]
+                    obs.finish_open(run_spans.pop(i, None),
+                                    outcome="worker-died")
+                    run_started.pop(i, None)
+                    if i not in resolved and task_failed(
+                        i, "worker-died",
+                        "", f"worker exited with code {code} "
+                            f"while running task {i}",
+                    ):
+                        todo.append(i)
+                        _enqueue_span(i)
+                if deaths > max_worker_deaths:
+                    warnings.warn(
+                        f"worker pool unhealthy ({deaths} worker "
+                        "deaths); running remaining cells "
+                        "in-process",
+                        RuntimeWarning, stacklevel=4,
+                    )
+                    obs.count("pool.degraded")
+                    obs.event("pool-degraded", "fault",
+                              deaths=deaths)
+                    raise _PoolUnhealthy
+
+    next_check = time.monotonic() + _POLL_SECONDS
     try:
-        while (todo or _inflight()) :
+        while True:
+            held = _held()
+            if not todo and not held:
+                break
             # Keep the pool sized to the work left; replace dead
             # workers here too (spawn failure => degrade).
-            want = min(jobs, len(todo) + _inflight())
+            want = min(jobs, len(todo) + len(held))
             while len(workers) < want:
                 try:
-                    workers[next_id] = _Worker(
-                        context, tasks, results_q, next_id
-                    )
+                    workers[next_id] = _Worker(context, tasks)
                 except OSError as exc:
                     warnings.warn(
                         f"cannot spawn simulation worker ({exc}); "
@@ -820,112 +1005,31 @@ def _run_pool(
                 obs.count("workers.spawned")
                 next_id += 1
 
-            # Dispatch to idle workers.
             for wid, worker in workers.items():
-                if worker.current is None and todo:
-                    i = todo.popleft()
-                    if i in resolved:
-                        obs.finish_open(queue_spans.pop(i, None),
-                                        outcome="superseded")
-                        continue
-                    attempt = attempt_number(i)
-                    worker.dispatch(i, attempt, timeout)
-                    obs.finish_open(queue_spans.pop(i, None),
-                                    outcome="dispatched")
-                    run_spans[i] = obs.begin(
-                        "run", "task", track=wid + 1,
-                        index=i, attempt=attempt,
-                    )
-                    run_started[i] = time.monotonic()
-                    obs.gauge("queue.depth", len(todo))
-            if not todo and not _inflight():
+                _feed(wid, worker)
+            if not todo and not _held():
                 break
 
-            # Wait briefly for a result, then run health checks.
-            try:
-                wid, i, ok, payload = results_q.get(
-                    timeout=_POLL_SECONDS
-                )
-            except queue_module.Empty:
-                pass
-            else:
+            # Wait briefly for results; check deadlines and liveness
+            # when none came, or at least once per poll period.
+            owners = {worker.conn: wid for wid, worker in workers.items()}
+            ready = wait_for(list(owners), timeout=_POLL_SECONDS)
+            lost = False
+            for conn in ready:
+                wid = owners[conn]
                 worker = workers.get(wid)
-                if worker is not None and worker.current is not None \
-                        and worker.current[0] == i:
-                    worker.current = None
-                if i not in resolved:
-                    if ok:
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="ok")
-                        started = run_started.pop(i, None)
-                        if started is not None:
-                            obs.observe("task.seconds",
-                                        time.monotonic() - started)
-                        obs.count("tasks.simulated")
-                        store(i, payload)
-                    else:
-                        error_type, message = payload
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="error", error=error_type)
-                        run_started.pop(i, None)
-                        if task_failed(i, "error", error_type, message):
-                            todo.append(i)
-                            _enqueue_span(i)
-                continue
-
+                if worker is None:
+                    continue
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    lost = True
+                    continue
+                _receive(wid, worker, message, alive=True)
             now = time.monotonic()
-            for wid, worker in list(workers.items()):
-                current = worker.current
-                if current is not None:
-                    i, deadline = current
-                    if deadline is not None and now > deadline:
-                        # Hung task: kill the worker deliberately
-                        # (doesn't count against pool health).
-                        worker.process.kill()
-                        worker.process.join(timeout=1.0)
-                        del workers[wid]
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="timeout")
-                        run_started.pop(i, None)
-                        if i not in resolved and task_failed(
-                            i, "timeout", "",
-                            f"exceeded {timeout:.3g}s wall-clock budget",
-                        ):
-                            todo.append(i)
-                            _enqueue_span(i)
-                        continue
-                if not worker.process.is_alive():
-                    # Unexpected death (kill fault, OOM, segfault).
-                    worker.process.join(timeout=1.0)
-                    del workers[wid]
-                    deaths += 1
-                    obs.count("workers.deaths")
-                    obs.event("worker-death", "fault",
-                              code=worker.process.exitcode)
-                    if current is not None:
-                        i = current[0]
-                        code = worker.process.exitcode
-                        obs.finish_open(run_spans.pop(i, None),
-                                        outcome="worker-died")
-                        run_started.pop(i, None)
-                        if i not in resolved and task_failed(
-                            i, "worker-died",
-                            "", f"worker exited with code {code} "
-                                f"while running task {i}",
-                        ):
-                            todo.append(i)
-                            _enqueue_span(i)
-                    if deaths > max_worker_deaths:
-                        warnings.warn(
-                            f"worker pool unhealthy ({deaths} worker "
-                            "deaths); running remaining cells "
-                            "in-process",
-                            RuntimeWarning, stacklevel=3,
-                        )
-                        obs.count("pool.degraded")
-                        obs.event("pool-degraded", "fault",
-                                  deaths=deaths)
-                        raise _PoolUnhealthy
+            if not ready or lost or now >= next_check:
+                next_check = now + _POLL_SECONDS
+                _check_health()
     except _PoolUnhealthy:
         return _remaining()
     finally:
@@ -937,5 +1041,4 @@ def _run_pool(
             obs.finish_open(span, outcome="abandoned")
         for worker in workers.values():
             worker.stop()
-        results_q.close()
     return []

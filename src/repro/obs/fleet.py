@@ -38,7 +38,9 @@ Counter roll-ups sum, per lane, the deltas of the *latest writer
 generation only* (counters reset at each ``stream-open``): a
 restarted broker re-counts the cells it restores from the journal, so
 summing across its generations would double-count — the latest
-generation is the authoritative tally for that lane.
+generation is the authoritative tally for that lane.  Per-name and
+folded ``counter`` records sum alike
+(:func:`~repro.obs.stream.counter_deltas`).
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import clock
-from .stream import StreamScan, find_stream_lanes, scan_stream
+from .stream import (
+    StreamScan, counter_deltas, find_stream_lanes, scan_stream,
+)
 
 __all__ = ["FleetSnapshot", "WorkerView", "fleet_snapshot"]
 
@@ -203,8 +207,8 @@ def _latest_generation_rollup(scan: StreamScan):
     generations = scan.generations()
     for record in (generations[-1] if generations else ()):
         if record.kind == "counter":
-            delta = int(record.attrs.get("delta", 0))
-            counters[record.name] = counters.get(record.name, 0) + delta
+            for name, delta in counter_deltas(record).items():
+                counters[name] = counters.get(name, 0) + delta
         elif record.kind == "gauge":
             gauges[record.name] = record.attrs.get("value")
         elif record.kind == "progress":

@@ -115,7 +115,8 @@ class MetricsRegistry:
     rather than silently shadowing data.
 
     An optional *sink* (duck-typed ``counter(name, amount)`` /
-    ``gauge(name, value)`` / ``observe(name, value)`` — in practice a
+    ``counters(deltas)`` / ``gauge(name, value)`` /
+    ``observe(name, value)`` — in practice a
     :class:`~repro.obs.stream.EventWriter`) sees every emission made
     through the convenience methods, streaming counter deltas, gauge
     changes and observations live.  Direct instrument mutation
@@ -170,17 +171,20 @@ class MetricsRegistry:
         if self.sink is not None:
             self.sink.observe(name, value)
 
-    def absorb_counts(self, counts: Dict[str, int],
-                      prefix: str = "") -> None:
-        """Fold a plain ``name -> amount`` mapping into counters.
+    def count_many(self, deltas: Dict[str, int]) -> None:
+        """Increment several counters as one emission.
 
-        Keys are visited in sorted order so instrument creation order
-        (and therefore nothing at all downstream) depends on the
-        mapping's insertion order.  Used to surface per-run simulator
-        counters (``CoreStats.stall_cycles``) through the registry.
+        The registry ends up exactly as after one :meth:`count` per
+        entry, but the sink sees a single ``counters(deltas)`` call —
+        one folded stream record instead of one per name.  Used for
+        the engine's per-cell completion tally.  Names are visited in
+        sorted order, so instrument creation order never depends on
+        the mapping's insertion order.
         """
-        for key in sorted(counts):
-            self.count(prefix + key, int(counts[key]))
+        for name in sorted(deltas):
+            self.counter(name).inc(deltas[name])
+        if self.sink is not None:
+            self.sink.counters(deltas)
 
     # -- snapshots --------------------------------------------------
 

@@ -11,7 +11,7 @@ line behind reality.
 Format: one JSON object per line, journal-style (the discipline of
 :mod:`repro.exec.journal`)::
 
-    {"v": 1, "lane": "main", "seq": 3, "kind": "span-open",
+    {"v": 2, "lane": "main", "seq": 3, "kind": "span-open",
      "name": "grid", "cat": "grid", "t": 12345.678901, "sid": 1,
      "attrs": {"tasks": 176}, "sha": "<sha-256 of the canonical
      record without this field>"}
@@ -40,9 +40,13 @@ Event kinds (:data:`EVENT_KINDS`): ``stream-open`` / ``stream-close``
 (writer lifecycle), ``span-open`` / ``span-close`` (paired by ``sid``
 within a generation), ``instant``, ``counter`` (deltas), ``gauge``
 (emitted on value change only), ``observe`` (histogram samples), and
-``progress`` (tasks done/total — the ETA inputs).  The schema is
-versioned (:data:`EVENT_SCHEMA`); a line under another version is
-named ``schema-drift`` damage rather than misread.
+``progress`` (tasks done/total — the ETA inputs).  A ``counter``
+record carries either one ``name`` with ``attrs.delta`` or, since
+schema 2, a ``deltas`` map of several counters moved together (the
+engine's per-cell completion tally).  The schema is versioned
+(:data:`EVENT_SCHEMA`); readers accept every version in
+:data:`READ_SCHEMAS`, and a line under any other version is named
+``schema-drift`` damage rather than misread.
 
 The stream is **strictly observational**, like everything in this
 package: the writer never raises into the run (a failing disk warns
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -78,17 +83,24 @@ __all__ = [
     "EVENT_SCHEMA",
     "EventRecord",
     "EventWriter",
+    "READ_SCHEMAS",
     "StreamScan",
+    "counter_deltas",
     "find_stream_lanes",
     "scan_stream",
     "trace_from_streams",
 ]
 
-#: Event-record format version; a line under any other version is
-#: ``schema-drift`` damage, never silently reinterpreted.
-EVENT_SCHEMA = 1
+#: Event-record format version written by :class:`EventWriter`.  v2
+#: added the folded ``counter`` record (a ``deltas`` map); a v1-only
+#: reader names v2 lines ``schema-drift`` instead of dropping deltas.
+EVENT_SCHEMA = 2
 
-#: Every record kind a v1 stream may carry.
+#: Every version this module reads; a line under any other version
+#: is ``schema-drift`` damage, never silently reinterpreted.
+READ_SCHEMAS = (1, 2)
+
+#: Every record kind a stream may carry.
 EVENT_KINDS = (
     "stream-open", "stream-close",
     "span-open", "span-close", "instant",
@@ -99,14 +111,67 @@ EVENT_KINDS = (
 LANE_SUFFIX = ".events.jsonl"
 
 
+#: The one canonical encoder: sorted keys, compact separators, and
+#: ``str()`` for anything JSON cannot carry.  Built once — a fresh
+#: ``json.dumps`` call constructs an encoder per record.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            default=str)
+
+
 def _canonical(record: Dict[str, object]) -> bytes:
-    return json.dumps(
-        record, sort_keys=True, separators=(",", ":"), default=str
-    ).encode("utf-8")
+    return _ENCODER.encode(record).encode("utf-8")
 
 
 def _line_sha(record: Dict[str, object]) -> str:
     return hashlib.sha256(_canonical(record)).hexdigest()
+
+
+def _number(value) -> str:
+    """``value`` as the canonical encoder writes it; exact ints and
+    finite floats are formatted directly (the encoder's own repr)."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return kind.__repr__(value)
+    return _ENCODER.encode(value)
+
+
+#: The closing member every record written by this version ends with.
+_LINE_END = f',"v":{EVENT_SCHEMA}}}'
+
+
+def _sealed_line(head: Dict[str, object], t, sid) -> str:
+    """The sealed line of the record ``head`` plus ``t``, ``v`` and, if
+    not ``None``, ``sid``.
+
+    ``head`` holds the keys sorting before ``"sha"``; ``sid``, ``t``
+    and ``v`` sort after it, so the canonical encoding of the whole
+    record is ``head``'s encoding continued by those three, and the
+    sealed line is the same text with ``"sha"`` spliced in at its
+    sorted position — equal, byte for byte, to encoding the record a
+    second time with its sha.
+    """
+    left = _ENCODER.encode(head)[:-1]
+    right = f'"t":{_number(t)}{_LINE_END}'
+    if sid is not None:
+        right = f'"sid":{_number(sid)},{right}'
+    sha = hashlib.sha256(
+        f"{left},{right}".encode("utf-8")).hexdigest()
+    return f'{left},"sha":"{sha}",{right}\n'
+
+
+def counter_deltas(record: "EventRecord") -> Dict[str, int]:
+    """``name -> delta`` carried by one ``counter`` record from
+    :func:`scan_stream`, in either form.
+
+    A per-name record (``name`` + ``attrs.delta``) and a folded one
+    (``attrs.deltas``) read the same way, so readers need not know
+    which form a writer used, and a lane mixing both rolls up to the
+    same totals.
+    """
+    deltas = record.attrs.get("deltas")
+    if deltas is not None:
+        return dict(deltas)
+    return {record.name: record.attrs["delta"]}
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +278,13 @@ class EventWriter:
         try:
             if self._handle is None:
                 self._open()
-            record = {
-                "v": EVENT_SCHEMA, "lane": self.lane,
-                "seq": self._seq, "kind": kind,
-                "t": clock.monotonic(), "attrs": attrs,
-            }
+            head = {"attrs": attrs, "kind": kind, "lane": self.lane,
+                    "seq": self._seq}
             if name:
-                record["name"] = name
+                head["name"] = name
             if category:
-                record["cat"] = category
-            if sid is not None:
-                record["sid"] = sid
-            record["sha"] = _line_sha(record)
-            line = _canonical(record).decode("utf-8") + "\n"
+                head["cat"] = category
+            line = _sealed_line(head, clock.monotonic(), sid)
             # Append under an exclusive flock, the journal discipline:
             # interleaved writers (never expected on one lane, but
             # never fatal either) cannot tear each other's lines.
@@ -293,6 +352,12 @@ class EventWriter:
     def counter(self, name: str, amount: int) -> None:
         """Metrics sink: a counter moved by ``amount``."""
         self.emit("counter", name, delta=int(amount))
+
+    def counters(self, deltas: Dict[str, int]) -> None:
+        """Metrics sink: several counters moved together, as one
+        folded ``counter`` record (read back by :func:`counter_deltas`)."""
+        self.emit("counter", deltas={name: int(amount)
+                                     for name, amount in deltas.items()})
 
     def gauge(self, name: str, value) -> None:
         """Metrics sink: a gauge was sampled (streamed on change only,
@@ -395,7 +460,7 @@ def _parse_line(raw: bytes) -> Tuple[Optional[EventRecord], Optional[str]]:
         return None, "malformed"
     if not isinstance(entry, dict):
         return None, "malformed"
-    if entry.get("v") != EVENT_SCHEMA:
+    if entry.get("v") not in READ_SCHEMAS:
         return None, "schema-drift"
     sha = entry.pop("sha", None)
     if sha != _line_sha(entry):
@@ -413,7 +478,21 @@ def _parse_line(raw: bytes) -> Tuple[Optional[EventRecord], Optional[str]]:
         return None, "malformed"
     if record.kind not in EVENT_KINDS:
         return None, "malformed"
+    if record.kind == "counter" and not _valid_counter(record):
+        return None, "malformed"
     return record, None
+
+
+def _valid_counter(record: EventRecord) -> bool:
+    """A ``counter`` record is one named integer ``delta`` or an
+    unnamed ``deltas`` map of name -> integer."""
+    deltas = record.attrs.get("deltas")
+    if deltas is None:
+        return bool(record.name) \
+            and isinstance(record.attrs.get("delta"), int)
+    return (not record.name and isinstance(deltas, dict)
+            and all(isinstance(value, int)
+                    for value in deltas.values()))
 
 
 def scan_stream(path: Union[str, os.PathLike]) -> StreamScan:

@@ -146,3 +146,101 @@ class TestCoreFamily:
         assert core_family("reference") == "reference"
         for core in ("batched", "batched-native", "batched-python"):
             assert core_family(core) == "batched"
+
+
+class TestKeyBytes:
+    """``task_key`` memoizes each configuration's canonical fields; the
+    keys must stay exactly those of the unmemoized payload, which
+    every existing cache entry and journal line is filed under."""
+
+    @staticmethod
+    def unmemoized_key(task):
+        import dataclasses
+        import hashlib
+
+        from repro.cpu import SIMULATOR_VERSION
+        from repro.exec import core_family
+
+        payload = {
+            "version": SIMULATOR_VERSION,
+            "config": dataclasses.asdict(task.config),
+            "trace": task.trace.fingerprint(),
+            "precompute_table": (
+                sorted(task.precompute_table)
+                if task.precompute_table is not None else None
+            ),
+            "prefetch_lines": task.prefetch_lines,
+            "warmup": task.warmup,
+            "core": core_family(task.core),
+        }
+        return hashlib.sha256(canonical_blob(payload)).hexdigest()
+
+    def test_foldover_grid_keys_unchanged(self):
+        from repro.core import PBExperiment
+        from repro.exec import grid_tasks, task_key
+        from repro.workloads import benchmark_suite
+
+        traces = benchmark_suite(length=300)
+        configs = PBExperiment(traces).configs()
+        tasks = grid_tasks(configs, traces)
+        assert len(tasks) == 88 * 13
+        keys = [task_key(task) for task in tasks]
+        assert keys == [self.unmemoized_key(task) for task in tasks]
+        # Memo hits (second pass) give the same bytes as misses.
+        assert keys == [task_key(task) for task in tasks]
+        assert len(set(keys)) == len(keys)
+
+    def test_configs_differing_in_one_field(self):
+        import dataclasses
+
+        from repro.cpu import MachineConfig
+        from repro.cpu.params import PARAMETER_SPACE
+        from repro.exec import SimTask, task_key
+        from repro.workloads import benchmark_trace
+
+        trace = benchmark_trace("gzip", 300)
+        base = MachineConfig()
+        fields = {f.name for f in dataclasses.fields(MachineConfig)}
+        base_key = task_key(SimTask(config=base, trace=trace))
+        seen = {base_key}
+        varied = 0
+        for spec in PARAMETER_SPACE:
+            if spec.field not in fields:
+                continue
+            value = spec.high if getattr(base, spec.field) != spec.high \
+                else spec.low
+            try:
+                config = dataclasses.replace(base, **{spec.field: value})
+            except ValueError:
+                continue  # violates a cross-field constraint
+            task = SimTask(config=config, trace=trace)
+            key = task_key(task)
+            assert key == self.unmemoized_key(task), spec.field
+            assert key not in seen, spec.field
+            seen.add(key)
+            varied += 1
+        assert varied >= 30
+        # An equal configuration built anew keys identically.
+        assert task_key(SimTask(config=MachineConfig(), trace=trace)) \
+            == base_key
+
+    def test_memo_holds_no_configuration_alive(self):
+        import gc
+
+        from repro.cpu import MachineConfig
+        from repro.exec import SimTask, cache, task_key
+        from repro.workloads import benchmark_trace
+
+        config = MachineConfig().evolve(rob_entries=48)
+        task_key(SimTask(config=config, trace=benchmark_trace("gzip", 300)))
+        key = id(config)
+        assert key in cache._fields_memo
+        del config
+        gc.collect()
+        assert key not in cache._fields_memo
+
+    def test_canonicalize_leaves_dataclasses_as_strings(self):
+        from repro.cpu import MachineConfig
+
+        config = MachineConfig()
+        assert canonicalize(config) == str(config)

@@ -62,11 +62,11 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.set_gauge("x", 1)
 
-    def test_absorb_counts_with_prefix(self):
+    def test_count_many_accumulates(self):
         registry = MetricsRegistry()
-        registry.absorb_counts({"fetch": 10, "rob_full": 3},
-                               prefix="sim.stall.")
-        registry.absorb_counts({"fetch": 5}, prefix="sim.stall.")
+        registry.count_many({"sim.stall.fetch": 10,
+                             "sim.stall.rob_full": 3})
+        registry.count_many({"sim.stall.fetch": 5})
         snap = registry.snapshot()
         assert snap["sim.stall.fetch"]["value"] == 15
         assert snap["sim.stall.rob_full"]["value"] == 3
