@@ -1,16 +1,18 @@
-/* Compiled batched simulator core.
+/* Compiled simulator kernel: the default core.
  *
- * A C transcription of the batched structure-of-arrays cycle loop
- * (src/repro/cpu/batched.py) together with every stateful component
- * it drives: the cache/TLB hierarchy, main memory, the direction
- * predictors, BTB and return-address stack, and the functional-unit
- * pool.  The contract is *field-exact* equivalence with the Python
- * model — identical CoreStats counters, identical watchdog trip
- * cycles and state dumps — enforced by repro.cpu.equivalence.  Every
- * function below therefore names the Python method it mirrors; when
- * editing one side, edit the other.
+ * One call simulates one (machine, trace) pair: the cache/TLB
+ * hierarchy, main memory, the direction predictors, BTB and
+ * return-address stack, the functional-unit pool and the out-of-order
+ * cycle loop, with the optional functional warm-up in front.  The
+ * contract is *field-exact* outputs: every CoreStats counter, every
+ * watchdog trip cycle and every watchdog state dump equal to the
+ * interpreted reference model's (repro.cpu.pipeline), enforced by
+ * repro.cpu.equivalence and `repro diffcore`.  Each component names
+ * the Python class whose behaviour it must reproduce; the cycle loop
+ * keeps the model's stage order (commit, writeback, issue, dispatch,
+ * fetch) but not its data structures.
  *
- * Two details are easy to get wrong:
+ * Details that are easy to get wrong:
  *
  * 1. Random replacement must reproduce CPython's random.Random(12345)
  *    exactly: MT19937 seeded via init_by_array([seed]), with
@@ -18,18 +20,43 @@
  *    retry while >= n).  Each cache owns one generator.
  *
  * 2. Writeback order: completions scheduled for the same cycle retire
- *    in issue order (Python appends to a per-cycle list), and two
- *    branches resolving together must apply their fetch-redirect in
- *    that order (last writer wins).  The calendar queue below keeps
- *    per-bucket FIFO order for this reason.
+ *    in issue order, and two branches resolving together apply their
+ *    fetch redirects in that order (last writer wins).  The calendar
+ *    queue keeps per-bucket FIFO order for this reason.
  *
- * Built by repro.cpu.native with any C99 toolchain; no dependencies
- * beyond libc.
+ * 3. Set, block and page indices use Python's floor `//` and `%`, so a
+ *    negative address lands in a valid set.  Power-of-two geometry
+ *    takes a shift and a mask (arithmetic right shift, as gcc and
+ *    clang define it for signed operands); other geometry takes the
+ *    floor helpers.
+ *
+ * 4. Issue picks ready instructions oldest first.  Dispatch and commit
+ *    are in program order, so the ROB always holds the consecutive
+ *    trace indices [committed, committed + rob_count) and the IFQ the
+ *    indices [fetch_index - ifq_count, fetch_index).  The ready set is
+ *    one bit per ROB slot (slot = trace index & slot_mask), split into
+ *    lanes: one per functional-unit class plus one for precomputed
+ *    instructions, which need no unit.  A lane whose units are all
+ *    busy stays busy for the rest of the cycle, because issuing only
+ *    takes units, so the scan skips it outright.
+ *
+ * Every `goto done` is an allocation-failure exit (status is still
+ * STATUS_NO_MEMORY there); the kernel coverage check in CI allows
+ * those lines, and only those, to stay unexecuted.
+ *
+ * Built by repro.cpu.native with gcc or clang (C99 plus
+ * __builtin_ctzll); no dependencies beyond libc.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* OpClass / BranchKind values (repro.cpu.isa; asserted by native.py). */
+#define OP_LOAD 7
+#define OP_STORE 8
+#define OP_BRANCH 9
+#define N_OP_CLASSES 10
 
 /* -- configuration vector indices (keep in sync with native.py) ---------- */
 
@@ -59,13 +86,17 @@ enum {
     CFG_INT_ALUS, CFG_FP_ALUS, CFG_INT_MULT_DIV, CFG_FP_MULT_DIV,
     CFG_MEM_PORTS,
     CFG_RNG_SEED,
-    CFG_N_FIELDS,
+    /* OpClass-indexed tables, N_OP_CLASSES entries each */
+    CFG_OP_UNIT,
+    CFG_OP_LATENCY = CFG_OP_UNIT + N_OP_CLASSES,
+    CFG_OP_INTERVAL = CFG_OP_LATENCY + N_OP_CLASSES,
+    CFG_N_FIELDS = CFG_OP_INTERVAL + N_OP_CLASSES,
 };
 
 /* -- output vector indices (keep in sync with native.py) ----------------- */
 
 enum {
-    OUT_STATUS = 0,         /* 0 ok, 1 cycle budget, 2 hang, <0 internal */
+    OUT_STATUS = 0,         /* 0 ok, 1 cycle budget, 2 hang, -3 no memory */
     OUT_CYCLES,
     OUT_INSTRUCTIONS,
     OUT_BRANCHES,
@@ -85,7 +116,7 @@ enum {
     OUT_STALL_FETCH, OUT_STALL_FU, OUT_STALL_LSQ,
     OUT_STALL_MISPREDICT, OUT_STALL_ROB,
     OUT_PRECOMPUTE_HITS,
-    /* watchdog diagnostics, valid when status != 0 */
+    /* watchdog diagnostics, valid when status > 0 */
     OUT_ERR_CYCLE,
     OUT_ERR_COMMITTED,
     OUT_ERR_LAST_COMMIT,
@@ -108,28 +139,39 @@ enum {
     OUT_N_FIELDS,
 };
 
-/* OpClass / BranchKind values (repro.cpu.isa; asserted by native.py). */
-#define OP_LOAD 7
-#define OP_STORE 8
-#define OP_BRANCH 9
-#define N_OP_CLASSES 10
+#define STATUS_OK 0
+#define STATUS_CYCLE_BUDGET 1
+#define STATUS_HANG 2
+#define STATUS_NO_MEMORY (-3)
+
+/* The trace and its static decode (repro.workloads.trace); the layout
+ * matches native.py's _TraceArrays. */
+typedef struct {
+    int64_t n;
+    const int64_t *pc;
+    const uint8_t *op;
+    const int64_t *addr;
+    const uint8_t *kind;
+    const uint8_t *taken;
+    const int64_t *target;
+    const int32_t *prod1;
+    const int32_t *prod2;
+    const int32_t *store_prod;
+} TraceArrays;
 
 #define KIND_COND 1
 #define KIND_CALL 2
 #define KIND_RETURN 3
-#define KIND_JUMP 4
 
 #define STATE_WAITING 0
 #define STATE_ISSUED 1
 #define STATE_DONE 2
 
 #define POLICY_LRU 0
-#define POLICY_FIFO 1
 #define POLICY_RANDOM 2
 
 #define PRED_2LEVEL 0
 #define PRED_BIMODAL 1
-#define PRED_TAKEN 2
 #define PRED_TOURNAMENT 3
 #define PRED_PERFECT 4
 
@@ -141,6 +183,8 @@ enum {
 #define GSHARE_TABLE_BITS 10
 #define BIMODAL_TABLE_BITS 11
 #define TOURNAMENT_TABLE_BITS 10
+
+#define CTZ64(x) __builtin_ctzll(x)
 
 /* ========================================================================
  * MT19937 with CPython seeding semantics (random.Random(seed))
@@ -229,6 +273,39 @@ static int64_t mt_randbelow(MT19937 *m, int64_t n) {
 }
 
 /* ========================================================================
+ * Floor division by a positive geometry constant (Python's // and %)
+ * ======================================================================== */
+
+typedef struct {
+    int64_t value;
+    int64_t mask;       /* value - 1 */
+    int shift;          /* log2(value), or -1 when not a power of two */
+} Divisor;
+
+static void divisor_init(Divisor *d, int64_t value) {
+    d->value = value;
+    d->mask = value - 1;
+    d->shift = -1;
+    if ((value & d->mask) == 0) {
+        int s = 0;
+        while ((1LL << s) < value) s++;
+        d->shift = s;
+    }
+}
+
+static inline int64_t floor_div(const Divisor *d, int64_t a) {
+    if (d->shift >= 0) return a >> d->shift;
+    int64_t q = a / d->value;
+    return (q * d->value > a) ? q - 1 : q;
+}
+
+static inline int64_t floor_mod(const Divisor *d, int64_t a) {
+    if (d->shift >= 0) return a & d->mask;
+    int64_t r = a % d->value;
+    return (r < 0) ? r + d->value : r;
+}
+
+/* ========================================================================
  * Main memory (repro.cpu.memory.MainMemory)
  * ======================================================================== */
 
@@ -248,13 +325,13 @@ static int64_t mem_access(const MainMemory *mem, int64_t n_bytes) {
  * ======================================================================== */
 
 typedef struct CacheLevel {
-    int64_t block_size;
+    Divisor block;                  /* address -> block number */
+    Divisor sets;                   /* block number -> set */
     int64_t latency;
-    int64_t n_sets;
     int32_t assoc;
     int policy;
     struct CacheLevel *next_cache;  /* NULL -> main memory */
-    const MainMemory *memory;
+    int64_t memory_latency;         /* one block from memory */
     int64_t *tags;                  /* n_sets * assoc, MRU first */
     uint8_t *dirty;
     int32_t *cnt;
@@ -268,18 +345,19 @@ static int cache_init(CacheLevel *c, int64_t size, int64_t assoc,
                       const MainMemory *memory) {
     int64_t n_blocks = size / block;
     if (assoc == 0 || assoc >= n_blocks) assoc = n_blocks;
-    c->block_size = block;
+    divisor_init(&c->block, block);
+    divisor_init(&c->sets, n_blocks / assoc);
     c->latency = latency;
     c->assoc = (int32_t)assoc;
-    c->n_sets = n_blocks / assoc;
     c->policy = policy;
     c->next_cache = next;
-    c->memory = memory;
+    c->memory_latency = next ? 0 : mem_access(memory, block);
     c->acc = c->miss = c->wb = 0;
     c->tags = (int64_t *)malloc((size_t)n_blocks * sizeof(int64_t));
     c->dirty = (uint8_t *)malloc((size_t)n_blocks);
-    c->cnt = (int32_t *)calloc((size_t)c->n_sets, sizeof(int32_t));
-    mt_seed(&c->rng, seed);
+    c->cnt = (int32_t *)calloc((size_t)c->sets.value, sizeof(int32_t));
+    /* Only random replacement draws from the generator. */
+    if (policy == POLICY_RANDOM) mt_seed(&c->rng, seed);
     return c->tags && c->dirty && c->cnt;
 }
 
@@ -290,14 +368,14 @@ static void cache_free(CacheLevel *c) {
 
 static int64_t cache_access(CacheLevel *c, int64_t addr, int write) {
     c->acc++;
-    int64_t block = addr / c->block_size;
-    int64_t set = block % c->n_sets;
+    int64_t block = floor_div(&c->block, addr);
+    int64_t set = floor_mod(&c->sets, block);
     int64_t *tags = c->tags + set * c->assoc;
     uint8_t *dirty = c->dirty + set * c->assoc;
     int32_t cnt = c->cnt[set];
     for (int32_t i = 0; i < cnt; i++) {
         if (tags[i] == block) {
-            if (write) dirty[i] = 1;
+            dirty[i] |= (uint8_t)write;
             if (c->policy == POLICY_LRU && i) {
                 uint8_t d = dirty[i];
                 memmove(tags + 1, tags, (size_t)i * sizeof(int64_t));
@@ -311,7 +389,7 @@ static int64_t cache_access(CacheLevel *c, int64_t addr, int write) {
     c->miss++;
     int64_t below = c->next_cache
         ? cache_access(c->next_cache, addr, 0)
-        : mem_access(c->memory, c->block_size);
+        : c->memory_latency;
     /* allocate (Cache._allocate): evict first when full, insert MRU */
     if (cnt >= c->assoc) {
         int32_t victim = (c->policy == POLICY_RANDOM)
@@ -337,9 +415,9 @@ static int64_t cache_access(CacheLevel *c, int64_t addr, int write) {
  * ======================================================================== */
 
 typedef struct {
-    int64_t page_size;
+    Divisor page;                   /* address -> page number */
+    Divisor sets;                   /* page number -> set */
     int64_t miss_latency;
-    int64_t n_sets;
     int32_t assoc;
     int64_t *tags;
     int32_t *cnt;
@@ -349,13 +427,13 @@ typedef struct {
 static int tlb_init(TLBLevel *t, int64_t n_entries, int64_t page_size,
                     int64_t assoc, int64_t miss_latency) {
     if (assoc == 0 || assoc >= n_entries) assoc = n_entries;
-    t->page_size = page_size;
+    divisor_init(&t->page, page_size);
+    divisor_init(&t->sets, n_entries / assoc);
     t->miss_latency = miss_latency;
     t->assoc = (int32_t)assoc;
-    t->n_sets = n_entries / assoc;
     t->acc = t->miss = 0;
     t->tags = (int64_t *)malloc((size_t)n_entries * sizeof(int64_t));
-    t->cnt = (int32_t *)calloc((size_t)t->n_sets, sizeof(int32_t));
+    t->cnt = (int32_t *)calloc((size_t)t->sets.value, sizeof(int32_t));
     return t->tags && t->cnt;
 }
 
@@ -366,8 +444,8 @@ static void tlb_free(TLBLevel *t) {
 
 static int64_t tlb_access(TLBLevel *t, int64_t addr) {
     t->acc++;
-    int64_t page = addr / t->page_size;
-    int64_t set = page % t->n_sets;
+    int64_t page = floor_div(&t->page, addr);
+    int64_t set = floor_mod(&t->sets, page);
     int64_t *tags = t->tags + set * t->assoc;
     int32_t cnt = t->cnt[set];
     for (int32_t i = 0; i < cnt; i++) {
@@ -414,7 +492,7 @@ static int64_t data_access(Hierarchy *h, int64_t addr, int write) {
          * L2 traffic and writebacks kept (MemoryHierarchy.data_access). */
         int64_t demand_acc = h->l1d.acc;
         int64_t demand_miss = h->l1d.miss;
-        int64_t block = h->l1d.block_size;
+        int64_t block = h->l1d.block.value;
         for (int64_t k = 1; k <= h->prefetch_lines; k++) {
             cache_access(&h->l1d, addr + k * block, 0);
         }
@@ -470,13 +548,19 @@ static void ct_update(CounterTable *t, int64_t index, int taken) {
 }
 
 /* Tournament _last_components: dict semantics (keyed by pc, pop with
- * default) over a small linear table — occupancy is bounded by the
- * in-flight conditional branches (<= IFQ + ROB). */
+ * default) over a small linear table that grows on demand; occupancy
+ * is bounded by the in-flight conditional branches. */
 typedef struct {
-    int64_t *pc;
-    uint8_t *g, *b;
+    int64_t pc;
+    uint8_t g, b;
+} LastComponent;
+
+typedef struct {
+    LastComponent *entries;
     int32_t n, cap;
 } LastComponents;
+
+#define LAST_COMPONENTS_INITIAL 8
 
 typedef struct {
     int kind;
@@ -489,8 +573,7 @@ typedef struct {
     LastComponents lc;
 } Predictor;
 
-static int pred_init(Predictor *p, int kind, int speculative,
-                     int32_t lc_capacity) {
+static int pred_init(Predictor *p, int kind, int speculative) {
     memset(p, 0, sizeof(*p));
     p->kind = kind;
     p->speculative = speculative;
@@ -506,12 +589,10 @@ static int pred_init(Predictor *p, int kind, int speculative,
         if (!ct_init(&p->gtable, GSHARE_TABLE_BITS)) return 0;
         if (!ct_init(&p->btable, TOURNAMENT_TABLE_BITS)) return 0;
         if (!ct_init(&p->chooser, TOURNAMENT_TABLE_BITS)) return 0;
-        p->lc.cap = lc_capacity;
-        p->lc.n = 0;
-        p->lc.pc = (int64_t *)malloc((size_t)lc_capacity * sizeof(int64_t));
-        p->lc.g = (uint8_t *)malloc((size_t)lc_capacity);
-        p->lc.b = (uint8_t *)malloc((size_t)lc_capacity);
-        return p->lc.pc && p->lc.g && p->lc.b;
+        p->lc.cap = LAST_COMPONENTS_INITIAL;
+        p->lc.entries = (LastComponent *)malloc(
+            (size_t)p->lc.cap * sizeof(LastComponent));
+        return p->lc.entries != NULL;
     }
     return 1;  /* taken / perfect: no state */
 }
@@ -520,8 +601,8 @@ static void pred_free(Predictor *p) {
     ct_free(&p->gtable);
     ct_free(&p->btable);
     ct_free(&p->chooser);
-    free(p->lc.pc); free(p->lc.g); free(p->lc.b);
-    p->lc.pc = NULL; p->lc.g = NULL; p->lc.b = NULL;
+    free(p->lc.entries);
+    p->lc.entries = NULL;
 }
 
 static void pred_push_history(Predictor *p, int taken) {
@@ -535,32 +616,38 @@ static int64_t pred_history(const Predictor *p) {
     return 0;
 }
 
+/* Returns 0 when growing the table fails. */
 static int lc_put(LastComponents *lc, int64_t pc, int g, int b) {
+    LastComponent *e = lc->entries;
     for (int32_t i = 0; i < lc->n; i++) {
-        if (lc->pc[i] == pc) {
-            lc->g[i] = (uint8_t)g;
-            lc->b[i] = (uint8_t)b;
+        if (e[i].pc == pc) {
+            e[i].g = (uint8_t)g;
+            e[i].b = (uint8_t)b;
             return 1;
         }
     }
-    if (lc->n >= lc->cap) return 0;
-    lc->pc[lc->n] = pc;
-    lc->g[lc->n] = (uint8_t)g;
-    lc->b[lc->n] = (uint8_t)b;
+    if (lc->n == lc->cap) {
+        e = (LastComponent *)realloc(
+            e, 2 * (size_t)lc->cap * sizeof(LastComponent));
+        if (!e) return 0;
+        lc->entries = e;
+        lc->cap *= 2;
+    }
+    e[lc->n].pc = pc;
+    e[lc->n].g = (uint8_t)g;
+    e[lc->n].b = (uint8_t)b;
     lc->n++;
     return 1;
 }
 
 static void lc_pop(LastComponents *lc, int64_t pc, int taken,
                    int *g, int *b) {
+    LastComponent *e = lc->entries;
     for (int32_t i = 0; i < lc->n; i++) {
-        if (lc->pc[i] == pc) {
-            *g = lc->g[i];
-            *b = lc->b[i];
-            lc->n--;
-            lc->pc[i] = lc->pc[lc->n];
-            lc->g[i] = lc->g[lc->n];
-            lc->b[i] = lc->b[lc->n];
+        if (e[i].pc == pc) {
+            *g = e[i].g;
+            *b = e[i].b;
+            e[i] = e[--lc->n];
             return;
         }
     }
@@ -568,8 +655,8 @@ static void lc_pop(LastComponents *lc, int64_t pc, int taken,
     *b = taken;
 }
 
-/* Returns the prediction; *ok is cleared on last-components overflow
- * (cannot happen while in-flight branches fit the IFQ + ROB). */
+/* Returns the prediction; *ok is cleared when the tournament table
+ * cannot grow. */
 static int pred_predict(Predictor *p, int64_t pc, int *ok) {
     switch (p->kind) {
     case PRED_2LEVEL: {
@@ -579,8 +666,6 @@ static int pred_predict(Predictor *p, int64_t pc, int *ok) {
     }
     case PRED_BIMODAL:
         return ct_predict(&p->btable, pc >> 2);
-    case PRED_TAKEN:
-        return 1;
     case PRED_TOURNAMENT: {
         int g = ct_predict(&p->gtable, (pc >> 2) ^ p->history);
         if (p->speculative) pred_push_history(p, g);
@@ -589,8 +674,9 @@ static int pred_predict(Predictor *p, int64_t pc, int *ok) {
         if (!lc_put(&p->lc, pc, g, b)) *ok = 0;
         return use_gshare ? g : b;
     }
+    default:
+        return 1;  /* static taken */
     }
-    return 1;
 }
 
 static void pred_update(Predictor *p, int64_t pc, int taken,
@@ -631,7 +717,7 @@ static void pred_repair(Predictor *p, int64_t history_at_predict,
  * ======================================================================== */
 
 typedef struct {
-    int64_t n_sets;
+    Divisor sets;
     int32_t assoc;
     int64_t *pcs;
     int64_t *targets;
@@ -641,10 +727,10 @@ typedef struct {
 static int btb_init(BTB *b, int64_t n_entries, int64_t assoc) {
     if (assoc == 0 || assoc >= n_entries) assoc = n_entries;
     b->assoc = (int32_t)assoc;
-    b->n_sets = n_entries / assoc;
+    divisor_init(&b->sets, n_entries / assoc);
     b->pcs = (int64_t *)malloc((size_t)n_entries * sizeof(int64_t));
     b->targets = (int64_t *)malloc((size_t)n_entries * sizeof(int64_t));
-    b->cnt = (int32_t *)calloc((size_t)b->n_sets, sizeof(int32_t));
+    b->cnt = (int32_t *)calloc((size_t)b->sets.value, sizeof(int32_t));
     return b->pcs && b->targets && b->cnt;
 }
 
@@ -654,7 +740,7 @@ static void btb_free(BTB *b) {
 }
 
 static int btb_lookup(BTB *b, int64_t pc, int64_t *target) {
-    int64_t set = (pc >> 2) % b->n_sets;
+    int64_t set = floor_mod(&b->sets, pc >> 2);
     int64_t *pcs = b->pcs + set * b->assoc;
     int64_t *tgts = b->targets + set * b->assoc;
     int32_t cnt = b->cnt[set];
@@ -675,7 +761,7 @@ static int btb_lookup(BTB *b, int64_t pc, int64_t *target) {
 }
 
 static void btb_insert(BTB *b, int64_t pc, int64_t target) {
-    int64_t set = (pc >> 2) % b->n_sets;
+    int64_t set = floor_mod(&b->sets, pc >> 2);
     int64_t *pcs = b->pcs + set * b->assoc;
     int64_t *tgts = b->targets + set * b->assoc;
     int32_t cnt = b->cnt[set];
@@ -704,15 +790,13 @@ static void btb_insert(BTB *b, int64_t pc, int64_t target) {
 typedef struct {
     int64_t *entries;
     int64_t depth;
-    int64_t top;
-    int64_t occupancy;
+    int64_t top;        /* next push slot */
 } RAS;
 
 static int ras_init(RAS *r, int64_t depth) {
     r->entries = (int64_t *)calloc((size_t)depth, sizeof(int64_t));
     r->depth = depth;
     r->top = 0;
-    r->occupancy = 0;
     return r->entries != NULL;
 }
 
@@ -723,18 +807,16 @@ static void ras_free(RAS *r) {
 
 static void ras_push(RAS *r, int64_t address) {
     r->entries[r->top] = address;
-    r->top = (r->top + 1) % r->depth;
-    if (r->occupancy < r->depth) r->occupancy++;
+    if (++r->top == r->depth) r->top = 0;
 }
 
 static int64_t ras_pop(RAS *r) {
-    r->top = (r->top - 1 + r->depth) % r->depth;
-    if (r->occupancy) r->occupancy--;
+    r->top = (r->top ? r->top : r->depth) - 1;
     return r->entries[r->top];
 }
 
 /* ========================================================================
- * Functional units (repro.cpu.funits) — next-free slots per class
+ * Functional units (repro.cpu.funits) — next-free cycle per unit
  * ======================================================================== */
 
 enum { UNIT_INT_ALU, UNIT_FP_ALU, UNIT_INT_MULT_DIV, UNIT_FP_MULT_DIV,
@@ -744,95 +826,34 @@ typedef struct {
     int64_t *next_free[N_UNIT_CLASSES];
     int32_t count[N_UNIT_CLASSES];
     int64_t issued[N_UNIT_CLASSES];
-    const int64_t *op_unit;      /* OpClass -> unit class */
-    const int64_t *op_latency;
-    const int64_t *op_interval;
+    int64_t *storage;
 } FunctionalUnits;
 
-static int funits_init(FunctionalUnits *f, const int64_t *counts,
-                       const int64_t *op_unit, const int64_t *op_latency,
-                       const int64_t *op_interval) {
-    f->op_unit = op_unit;
-    f->op_latency = op_latency;
-    f->op_interval = op_interval;
+static int funits_init(FunctionalUnits *f, const int64_t *counts) {
+    int64_t total = 0;
+    for (int u = 0; u < N_UNIT_CLASSES; u++) total += counts[u];
+    f->storage = (int64_t *)calloc((size_t)total, sizeof(int64_t));
+    if (!f->storage) return 0;
+    int64_t *next = f->storage;
     for (int u = 0; u < N_UNIT_CLASSES; u++) {
         f->count[u] = (int32_t)counts[u];
         f->issued[u] = 0;
-        f->next_free[u] =
-            (int64_t *)calloc((size_t)counts[u], sizeof(int64_t));
-        if (!f->next_free[u]) return 0;
+        f->next_free[u] = next;
+        next += counts[u];
     }
     return 1;
 }
 
-static void funits_free(FunctionalUnits *f) {
-    for (int u = 0; u < N_UNIT_CLASSES; u++) {
-        free(f->next_free[u]);
-        f->next_free[u] = NULL;
-    }
-}
-
-static int funits_can_issue(const FunctionalUnits *f, int op,
-                            int64_t cycle) {
-    int unit = (int)f->op_unit[op];
+/* The first unit of class `unit` at or after `start` that is free at
+ * `cycle` (UnitClass.issue takes the first free one), or -1. */
+static int32_t free_unit(const FunctionalUnits *f, int unit, int64_t cycle,
+                         int32_t start) {
     const int64_t *free_at = f->next_free[unit];
-    for (int32_t i = 0; i < f->count[unit]; i++) {
-        if (free_at[i] <= cycle) return 1;
+    for (int32_t i = start; i < f->count[unit]; i++) {
+        if (free_at[i] <= cycle) return i;
     }
-    return 0;
+    return -1;
 }
-
-/* Occupy the first free unit; returns the result latency.  count=0
- * busies the unit without tallying (a store's commit-time cache write
- * reuses the port its issue already counted). */
-static int64_t funits_issue(FunctionalUnits *f, int op, int64_t cycle,
-                            int count) {
-    int unit = (int)f->op_unit[op];
-    int64_t *free_at = f->next_free[unit];
-    for (int32_t i = 0; i < f->count[unit]; i++) {
-        if (free_at[i] <= cycle) {
-            free_at[i] = cycle + f->op_interval[op];
-            if (count) f->issued[unit]++;
-            return f->op_latency[op];
-        }
-    }
-    return -1;  /* unreachable when guarded by funits_can_issue */
-}
-
-/* ========================================================================
- * Ready set: binary min-heap over trace indices (== sequence numbers)
- * ======================================================================== */
-
-static void heap_push(int32_t *heap, int32_t *size, int32_t value) {
-    int32_t i = (*size)++;
-    while (i) {
-        int32_t parent = (i - 1) >> 1;
-        if (heap[parent] <= value) break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = value;
-}
-
-static int32_t heap_pop(int32_t *heap, int32_t *size) {
-    int32_t top = heap[0];
-    int32_t last = heap[--(*size)];
-    int32_t i = 0;
-    for (;;) {
-        int32_t child = 2 * i + 1;
-        if (child >= *size) break;
-        if (child + 1 < *size && heap[child + 1] < heap[child]) child++;
-        if (heap[child] >= last) break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    heap[i] = last;
-    return top;
-}
-
-/* ========================================================================
- * The simulator
- * ======================================================================== */
 
 static int64_t next_pow2(int64_t v) {
     int64_t p = 1;
@@ -840,25 +861,95 @@ static int64_t next_pow2(int64_t v) {
     return p;
 }
 
+/* ========================================================================
+ * Ready set: one bit per ROB slot, in a union bitmap and per lane
+ * ======================================================================== */
+
+#define LANE_PRECOMPUTED N_UNIT_CLASSES
+#define N_LANES (N_UNIT_CLASSES + 1)
+
+typedef struct {
+    uint64_t *any;              /* every ready slot, `words` words */
+    uint64_t *bits;             /* per lane: N_LANES bitmaps of `words` */
+    uint16_t *lane;             /* per slot: the lane of its instruction */
+    int64_t words;
+    int64_t slot_mask;          /* slot = trace index & slot_mask */
+    int64_t in_lane[N_LANES];
+    int64_t total;
+} ReadySet;
+
+static int ready_init(ReadySet *r, int64_t rob_capacity) {
+    int64_t slots = next_pow2(rob_capacity);
+    r->slot_mask = slots - 1;
+    r->words = (slots + 63) >> 6;
+    r->any = (uint64_t *)calloc((size_t)((N_LANES + 1) * r->words),
+                                sizeof(uint64_t));
+    r->bits = r->any + r->words;
+    r->lane = (uint16_t *)malloc((size_t)slots * sizeof(uint16_t));
+    return r->any && r->lane;
+}
+
+static void ready_free(ReadySet *r) {
+    free(r->any); free(r->lane);
+    r->any = NULL; r->bits = NULL; r->lane = NULL;
+}
+
+/* Adds trace index `index` when `is_ready` (0 or 1) is set, without a
+ * branch: whether an instruction is ready is data the host cannot
+ * predict. */
+static void ready_add(ReadySet *r, int64_t index, int64_t is_ready) {
+    int64_t slot = index & r->slot_mask;
+    int64_t w = slot >> 6;
+    uint64_t bit = (uint64_t)is_ready << (slot & 63);
+    int lane = r->lane[slot];
+    r->any[w] |= bit;
+    r->bits[lane * r->words + w] |= bit;
+    r->in_lane[lane] += is_ready;
+    r->total += is_ready;
+}
+
+/* ========================================================================
+ * The simulator
+ * ======================================================================== */
+
+/* Adds a wake-up edge producer -> consumer when the producer is still
+ * in flight; returns 1 when it did.  Branch-free: the edge is always
+ * written and only kept when live, and "no producer" (-1) reads the
+ * DONE sentinel in front of `state`. */
+static int add_edge(int32_t producer, int32_t consumer,
+                    const uint16_t *state, int32_t *wake_head,
+                    int32_t *edge_to, int32_t *edge_next,
+                    int32_t *edge_count) {
+    int live = state[producer] != STATE_DONE;
+    int32_t edge = *edge_count;
+    int32_t next = wake_head[producer];
+    edge_to[edge] = consumer;
+    edge_next[edge] = next;
+    wake_head[producer] = live ? edge : next;
+    *edge_count = edge + live;
+    return live;
+}
+
 int64_t repro_simulate(
     const int64_t *cfg,
-    int64_t n,
-    const int64_t *pc_arr,
-    const uint8_t *op_arr,
-    const int64_t *addr_arr,
-    const uint8_t *kind_arr,
-    const uint8_t *taken_arr,
-    const int64_t *target_arr,
-    const int32_t *prod1,
-    const int32_t *prod2,
-    const int32_t *store_prod,
+    const TraceArrays *trace,
     const uint8_t *pre_flag,     /* NULL when precomputation is off */
-    const int64_t *op_unit,      /* N_OP_CLASSES entries each */
-    const int64_t *op_latency,
-    const int64_t *op_interval,
     int64_t *out)
 {
-    int64_t status = -3;  /* allocation failure until proven otherwise */
+    int64_t status = STATUS_NO_MEMORY;  /* until proven otherwise */
+    const int64_t n = trace->n;
+    const int64_t *pc_arr = trace->pc;
+    const uint8_t *op_arr = trace->op;
+    const int64_t *addr_arr = trace->addr;
+    const uint8_t *kind_arr = trace->kind;
+    const uint8_t *taken_arr = trace->taken;
+    const int64_t *target_arr = trace->target;
+    const int32_t *prod1 = trace->prod1;
+    const int32_t *prod2 = trace->prod2;
+    const int32_t *store_prod = trace->store_prod;
+    const int64_t *op_unit = cfg + CFG_OP_UNIT;
+    const int64_t *op_latency = cfg + CFG_OP_LATENCY;
+    const int64_t *op_interval = cfg + CFG_OP_INTERVAL;
 
     Hierarchy hier;
     memset(&hier, 0, sizeof(hier));
@@ -877,18 +968,22 @@ int64_t repro_simulate(
     memset(&ras, 0, sizeof(ras));
     FunctionalUnits funits;
     memset(&funits, 0, sizeof(funits));
+    ReadySet ready;
+    memset(&ready, 0, sizeof(ready));
 
-    uint8_t *state = NULL;
+    /* Per-instruction arrays; each entry is written before it is read
+     * (state, deps and wake_head at dispatch, mispred and history at
+     * fetch, comp_next at issue), so none is cleared up front.  The
+     * flags the loop stores are uint16_t, not a character type, so
+     * their stores cannot alias the loop's other state.  `state` and
+     * `wake_head` have one slot in front for index -1, "no producer". */
+    uint16_t *state_mem = NULL, *state = NULL;
     int32_t *deps = NULL;
-    int64_t *dispatch_cycle = NULL;
-    uint8_t *mispred = NULL;
+    uint16_t *mispred = NULL;
     int64_t *history = NULL;
-    int32_t *wake_head = NULL, *edge_to = NULL, *edge_next = NULL;
-    int32_t *ifq_idx = NULL;
-    int64_t *ifq_cycle = NULL;
-    int32_t *rob = NULL;
-    int32_t *ready = NULL, *stash = NULL;
-    int32_t *bucket_head = NULL, *bucket_tail = NULL, *comp_next = NULL;
+    int32_t *wake_mem = NULL, *wake_head = NULL;
+    int32_t *edge_to = NULL, *edge_next = NULL;
+    int32_t *bucket_tail = NULL, *comp_next = NULL;
 
     if (!cache_init(&hier.l2, cfg[CFG_L2_SIZE], cfg[CFG_L2_ASSOC],
                     cfg[CFG_L2_BLOCK], cfg[CFG_L2_LAT], policy, seed,
@@ -906,81 +1001,70 @@ int64_t repro_simulate(
 
     int pred_kind = (int)cfg[CFG_PRED_KIND];
     int perfect = pred_kind == PRED_PERFECT;
-    int32_t lc_cap = (int32_t)(cfg[CFG_IFQ_ENTRIES] + cfg[CFG_ROB_ENTRIES]
-                               + cfg[CFG_WIDTH] + 8);
-    if (!pred_init(&pred, pred_kind, (int)cfg[CFG_SPECULATIVE], lc_cap)) {
-        goto done;
-    }
-    if (!btb_init(&btb, cfg[CFG_BTB_ENTRIES], cfg[CFG_BTB_ASSOC])) {
-        goto done;
-    }
+    if (!pred_init(&pred, pred_kind, (int)cfg[CFG_SPECULATIVE])) goto done;
+    if (!btb_init(&btb, cfg[CFG_BTB_ENTRIES], cfg[CFG_BTB_ASSOC])) goto done;
     if (!ras_init(&ras, cfg[CFG_RAS_ENTRIES])) goto done;
 
     int64_t unit_counts[N_UNIT_CLASSES] = {
         cfg[CFG_INT_ALUS], cfg[CFG_FP_ALUS], cfg[CFG_INT_MULT_DIV],
         cfg[CFG_FP_MULT_DIV], cfg[CFG_MEM_PORTS],
     };
-    if (!funits_init(&funits, unit_counts, op_unit, op_latency,
-                     op_interval)) goto done;
+    if (!funits_init(&funits, unit_counts)) goto done;
+    int64_t rob_capacity = cfg[CFG_ROB_ENTRIES];
+    if (!ready_init(&ready, rob_capacity)) goto done;
 
-    /* Calendar queue for completions: ring of per-cycle FIFO buckets.
-     * Sized past the longest possible result latency so distinct
-     * in-flight cycles never share a bucket. */
-    int64_t mem_block_latency = mem_access(&hier.memory,
-                                           hier.l2.block_size);
+    /* Calendar queue for completions: ring of per-cycle FIFO buckets,
+     * linked through comp_next.  Node n + b heads bucket b, so an
+     * append never tests for an empty bucket.  Sized past the longest
+     * possible result latency so distinct in-flight cycles never share
+     * a bucket. */
     int64_t max_latency = 1;
     for (int op = 0; op < N_OP_CLASSES; op++) {
         if (op_latency[op] > max_latency) max_latency = op_latency[op];
     }
     int64_t data_path = cfg[CFG_DTLB_LAT] + cfg[CFG_L1D_LAT]
-        + cfg[CFG_L2_LAT] + mem_block_latency;
+        + cfg[CFG_L2_LAT] + hier.l2.memory_latency;
     if (data_path > max_latency) max_latency = data_path;
     int64_t ring = next_pow2(max_latency + 2);
     int64_t ring_mask = ring - 1;
 
     size_t n_alloc = (size_t)(n > 0 ? n : 1);
-    state = (uint8_t *)calloc(n_alloc, 1);
-    deps = (int32_t *)calloc(n_alloc, sizeof(int32_t));
-    dispatch_cycle = (int64_t *)calloc(n_alloc, sizeof(int64_t));
-    mispred = (uint8_t *)calloc(n_alloc, 1);
-    history = (int64_t *)calloc(n_alloc, sizeof(int64_t));
-    wake_head = (int32_t *)malloc(n_alloc * sizeof(int32_t));
+    state_mem = (uint16_t *)malloc((n_alloc + 1) * sizeof(uint16_t));
+    deps = (int32_t *)malloc(n_alloc * sizeof(int32_t));
+    mispred = (uint16_t *)malloc(n_alloc * sizeof(uint16_t));
+    history = (int64_t *)malloc(n_alloc * sizeof(int64_t));
+    wake_mem = (int32_t *)malloc((n_alloc + 1) * sizeof(int32_t));
     edge_to = (int32_t *)malloc(3 * n_alloc * sizeof(int32_t));
     edge_next = (int32_t *)malloc(3 * n_alloc * sizeof(int32_t));
-    ready = (int32_t *)malloc(n_alloc * sizeof(int32_t));
-    stash = (int32_t *)malloc(n_alloc * sizeof(int32_t));
-    comp_next = (int32_t *)malloc(n_alloc * sizeof(int32_t));
-    bucket_head = (int32_t *)malloc((size_t)ring * sizeof(int32_t));
+    comp_next = (int32_t *)malloc((n_alloc + (size_t)ring)
+                                  * sizeof(int32_t));
     bucket_tail = (int32_t *)malloc((size_t)ring * sizeof(int32_t));
-    int64_t ifq_capacity = cfg[CFG_IFQ_ENTRIES];
-    int64_t rob_capacity = cfg[CFG_ROB_ENTRIES];
-    ifq_idx = (int32_t *)malloc((size_t)ifq_capacity * sizeof(int32_t));
-    ifq_cycle = (int64_t *)malloc((size_t)ifq_capacity * sizeof(int64_t));
-    rob = (int32_t *)malloc((size_t)rob_capacity * sizeof(int32_t));
-    if (!state || !deps || !dispatch_cycle || !mispred || !history
-            || !wake_head || !edge_to || !edge_next || !ready || !stash
-            || !comp_next || !bucket_head || !bucket_tail || !ifq_idx
-            || !ifq_cycle || !rob) goto done;
-    for (int64_t i = 0; i < n; i++) wake_head[i] = -1;
-    for (int64_t b = 0; b < ring; b++) bucket_head[b] = -1;
+    if (!state_mem || !deps || !mispred || !history || !wake_mem
+            || !edge_to || !edge_next || !comp_next
+            || !bucket_tail) goto done;
+    state = state_mem + 1;
+    state[-1] = STATE_DONE;
+    wake_head = wake_mem + 1;
+    wake_head[-1] = -1;
+    for (int64_t b = 0; b < ring; b++) {
+        comp_next[n + b] = -1;
+        bucket_tail[b] = (int32_t)(n + b);
+    }
 
     /* -- functional warm-up (Pipeline.warm) ----------------------------- */
-    int64_t l1i_block = cfg[CFG_L1I_BLOCK];
     if (cfg[CFG_WARMUP]) {
         int64_t last_block = -1;
         int ok = 1;
         for (int64_t i = 0; i < n; i++) {
             int64_t pc = pc_arr[i];
-            int64_t block = pc / l1i_block;
+            int64_t block = floor_div(&hier.l1i.block, pc);
             if (block != last_block) {
                 instruction_fetch(&hier, pc);
                 last_block = block;
             }
             int op = op_arr[i];
-            if (op == OP_LOAD) {
-                data_access(&hier, addr_arr[i], 0);
-            } else if (op == OP_STORE) {
-                data_access(&hier, addr_arr[i], 1);
+            if (op == OP_LOAD || op == OP_STORE) {
+                data_access(&hier, addr_arr[i], op == OP_STORE);
             } else if (op == OP_BRANCH && kind_arr[i] == KIND_COND) {
                 int taken = taken_arr[i];
                 if (!perfect) {
@@ -994,17 +1078,22 @@ int64_t repro_simulate(
                 if (taken) btb_insert(&btb, pc, target_arr[i]);
             }
         }
-        if (!ok) { status = -2; goto done; }
+        if (!ok) goto done;
         hierarchy_reset_stats(&hier);
     }
 
-    /* -- the cycle loop (batched.run_batched) --------------------------- */
+    /* -- the cycle loop (Pipeline.run) ----------------------------------- */
     int64_t width = cfg[CFG_WIDTH];
+    int64_t ifq_capacity = cfg[CFG_IFQ_ENTRIES];
     int64_t lsq_capacity = cfg[CFG_LSQ_ENTRIES];
     int64_t penalty = cfg[CFG_MISPREDICT_PENALTY];
     int64_t redirect_extra = cfg[CFG_L1I_LAT] - 1;
+    int64_t l1i_latency = cfg[CFG_L1I_LAT];
     int64_t max_cycles = cfg[CFG_MAX_CYCLES];
-    int64_t hang_cycles = cfg[CFG_HANG_CYCLES];
+    int64_t hang_cycles = cfg[CFG_HANG_CYCLES] < 0
+        ? NEVER : cfg[CFG_HANG_CYCLES];
+    int store_unit = (int)op_unit[OP_STORE];
+    int64_t store_interval = op_interval[OP_STORE];
 
     int64_t fetch_index = 0;
     int64_t fetch_stall_until = 0;
@@ -1018,69 +1107,62 @@ int64_t repro_simulate(
     int64_t branches = 0, mispredictions = 0;
     int64_t btb_misfetches = 0, ras_mispredictions = 0;
 
-    int64_t ifq_head = 0, ifq_count = 0;
-    int64_t rob_head = 0, rob_count = 0;
+    int64_t ifq_count = 0;          /* IFQ = [fetch_index - ifq_count, fetch_index) */
+    int64_t rob_count = 0;          /* ROB = [committed, committed + rob_count) */
     int64_t lsq_occupancy = 0;
-    int32_t ready_size = 0;
     int64_t pending = 0;
     int32_t edge_count = 0;
     int64_t committed = 0;
     int64_t cycle = 0;
     int64_t last_commit_cycle = 0;
 
-    status = 0;
+    status = STATUS_OK;
     while (committed < n) {
         cycle++;
-        if (cycle > max_cycles) { status = 1; break; }
-        if (hang_cycles >= 0 && cycle - last_commit_cycle > hang_cycles) {
-            status = 2;
+        if (cycle > max_cycles) { status = STATUS_CYCLE_BUDGET; break; }
+        if (cycle - last_commit_cycle > hang_cycles) {
+            status = STATUS_HANG;
             break;
         }
 
         /* ---- commit ---------------------------------------------------- */
         int64_t budget = width;
-        while (budget && rob_count && state[rob[rob_head]] == STATE_DONE) {
-            int32_t index = rob[rob_head];
+        while (budget && rob_count && state[committed] == STATE_DONE) {
+            int64_t index = committed;
             int op = op_arr[index];
-            if (op == OP_STORE
-                    && !funits_can_issue(&funits, OP_STORE, cycle)) {
-                break;
-            }
-            rob_head = (rob_head + 1) % rob_capacity;
-            rob_count--;
-            budget--;
-            committed++;
-            last_commit_cycle = cycle;
             if (op == OP_STORE) {
-                funits_issue(&funits, OP_STORE, cycle, 0);
+                /* The cache write reuses a memory port; its issue
+                 * already tallied the operation. */
+                int32_t port = free_unit(&funits, store_unit, cycle, 0);
+                if (port < 0) break;
+                funits.next_free[store_unit][port] = cycle + store_interval;
                 data_access(&hier, addr_arr[index], 1);
-                lsq_occupancy--;
-            } else if (op == OP_LOAD) {
-                lsq_occupancy--;
             } else if (op == OP_BRANCH && !perfect
                        && kind_arr[index] == KIND_COND) {
                 pred_update(&pred, pc_arr[index], taken_arr[index],
                             history[index]);
             }
+            lsq_occupancy -= op == OP_LOAD || op == OP_STORE;
+            rob_count--;
+            budget--;
+            committed++;
+            last_commit_cycle = cycle;
         }
 
         /* ---- writeback ------------------------------------------------- */
-        int64_t bucket = cycle & ring_mask;
-        int32_t done_index = bucket_head[bucket];
-        bucket_head[bucket] = -1;
+        int64_t bucket = n + (cycle & ring_mask);
+        int32_t done_index = comp_next[bucket];
+        comp_next[bucket] = -1;
+        bucket_tail[cycle & ring_mask] = (int32_t)bucket;
         while (done_index >= 0) {
             int32_t next_done = comp_next[done_index];
             pending--;
             state[done_index] = STATE_DONE;
-            int32_t edge = wake_head[done_index];
-            while (edge >= 0) {
+            for (int32_t edge = wake_head[done_index]; edge >= 0;
+                    edge = edge_next[edge]) {
                 int32_t dep = edge_to[edge];
-                if (--deps[dep] == 0 && state[dep] == STATE_WAITING) {
-                    heap_push(ready, &ready_size, dep);
-                }
-                edge = edge_next[edge];
+                ready_add(&ready, dep, --deps[dep] == 0);
             }
-            wake_head[done_index] = -1;
             if (op_arr[done_index] == OP_BRANCH) {
                 int kind = kind_arr[done_index];
                 if (mispred[done_index]) {
@@ -1099,59 +1181,85 @@ int64_t repro_simulate(
             done_index = next_done;
         }
 
-        /* ---- issue ----------------------------------------------------- */
-        if (ready_size) {
+        /* ---- issue: oldest first, skipping lanes with every unit busy -- */
+        if (ready.total) {
+            unsigned blocked = 0;
+            int64_t issuable = ready.total;
+            for (int lane = 0; lane < N_UNIT_CLASSES; lane++) {
+                if (ready.in_lane[lane]
+                        && free_unit(&funits, lane, cycle, 0) < 0) {
+                    blocked |= 1u << lane;
+                    issuable -= ready.in_lane[lane];
+                }
+            }
+            if (!issuable) stall_fu++;  /* ready work, every unit busy */
             budget = width;
-            int64_t issued_any = 0;
-            int fu_blocked = 0;
-            int32_t stash_size = 0;
-            while (ready_size && budget) {
-                int32_t index = heap_pop(ready, &ready_size);
-                if (dispatch_cycle[index] >= cycle) {
-                    stash[stash_size++] = index;
-                    continue;
+            int64_t head_slot = committed & ready.slot_mask;
+            int64_t head_word = head_slot >> 6;
+            uint64_t from_head = ~0ULL << (head_slot & 63);
+            /* Words from the head's, wrapping back to the head's again
+             * for the slots below the head. */
+            for (int64_t k = 0; issuable && budget && k <= ready.words; k++) {
+                int64_t w = head_word + k;
+                if (w >= ready.words) w -= ready.words;
+                uint64_t word = ready.any[w];
+                if (k == 0) word &= from_head;
+                else if (k == ready.words) word &= ~from_head;
+                for (unsigned b = blocked; b; b &= b - 1) {
+                    word &= ~ready.bits[CTZ64(b) * ready.words + w];
                 }
-                int op = op_arr[index];
-                int64_t latency;
-                if (pre_flag && pre_flag[index]) {
-                    latency = 1;
-                    precompute_hits++;
-                } else if (funits_can_issue(&funits, op, cycle)) {
-                    latency = funits_issue(&funits, op, cycle, 1);
-                    if (op == OP_LOAD) {
-                        int64_t mem_latency =
-                            data_access(&hier, addr_arr[index], 0);
-                        if (mem_latency > latency) latency = mem_latency;
+                while (word && budget) {
+                    int bit = CTZ64(word);
+                    uint64_t mask = ~(1ULL << bit);
+                    int64_t slot = (w << 6) | bit;
+                    int64_t index = committed
+                        + ((slot - head_slot) & ready.slot_mask);
+                    int lane = ready.lane[slot];
+                    int64_t latency;
+                    word &= mask;
+                    ready.any[w] &= mask;
+                    ready.bits[lane * ready.words + w] &= mask;
+                    ready.in_lane[lane]--;
+                    ready.total--;
+                    issuable--;
+                    if (lane == LANE_PRECOMPUTED) {
+                        latency = 1;
+                        precompute_hits++;
+                    } else {
+                        int op = op_arr[index];
+                        int32_t unit = free_unit(&funits, lane, cycle, 0);
+                        funits.next_free[lane][unit] =
+                            cycle + op_interval[op];
+                        funits.issued[lane]++;
+                        latency = op_latency[op];
+                        if (op == OP_LOAD) {
+                            int64_t mem_latency =
+                                data_access(&hier, addr_arr[index], 0);
+                            if (mem_latency > latency) latency = mem_latency;
+                        }
+                        /* Units before `unit` are busy this cycle. */
+                        if (ready.in_lane[lane] && free_unit(
+                                &funits, lane, cycle, unit) < 0) {
+                            blocked |= 1u << lane;
+                            issuable -= ready.in_lane[lane];
+                            word &= ~ready.bits[lane * ready.words + w];
+                        }
                     }
-                } else {
-                    fu_blocked = 1;
-                    stash[stash_size++] = index;
-                    continue;
+                    state[index] = STATE_ISSUED;
+                    int64_t when = (cycle + latency) & ring_mask;
+                    comp_next[bucket_tail[when]] = (int32_t)index;
+                    bucket_tail[when] = (int32_t)index;
+                    comp_next[index] = -1;
+                    pending++;
+                    budget--;
                 }
-                state[index] = STATE_ISSUED;
-                int64_t when = (cycle + latency) & ring_mask;
-                if (bucket_head[when] < 0) {
-                    bucket_head[when] = index;
-                } else {
-                    comp_next[bucket_tail[when]] = index;
-                }
-                bucket_tail[when] = index;
-                comp_next[index] = -1;
-                pending++;
-                issued_any++;
-                budget--;
             }
-            for (int32_t s = 0; s < stash_size; s++) {
-                heap_push(ready, &ready_size, stash[s]);
-            }
-            if (fu_blocked && !issued_any) stall_fu++;
         }
 
         /* ---- dispatch -------------------------------------------------- */
         budget = width;
         while (budget && ifq_count) {
-            int32_t index = ifq_idx[ifq_head];
-            if (ifq_cycle[ifq_head] >= cycle) break;
+            int32_t index = (int32_t)(fetch_index - ifq_count);
             int op = op_arr[index];
             int is_mem = op == OP_LOAD || op == OP_STORE;
             if (rob_count >= rob_capacity) {
@@ -1164,41 +1272,25 @@ int64_t repro_simulate(
                 stall_lsq++;
                 break;
             }
-            ifq_head = (ifq_head + 1) % ifq_capacity;
             ifq_count--;
             budget--;
-            dispatch_cycle[index] = cycle;
-            int32_t count = 0;
-            int32_t producer = prod1[index];
-            if (producer >= 0 && state[producer] != STATE_DONE) {
-                count++;
-                edge_to[edge_count] = index;
-                edge_next[edge_count] = wake_head[producer];
-                wake_head[producer] = edge_count++;
-            }
-            producer = prod2[index];
-            if (producer >= 0 && state[producer] != STATE_DONE) {
-                count++;
-                edge_to[edge_count] = index;
-                edge_next[edge_count] = wake_head[producer];
-                wake_head[producer] = edge_count++;
-            }
-            if (is_mem) {
-                lsq_occupancy++;
-                if (op == OP_LOAD) {
-                    producer = store_prod[index];
-                    if (producer >= 0 && state[producer] != STATE_DONE) {
-                        count++;
-                        edge_to[edge_count] = index;
-                        edge_next[edge_count] = wake_head[producer];
-                        wake_head[producer] = edge_count++;
-                    }
-                }
-            }
+            state[index] = STATE_WAITING;
+            wake_head[index] = -1;
+            int32_t count = add_edge(prod1[index], index, state,
+                                     wake_head, edge_to, edge_next,
+                                     &edge_count);
+            count += add_edge(prod2[index], index, state, wake_head,
+                              edge_to, edge_next, &edge_count);
+            count += add_edge(op == OP_LOAD ? store_prod[index] : -1,
+                              index, state, wake_head, edge_to,
+                              edge_next, &edge_count);
+            lsq_occupancy += is_mem;
             deps[index] = count;
-            rob[(rob_head + rob_count) % rob_capacity] = index;
+            ready.lane[index & ready.slot_mask] = (uint16_t)(
+                (pre_flag && pre_flag[index]) ? LANE_PRECOMPUTED
+                                              : op_unit[op]);
             rob_count++;
-            if (!count) heap_push(ready, &ready_size, index);
+            ready_add(&ready, index, count == 0);
         }
 
         /* ---- fetch ----------------------------------------------------- */
@@ -1210,42 +1302,40 @@ int64_t repro_simulate(
         } else if (fetch_index < n) {
             budget = width;
             while (budget && ifq_count < ifq_capacity && fetch_index < n) {
-                int32_t index = (int32_t)fetch_index;
+                int64_t index = fetch_index;
                 int64_t pc = pc_arr[index];
-                int64_t block = pc / l1i_block;
+                int64_t block = floor_div(&hier.l1i.block, pc);
                 if (block != last_fetch_block) {
                     int64_t latency = instruction_fetch(&hier, pc);
                     last_fetch_block = block;
-                    int64_t extra = latency - cfg[CFG_L1I_LAT];
+                    int64_t extra = latency - l1i_latency;
                     if (extra > 0) {
                         fetch_stall_until = cycle + extra;
                         fetch_block_mispredict = 0;
                         break;
                     }
                 }
-                ifq_idx[(ifq_head + ifq_count) % ifq_capacity] = index;
-                ifq_cycle[(ifq_head + ifq_count) % ifq_capacity] = cycle;
                 ifq_count++;
                 fetch_index++;
                 budget--;
                 if (op_arr[index] == OP_BRANCH) {
-                    /* Pipeline._fetch_branch */
+                    /* Pipeline._fetch_branch: 0 fall through, 1 taken,
+                     * 2 mispredicted, 3 BTB misfetch */
                     int kind = kind_arr[index];
                     int taken = taken_arr[index];
-                    int stop = 0;
+                    int stop;
                     branches++;
                     if (perfect) {
-                        stop = taken ? 1 : 0;
+                        stop = taken;
                     } else if (kind == KIND_COND) {
                         int64_t hist = pred_history(&pred);
                         int lc_ok = 1;
                         int predicted_taken =
                             pred_predict(&pred, pc, &lc_ok);
-                        if (!lc_ok) { status = -2; goto done; }
+                        if (!lc_ok) { status = STATUS_NO_MEMORY; goto done; }
                         history[index] = hist;
                         if (predicted_taken != taken) {
                             mispredictions++;
-                            mispred[index] = 1;
                             stop = 2;
                         } else if (!taken) {
                             stop = 0;
@@ -1263,11 +1353,9 @@ int64_t repro_simulate(
                         ras_push(&ras, pc + 4);
                         stop = 1;
                     } else if (kind == KIND_RETURN) {
-                        int64_t predicted = ras_pop(&ras);
-                        if (predicted != target_arr[index]) {
+                        if (ras_pop(&ras) != target_arr[index]) {
                             mispredictions++;
                             ras_mispredictions++;
-                            mispred[index] = 1;
                             stop = 2;
                         } else {
                             stop = 1;
@@ -1275,6 +1363,7 @@ int64_t repro_simulate(
                     } else {
                         stop = 1;  /* direct unconditional jump */
                     }
+                    mispred[index] = (uint16_t)(stop == 2);
                     if (stop == 2) {
                         fetch_stall_until = NEVER;
                         fetch_block_mispredict = 1;
@@ -1328,8 +1417,8 @@ int64_t repro_simulate(
     out[OUT_STALL_ROB] = stall_rob;
     out[OUT_PRECOMPUTE_HITS] = precompute_hits;
 
-    if (status > 0) {
-        /* Watchdog diagnostics (batched._hang_dump). */
+    if (status != STATUS_OK) {
+        /* Watchdog diagnostics (Pipeline._hang_dump). */
         out[OUT_ERR_CYCLE] = cycle;
         out[OUT_ERR_COMMITTED] = committed;
         out[OUT_ERR_LAST_COMMIT] = last_commit_cycle;
@@ -1339,11 +1428,11 @@ int64_t repro_simulate(
         out[OUT_ERR_IFQ_OCC] = ifq_count;
         out[OUT_ERR_ROB_OCC] = rob_count;
         out[OUT_ERR_LSQ_OCC] = lsq_occupancy;
-        out[OUT_ERR_READY] = ready_size;
+        out[OUT_ERR_READY] = ready.total;
         out[OUT_ERR_PENDING] = pending;
         out[OUT_ERR_HAS_HEAD] = rob_count > 0;
         if (rob_count > 0) {
-            int32_t head = rob[rob_head];
+            int64_t head = committed;
             out[OUT_ERR_HEAD_SEQ] = head;
             out[OUT_ERR_HEAD_OP] = op_arr[head];
             out[OUT_ERR_HEAD_STATE] = state[head];
@@ -1364,11 +1453,11 @@ done:
     pred_free(&pred);
     btb_free(&btb);
     ras_free(&ras);
-    funits_free(&funits);
-    free(state); free(deps); free(dispatch_cycle); free(mispred);
-    free(history); free(wake_head); free(edge_to); free(edge_next);
-    free(ifq_idx); free(ifq_cycle); free(rob); free(ready); free(stash);
-    free(bucket_head); free(bucket_tail); free(comp_next);
+    free(funits.storage);
+    ready_free(&ready);
+    free(state_mem); free(deps); free(mispred); free(history);
+    free(wake_mem); free(edge_to); free(edge_next);
+    free(bucket_tail); free(comp_next);
     out[OUT_STATUS] = status;
     return status;
 }

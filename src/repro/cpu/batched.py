@@ -26,8 +26,7 @@ structure, shared by both cores, keeps the equivalence surface small.
 
 When a C toolchain is available the cycle loop itself is replaced by
 a compiled kernel (:mod:`repro.cpu.native`) over the same decoded
-arrays; this module is the portable fallback and the structural
-bridge the kernel's results are checked against.
+arrays; this module is the portable fallback.
 """
 
 from __future__ import annotations
@@ -35,11 +34,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.guard.errors import SimulationHang
 
-from .isa import COMPUTE_CLASSES, NO_VALUE, BranchKind, OpClass
+from .isa import BranchKind, OpClass
+from .native import _precompute_flags
 from .pipeline import (
     HANG_CYCLES,
     Pipeline,
@@ -56,22 +54,6 @@ _LOAD = int(OpClass.LOAD)
 _STORE = int(OpClass.STORE)
 _BRANCH = int(OpClass.BRANCH)
 _KIND_COND = int(BranchKind.CONDITIONAL)
-_COMPUTE_LIST = sorted(int(c) for c in COMPUTE_CLASSES)
-
-
-def _precompute_flags(trace, table) -> Optional[List[bool]]:
-    """Vectorized precomputation-table membership, one flag per
-    instruction (None when the enhancement is off)."""
-    if table is None:
-        return None
-    compute = np.isin(trace.op, _COMPUTE_LIST)
-    keys = trace.redundancy_key
-    hit = compute & (keys != NO_VALUE)
-    if len(table):
-        hit &= np.isin(keys, np.fromiter(table, np.int64, len(table)))
-    else:
-        hit &= False
-    return hit.tolist()
 
 
 def run_batched(
@@ -114,6 +96,8 @@ def run_batched(
     prod2 = decoded.prod2.tolist()
     store_prod = decoded.store_prod.tolist()
     pre_flags = _precompute_flags(trace, pipeline.precompute_table)
+    if pre_flags is not None:
+        pre_flags = pre_flags.tolist()
 
     width = config.width
     ifq_capacity = config.ifq_entries

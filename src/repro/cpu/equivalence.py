@@ -10,11 +10,15 @@ harness that earns that claim:
   Plackett-Burman ±1 design space *plus* off-space corners the screen
   never visits (one-entry RAS, two-entry IFQ, tournament/bimodal/
   static predictors, random replacement, tiny ROBs) — the corners are
-  where the version-2 bugfix sweep found every reference-model bug;
+  where the version-2 bugfix sweep found every reference-model bug —
+  and the corners the compiled kernel has separate code for (ROBs
+  past 64 entries, set counts, blocks and pages that are not powers
+  of two, TLBs small enough to evict);
 * :func:`random_trace` mixes the 13 synthetic benchmark profiles with
   hand-built corner traces (deep call chains that wrap the RAS,
   misfetch storms, same-address store bursts, precompute-saturated
-  streams);
+  streams, page-stride accesses, negative program counters, tight
+  branch loops);
 * :func:`compare_cores` runs one pair on two cores and reports the
   exact fields that disagree (empty = equivalent);
 * :func:`differential_sweep` drives N randomized pairs and collects
@@ -32,9 +36,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from repro.cpu.isa import BranchKind, Instruction, OpClass
+from repro.cpu.isa import NO_VALUE, BranchKind, Instruction, OpClass
 from repro.cpu.params import (
     DEFAULT_CONFIG,
+    KIB,
     PARAMETER_NAMES,
     MachineConfig,
 )
@@ -77,9 +82,39 @@ def random_machine(rng: random.Random) -> MachineConfig:
         corners["replacement_policy"] = rng.choice(("lru", "random"))
     if rng.random() < 0.3:
         corners["speculative_update"] = rng.choice(("commit", "decode"))
+    if rng.random() < 0.25:
+        corners.update(rng.choice(LARGE_ROBS))
+    if rng.random() < 0.3:
+        corners.update(rng.choice(ODD_GEOMETRIES))
+    if rng.random() < 0.2:
+        corners.update(TINY_TLBS)
     if not corners:
         return config
     return config.evolve(**corners)
+
+
+#: Reorder buffers past one 64-slot word of the compiled kernel's
+#: ready set (65 and 96 are not powers of two either).
+LARGE_ROBS = tuple(
+    {"rob_entries": rob, "lsq_entries": lsq}
+    for rob, lsq in ((65, 32), (96, 96), (128, 64), (256, 128))
+)
+
+#: Geometry whose set counts, block sizes or page sizes are not powers
+#: of two, so the kernel indexes by division instead of shift and mask.
+ODD_GEOMETRIES = (
+    {"l1d_size": 48 * KIB, "l1d_assoc": 4},
+    {"l2_size": 768 * KIB, "l2_assoc": 4},
+    {"btb_entries": 96, "btb_assoc": 4},
+    {"itlb_entries": 48, "itlb_assoc": 4,
+     "dtlb_entries": 48, "dtlb_assoc": 4},
+    {"itlb_page_size": 6 * KIB},
+    {"l1i_size": 48 * KIB, "l1i_block": 48, "l1i_assoc": 2},
+)
+
+#: TLBs small enough that ordinary traces fill their sets and evict.
+TINY_TLBS = {"itlb_entries": 4, "itlb_assoc": 2,
+             "dtlb_entries": 8, "dtlb_assoc": 2}
 
 
 # -- corner traces ------------------------------------------------------------
@@ -168,8 +203,96 @@ def _precompute_stream(rng: random.Random) -> Trace:
     return Trace.from_instructions(instrs, name="corner-precompute")
 
 
+def _page_stride(rng: random.Random) -> Trace:
+    """Code and data one page apart: every access touches a new TLB
+    page, so TLB sets fill and evict on both sides."""
+    stride = rng.choice((4 * KIB, 8 * KIB))
+    pages = rng.randint(16, 96)
+    instrs = []
+    for i in range(rng.randint(200, 600)):
+        pc = 0x10000 + stride * (i % pages)
+        addr = 0x800000 + stride * rng.randrange(pages) + 8 * (i % 4)
+        if rng.random() < 0.3:
+            instrs.append(Instruction(pc=pc, op=OpClass.STORE,
+                                      mem_addr=addr, src1=1 + i % 4))
+        else:
+            instrs.append(Instruction(pc=pc, op=OpClass.LOAD,
+                                      mem_addr=addr, dst=1 + i % 8))
+    return Trace.from_instructions(instrs, name="corner-page-stride")
+
+
+def negative_pc_trace(length: int = 2000) -> Trace:
+    """Integer ops at program counters below zero (``Trace.validate``
+    accepts them): floor ``//`` and ``%`` must still map every fetch
+    to a valid I-cache, I-TLB and BTB set."""
+    instrs = [Instruction(pc=-0x4000 + 4 * k, op=OpClass.IALU)
+              for k in range(length)]
+    return Trace.from_instructions(instrs, name="corner-negative-pc")
+
+
+def _negative_pc(rng: random.Random) -> Trace:
+    """Negative program counters with loads, stores and branches: the
+    predictor, BTB and RAS index them too."""
+    instrs = []
+    pc = -rng.randint(1, 64) * 0x1000
+    for i in range(rng.randint(200, 800)):
+        roll = rng.random()
+        if roll < 0.15:
+            taken = rng.random() < 0.5
+            instrs.append(Instruction(
+                pc=pc, op=OpClass.BRANCH,
+                branch_kind=BranchKind.CONDITIONAL, taken=taken,
+                target=0x100 + 4 * (i % 32) if taken else NO_VALUE,
+            ))
+        elif roll < 0.2:
+            instrs.append(Instruction(
+                pc=pc, op=OpClass.BRANCH, branch_kind=BranchKind.CALL,
+                taken=True, target=0x200,
+            ))
+        elif roll < 0.25:
+            instrs.append(Instruction(
+                pc=pc, op=OpClass.BRANCH, branch_kind=BranchKind.RETURN,
+                taken=True, target=0x300,
+            ))
+        elif roll < 0.45:
+            instrs.append(Instruction(
+                pc=pc, op=rng.choice((OpClass.LOAD, OpClass.STORE)),
+                mem_addr=0x4000 + 8 * rng.randrange(64), src1=1 + i % 4,
+                dst=1 + i % 8,
+            ))
+        else:
+            instrs.append(Instruction(pc=pc, op=OpClass.IALU,
+                                      dst=1 + i % 8, src1=1 + i % 4))
+        pc += rng.choice((4, 4, 4, -0x40, 0x100))
+    return Trace.from_instructions(instrs, name="corner-negative-pcs")
+
+
+def _branch_loop(rng: random.Random) -> Trace:
+    """A short loop of conditional branches run many times: the same
+    branch is in flight more than once, and more distinct branches
+    are in flight than a tournament predictor's table starts with."""
+    sites = rng.randint(4, 24)
+    bias = [rng.choice((0.0, 0.0, 0.0, 1.0, 0.5)) for _ in range(sites)]
+    instrs = []
+    for _ in range(rng.randint(8, 30)):
+        pc = 0x6000
+        for s in range(sites):
+            taken = rng.random() < bias[s]
+            instrs.append(Instruction(
+                pc=pc, op=OpClass.BRANCH,
+                branch_kind=BranchKind.CONDITIONAL, taken=taken,
+                target=pc + 8 if taken else NO_VALUE,
+            ))
+            pc += 8 if taken else 4
+            instrs.append(Instruction(pc=pc, op=OpClass.IALU,
+                                      dst=1 + s % 8, src1=1 + (s + 3) % 8))
+            pc += 4
+    return Trace.from_instructions(instrs, name="corner-branch-loop")
+
+
 _CORNER_BUILDERS: Sequence[Callable[[random.Random], Trace]] = (
     _deep_call_chain, _misfetch_storm, _store_burst, _precompute_stream,
+    _page_stride, _negative_pc, _branch_loop,
 )
 
 

@@ -1,11 +1,9 @@
-"""Loader for the compiled batched-core kernel.
+"""Loader for the compiled simulator kernel.
 
-The batched core's cycle loop has a C transcription
-(``_native/core.c``) that runs one to two orders of magnitude faster
-than the Python loop while producing **field-exact**
-:class:`~repro.cpu.stats.CoreStats` — the same equivalence contract
-the batched Python core honours against the reference model, enforced
-by :mod:`repro.cpu.equivalence` over all three implementations.
+The default core runs ``_native/core.c``, a compiled cycle loop that
+produces **field-exact** :class:`~repro.cpu.stats.CoreStats` against
+the interpreted reference model, enforced by
+:mod:`repro.cpu.equivalence` over every core.
 
 This module owns the build-and-load machinery:
 
@@ -20,10 +18,12 @@ This module owns the build-and-load machinery:
   back to the batched Python loop.  ``core="batched-native"`` makes
   the failure loud instead.
 
-The compiled kernel is a pure function from (config vector, decoded
-trace arrays) to a counter vector: no global state, no threads, no
+The compiled kernel is a pure function from (config vector, trace
+arrays) to a counter vector: no global state, no threads, no
 callbacks into Python — safe under ``fork`` and trivially
-deterministic.
+deterministic.  The per-call Python work is kept to a minimum: the
+config vector is built once per :class:`MachineConfig` object and the
+trace pointers once per :class:`~repro.workloads.trace.DecodedTrace`.
 """
 
 from __future__ import annotations
@@ -34,15 +34,17 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.guard.errors import SimulationHang
 
-from .isa import BranchKind, OpClass
+from .isa import COMPUTE_CLASSES, NO_VALUE, BranchKind, OpClass
 from .params import MachineConfig
+from .pipeline import SimulationError
 from .stats import CacheSnapshot, CoreStats
 
 _SOURCE = Path(__file__).resolve().parent / "_native" / "core.c"
@@ -81,8 +83,16 @@ _REPLACEMENT = {"lru": 0, "fifo": 1, "random": 2}
 #: Cache/TLB RNG seed (Cache.__init__ default rng_seed).
 _RNG_SEED = 12345
 
-_N_CFG = 44
+# Config vector layout (core.c's CFG_* enum): the machine fields, the
+# per-call scalars (prefetch lines, warm-up, max cycles, hang cycles),
+# the unit counts and RNG seed, then three OpClass-indexed tables
+# (unit, latency, interval).
+_CFG_PER_CALL = 34
+_N_CFG = 44 + 3 * len(OpClass)
 _N_OUT = 53
+
+_ConfigVector = ctypes.c_int64 * _N_CFG
+_OutVector = ctypes.c_int64 * _N_OUT
 
 # Output vector indices (core.c's OUT_* enum).
 _O_STATUS = 0
@@ -191,15 +201,8 @@ def _load():
         lib.repro_simulate.restype = ctypes.c_int64
         lib.repro_simulate.argtypes = [
             ctypes.c_void_p,                      # cfg
-            ctypes.c_int64,                       # n
-            ctypes.c_void_p, ctypes.c_void_p,     # pc, op
-            ctypes.c_void_p, ctypes.c_void_p,     # mem_addr, kind
-            ctypes.c_void_p, ctypes.c_void_p,     # taken, target
-            ctypes.c_void_p, ctypes.c_void_p,     # prod1, prod2
-            ctypes.c_void_p,                      # store_prod
+            ctypes.c_void_p,                      # _TraceArrays
             ctypes.c_void_p,                      # pre_flag (nullable)
-            ctypes.c_void_p, ctypes.c_void_p,     # op_unit, op_latency
-            ctypes.c_void_p,                      # op_interval
             ctypes.c_void_p,                      # out
         ]
         _lib = lib
@@ -210,124 +213,180 @@ def _load():
     return _lib
 
 
-def _config_vector(config: MachineConfig, warmup: bool,
-                   prefetch_lines: int, max_cycles: int,
-                   hang_cycles: Optional[int]) -> np.ndarray:
-    cfg = np.zeros(_N_CFG, np.int64)
-    cfg[0:10] = (
+class _TraceArrays(ctypes.Structure):
+    """core.c's ``TraceArrays``: the trace length and the addresses of
+    the trace and decode arrays the kernel reads."""
+
+    _fields_ = [("n", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p) for name in (
+            "pc", "op", "addr", "kind", "taken", "target",
+            "prod1", "prod2", "store_prod",
+        )
+    ]
+
+
+def _trace_arrays(trace) -> int:
+    """Address of the kernel's :class:`_TraceArrays` for ``trace``,
+    built once per decode and kept on it together with the arrays it
+    points into."""
+    decoded = trace.decoded()
+    packed = decoded.kernel_args
+    if packed is None:
+        arrays = (
+            trace.pc, trace.op, trace.mem_addr, trace.branch_kind,
+            trace.taken.view(np.uint8), trace.target,
+            decoded.prod1, decoded.prod2, decoded.store_prod,
+        )
+        block = _TraceArrays(len(trace), *(a.ctypes.data for a in arrays))
+        packed = decoded.kernel_args = (
+            ctypes.addressof(block), block, arrays,
+        )
+    return packed[0]
+
+
+#: ``id(config) -> (weak reference to config, its config vector)`` for
+#: the live configurations :func:`_config_vector` has seen.  Keyed by
+#: identity like :func:`repro.exec.cache._config_fields`; an entry
+#: leaves with its configuration.
+_vector_memo: Dict[int, Tuple[weakref.ref, ctypes.Array]] = {}
+
+
+def _config_vector(config: MachineConfig) -> ctypes.Array:
+    """The kernel's config vector for ``config`` with the per-call
+    slots unset, memoised per object.  Callers copy it."""
+    key = id(config)
+    entry = _vector_memo.get(key)
+    if entry is None:
+        vector = _build_config_vector(config)
+        try:
+            ref = weakref.ref(config, lambda _: _vector_memo.pop(key, None))
+        except TypeError:  # no __weakref__ slot: build every time
+            return vector
+        entry = _vector_memo[key] = (ref, vector)
+    return entry[1]
+
+
+def _build_config_vector(config: MachineConfig) -> ctypes.Array:
+    machine = (
         config.width, config.ifq_entries, config.rob_entries,
         config.lsq_entries, config.mispredict_penalty,
         _PREDICTOR_KINDS[config.branch_predictor],
         int(config.speculative_update == "decode"),
         config.ras_entries, config.btb_entries, config.btb_assoc,
+        config.l1i_size, config.l1i_assoc, config.l1i_block,
+        config.l1i_latency,
+        config.l1d_size, config.l1d_assoc, config.l1d_block,
+        config.l1d_latency,
+        config.l2_size, config.l2_assoc, config.l2_block,
+        config.l2_latency,
+        _REPLACEMENT[config.replacement_policy],
+        config.mem_latency_first, config.mem_latency_following,
+        config.mem_bandwidth,
+        config.itlb_entries, config.itlb_page_size, config.itlb_assoc,
+        config.itlb_latency,
+        config.dtlb_entries, config.dtlb_page_size, config.dtlb_assoc,
+        config.dtlb_latency,
     )
-    cfg[10:14] = (config.l1i_size, config.l1i_assoc, config.l1i_block,
-                  config.l1i_latency)
-    cfg[14:18] = (config.l1d_size, config.l1d_assoc, config.l1d_block,
-                  config.l1d_latency)
-    cfg[18:22] = (config.l2_size, config.l2_assoc, config.l2_block,
-                  config.l2_latency)
-    cfg[22] = _REPLACEMENT[config.replacement_policy]
-    cfg[23:26] = (config.mem_latency_first, config.mem_latency_following,
-                  config.mem_bandwidth)
-    cfg[26:30] = (config.itlb_entries, config.itlb_page_size,
-                  config.itlb_assoc, config.itlb_latency)
-    cfg[30:34] = (config.dtlb_entries, config.dtlb_page_size,
-                  config.dtlb_assoc, config.dtlb_latency)
-    cfg[34] = prefetch_lines
-    cfg[35] = int(warmup)
-    cfg[36] = max_cycles
-    cfg[37] = -1 if hang_cycles is None else hang_cycles
-    cfg[38:43] = (config.int_alus, config.fp_alus,
-                  config.int_mult_div_units, config.fp_mult_div_units,
-                  config.memory_ports)
-    cfg[43] = _RNG_SEED
-    return cfg
-
-
-def _op_tables(config: MachineConfig):
-    """OpClass-indexed (unit, latency, interval) tables — the same
-    mapping FunctionalUnitPool builds (funits._dispatch)."""
-    unit = np.array([0, 2, 2, 1, 3, 3, 3, 4, 4, 0], np.int64)
-    latency = np.array([
+    per_call = (0, 0, 0, 0)  # set by each simulate_native call
+    units = (
+        config.int_alus, config.fp_alus, config.int_mult_div_units,
+        config.fp_mult_div_units, config.memory_ports, _RNG_SEED,
+    )
+    # OpClass -> (unit class, latency, interval): the mapping
+    # FunctionalUnitPool builds (funits._dispatch).
+    op_unit = (0, 2, 2, 1, 3, 3, 3, 4, 4, 0)
+    op_latency = (
         config.int_alu_latency, config.int_mult_latency,
         config.int_div_latency, config.fp_alu_latency,
         config.fp_mult_latency, config.fp_div_latency,
         config.fp_sqrt_latency, 1, 1, config.int_alu_latency,
-    ], np.int64)
-    interval = np.array([
+    )
+    op_interval = (
         config.int_alu_interval, config.int_mult_interval,
         config.int_div_interval, config.fp_alu_interval,
         config.fp_mult_interval, config.fp_div_interval,
         config.fp_sqrt_interval, 1, 1, config.int_alu_interval,
-    ], np.int64)
-    return unit, latency, interval
+    )
+    return _ConfigVector(*machine, *per_call, *units, *op_unit,
+                         *op_latency, *op_interval)
 
 
-def _stats_from(out: np.ndarray) -> CoreStats:
-    stats = CoreStats()
-    stats.cycles = int(out[_O_CYCLES])
-    stats.instructions = int(out[_O_INSTRUCTIONS])
-    stats.branches = int(out[_O_BRANCHES])
-    stats.mispredictions = int(out[_O_MISPREDICTIONS])
-    stats.btb_misfetches = int(out[_O_BTB_MISFETCHES])
-    stats.ras_mispredictions = int(out[_O_RAS_MISPREDICTIONS])
-    for name, base in (("l1i", _O_L1I), ("l1d", _O_L1D), ("l2", _O_L2)):
-        setattr(stats, name, CacheSnapshot(
-            accesses=int(out[base]), misses=int(out[base + 1]),
-            writebacks=int(out[base + 2]),
-        ))
-    for name, base in (("itlb", _O_ITLB), ("dtlb", _O_DTLB)):
-        setattr(stats, name, CacheSnapshot(
-            accesses=int(out[base]), misses=int(out[base + 1]),
-            writebacks=0,
-        ))
-    stats.unit_operations = {
-        "IntALU": int(out[_O_OPS]),
-        "FPALU": int(out[_O_OPS + 1]),
-        "IntMultDiv": int(out[_O_OPS + 2]),
-        "FPMultDiv": int(out[_O_OPS + 3]),
-        "MemPort": int(out[_O_OPS + 4]),
-    }
-    stats.dispatch_stall_rob = int(out[_O_DISPATCH_STALL_ROB])
-    stats.dispatch_stall_lsq = int(out[_O_DISPATCH_STALL_LSQ])
-    stats.rob_occupancy_sum = int(out[_O_ROB_OCCUPANCY_SUM])
-    stats.stall_cycles = {
-        "fetch": int(out[_O_STALL_FETCH]),
-        "fu_busy": int(out[_O_STALL_FU]),
-        "lsq_full": int(out[_O_STALL_LSQ]),
-        "mispredict": int(out[_O_STALL_MISPREDICT]),
-        "rob_full": int(out[_O_STALL_ROB]),
-    }
-    stats.precompute_hits = int(out[_O_PRECOMPUTE_HITS])
-    return stats
+_COMPUTE_LIST = sorted(int(c) for c in COMPUTE_CLASSES)
 
 
-def _hang_dump_from(trace, n: int, out: np.ndarray,
-                    pre_flags) -> dict:
+def _precompute_flags(trace, table) -> Optional[np.ndarray]:
+    """Precomputation-table membership, one ``uint8`` flag per
+    instruction (None when the enhancement is off)."""
+    if table is None:
+        return None
+    hit = np.isin(trace.op, _COMPUTE_LIST)
+    keys = trace.redundancy_key
+    hit &= keys != NO_VALUE
+    if len(table):
+        hit &= np.isin(keys, np.fromiter(table, np.int64, len(table)))
+    else:
+        hit[:] = False
+    return hit.view(np.uint8)
+
+
+def _stats_from(out: list) -> CoreStats:
+    return CoreStats(
+        cycles=out[_O_CYCLES],
+        instructions=out[_O_INSTRUCTIONS],
+        branches=out[_O_BRANCHES],
+        mispredictions=out[_O_MISPREDICTIONS],
+        btb_misfetches=out[_O_BTB_MISFETCHES],
+        ras_mispredictions=out[_O_RAS_MISPREDICTIONS],
+        l1i=CacheSnapshot(*out[_O_L1I:_O_L1I + 3]),
+        l1d=CacheSnapshot(*out[_O_L1D:_O_L1D + 3]),
+        l2=CacheSnapshot(*out[_O_L2:_O_L2 + 3]),
+        itlb=CacheSnapshot(out[_O_ITLB], out[_O_ITLB + 1], 0),
+        dtlb=CacheSnapshot(out[_O_DTLB], out[_O_DTLB + 1], 0),
+        unit_operations={
+            "IntALU": out[_O_OPS],
+            "FPALU": out[_O_OPS + 1],
+            "IntMultDiv": out[_O_OPS + 2],
+            "FPMultDiv": out[_O_OPS + 3],
+            "MemPort": out[_O_OPS + 4],
+        },
+        dispatch_stall_rob=out[_O_DISPATCH_STALL_ROB],
+        dispatch_stall_lsq=out[_O_DISPATCH_STALL_LSQ],
+        rob_occupancy_sum=out[_O_ROB_OCCUPANCY_SUM],
+        stall_cycles={
+            "fetch": out[_O_STALL_FETCH],
+            "fu_busy": out[_O_STALL_FU],
+            "lsq_full": out[_O_STALL_LSQ],
+            "mispredict": out[_O_STALL_MISPREDICT],
+            "rob_full": out[_O_STALL_ROB],
+        },
+        precompute_hits=out[_O_PRECOMPUTE_HITS],
+    )
+
+
+def _hang_dump_from(trace, n: int, out: list) -> dict:
     """Reassemble Pipeline._hang_dump from the kernel's error fields."""
     dump = {
         "trace": trace.name,
-        "cycle": int(out[_O_ERR_CYCLE]),
-        "committed": int(out[_O_ERR_COMMITTED]),
+        "cycle": out[_O_ERR_CYCLE],
+        "committed": out[_O_ERR_COMMITTED],
         "instructions": n,
-        "fetch_index": int(out[_O_ERR_FETCH_INDEX]),
-        "fetch_stall_until": int(out[_O_ERR_FETCH_STALL_UNTIL]),
+        "fetch_index": out[_O_ERR_FETCH_INDEX],
+        "fetch_stall_until": out[_O_ERR_FETCH_STALL_UNTIL],
         "fetch_block_mispredict":
             bool(out[_O_ERR_FETCH_BLOCK_MISPREDICT]),
-        "ifq_occupancy": int(out[_O_ERR_IFQ_OCC]),
-        "rob_occupancy": int(out[_O_ERR_ROB_OCC]),
-        "lsq_occupancy": int(out[_O_ERR_LSQ_OCC]),
-        "ready_instructions": int(out[_O_ERR_READY]),
-        "pending_completions": int(out[_O_ERR_PENDING]),
+        "ifq_occupancy": out[_O_ERR_IFQ_OCC],
+        "rob_occupancy": out[_O_ERR_ROB_OCC],
+        "lsq_occupancy": out[_O_ERR_LSQ_OCC],
+        "ready_instructions": out[_O_ERR_READY],
+        "pending_completions": out[_O_ERR_PENDING],
     }
     if out[_O_ERR_HAS_HEAD]:
         dump["rob_head"] = {
-            "seq": int(out[_O_ERR_HEAD_SEQ]),
-            "op": int(out[_O_ERR_HEAD_OP]),
-            "state": int(out[_O_ERR_HEAD_STATE]),
-            "unresolved_deps": int(out[_O_ERR_HEAD_DEPS]),
-            "pc": int(out[_O_ERR_HEAD_PC]),
+            "seq": out[_O_ERR_HEAD_SEQ],
+            "op": out[_O_ERR_HEAD_OP],
+            "state": out[_O_ERR_HEAD_STATE],
+            "unresolved_deps": out[_O_ERR_HEAD_DEPS],
+            "pc": out[_O_ERR_HEAD_PC],
             "is_branch": bool(out[_O_ERR_HEAD_IS_BRANCH]),
             "precomputed": bool(out[_O_ERR_HEAD_PRECOMPUTED]),
         }
@@ -354,9 +413,6 @@ def simulate_native(
     Raises exactly the exceptions the Python cores raise — same
     messages, same :class:`SimulationHang` dump.
     """
-    from .batched import _precompute_flags
-    from .pipeline import SimulationError
-
     lib = _load()
     if lib is None:
         if required:
@@ -375,46 +431,37 @@ def simulate_native(
     if max_cycles is None:
         max_cycles = 400 * n + 100_000
 
-    decoded = trace.decoded()
-    flags = _precompute_flags(trace, precompute_table)
-    pre = None if flags is None else np.asarray(flags, np.uint8)
-    cfg = _config_vector(config, warmup, prefetch_lines, max_cycles,
-                         hang_cycles)
-    op_unit, op_latency, op_interval = _op_tables(config)
-    out = np.zeros(_N_OUT, np.int64)
-    taken_u8 = trace.taken.view(np.uint8)
-
-    status = lib.repro_simulate(
-        cfg.ctypes.data, n,
-        trace.pc.ctypes.data, trace.op.ctypes.data,
-        trace.mem_addr.ctypes.data, trace.branch_kind.ctypes.data,
-        taken_u8.ctypes.data, trace.target.ctypes.data,
-        decoded.prod1.ctypes.data, decoded.prod2.ctypes.data,
-        decoded.store_prod.ctypes.data,
-        None if pre is None else pre.ctypes.data,
-        op_unit.ctypes.data, op_latency.ctypes.data,
-        op_interval.ctypes.data,
-        out.ctypes.data,
+    cfg = _ConfigVector.from_buffer_copy(_config_vector(config))
+    cfg[_CFG_PER_CALL:_CFG_PER_CALL + 4] = (
+        prefetch_lines, warmup, max_cycles,
+        -1 if hang_cycles is None else hang_cycles,
     )
+    pre = _precompute_flags(trace, precompute_table)
+    out = _OutVector()
+    status = lib.repro_simulate(
+        cfg, _trace_arrays(trace),
+        None if pre is None else pre.ctypes.data, out,
+    )
+    values = out[:]
     if status == 1:
-        committed = int(out[_O_ERR_COMMITTED])
+        committed = values[_O_ERR_COMMITTED]
         raise SimulationError(
             f"{trace.name}: exceeded {max_cycles} cycles with "
             f"{committed}/{n} committed — model deadlock?"
         )
     if status == 2:
-        cycle = int(out[_O_ERR_CYCLE])
-        committed = int(out[_O_ERR_COMMITTED])
-        gap = cycle - int(out[_O_ERR_LAST_COMMIT])
+        cycle = values[_O_ERR_CYCLE]
+        committed = values[_O_ERR_COMMITTED]
+        gap = cycle - values[_O_ERR_LAST_COMMIT]
         raise SimulationHang(
             f"{trace.name}: no instruction retired for {gap} cycles "
             f"({committed}/{n} committed at cycle {cycle}) — "
             "livelocked simulation",
-            dump=_hang_dump_from(trace, n, out, pre),
+            dump=_hang_dump_from(trace, n, values),
         )
     if status != 0:
         raise RuntimeError(
             f"native simulator kernel internal error {status} on "
             f"{trace.name}"
         )
-    return _stats_from(out).validate(trace.name)
+    return _stats_from(values).validate(trace.name)

@@ -257,13 +257,16 @@ class DecodedTrace:
     are derived by the core at run start.
     """
 
-    __slots__ = ("n", "prod1", "prod2", "store_prod")
+    __slots__ = ("n", "prod1", "prod2", "store_prod", "kernel_args")
 
     def __init__(self, trace: "Trace"):
         from repro.cpu.isa import OpClass
 
         n = len(trace)
         self.n = n
+        #: The compiled kernel's pointer block over this decode and its
+        #: trace, built on first use by :mod:`repro.cpu.native`.
+        self.kernel_args = None
         prod1 = np.full(n, -1, np.int32)
         prod2 = np.full(n, -1, np.int32)
         store_prod = np.full(n, -1, np.int32)

@@ -6,6 +6,7 @@ same diagnostics — plus the static trace decode it runs on.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -16,7 +17,17 @@ from repro.cpu import (
     SimulationError,
     simulate,
 )
-from repro.cpu.equivalence import differential_sweep
+from repro.cpu.equivalence import (
+    LARGE_ROBS,
+    ODD_GEOMETRIES,
+    TINY_TLBS,
+    _branch_loop,
+    _negative_pc,
+    _page_stride,
+    compare_cores,
+    differential_sweep,
+    negative_pc_trace,
+)
 from repro.guard.errors import SimulationHang
 from repro.workloads import benchmark_trace
 from repro.workloads.trace import Trace
@@ -158,3 +169,96 @@ class TestWatchdogParity:
                          max_instructions=100)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
+
+
+#: Every odd-geometry corner at once (they are independent fields).
+_ODD_GEOMETRY = {k: v for corner in ODD_GEOMETRIES for k, v in corner.items()}
+
+CORNER_MACHINES = {
+    "rob-65": MachineConfig().evolve(**LARGE_ROBS[0]),
+    "rob-256-tournament": MachineConfig(
+        branch_predictor="tournament", width=8, ifq_entries=32,
+    ).evolve(**LARGE_ROBS[-1]),
+    "odd-geometry": MachineConfig().evolve(**_ODD_GEOMETRY),
+    "tiny-tlbs-bimodal-random": MachineConfig(
+        branch_predictor="bimodal", replacement_policy="random",
+    ).evolve(**TINY_TLBS),
+}
+
+CORNER_TRACES = {
+    "page-stride": _page_stride,
+    "negative-pcs": _negative_pc,
+    "branch-loop": _branch_loop,
+}
+
+
+class TestKernelCorners:
+    """Machines and traces the compiled kernel has separate code for:
+    multi-word ready sets, division-indexed geometry, full TLB sets,
+    negative program counters, a growing tournament table and seeded
+    random replacement."""
+
+    @pytest.mark.parametrize("core", CORES)
+    def test_negative_pcs_golden(self, core):
+        # Trace.validate() accepts negative PCs; the kernel used to
+        # index a negative set with them and crash the process.
+        trace = negative_pc_trace()
+        trace.validate()
+        ref = simulate(MachineConfig(), trace, warmup=True,
+                       core="reference")
+        assert ref.cycles == 1004
+        got = simulate(MachineConfig(), trace, warmup=True, core=core)
+        assert _stats_dict(got) == _stats_dict(ref)
+
+    @needs_native
+    @pytest.mark.parametrize("machine", sorted(CORNER_MACHINES))
+    @pytest.mark.parametrize("trace_name", sorted(CORNER_TRACES))
+    def test_field_exact_on_corner(self, machine, trace_name):
+        trace = CORNER_TRACES[trace_name](random.Random(7))
+        assert compare_cores(CORNER_MACHINES[machine], trace,
+                             core="batched-native") == []
+
+
+class TestKernelArguments:
+    """The loader builds the kernel's inputs once per object and keeps
+    the per-call work to the four per-call scalars."""
+
+    def test_config_vector_memoised_until_config_dies(self):
+        import gc
+
+        from repro.cpu import native
+
+        config = MachineConfig(rob_entries=48, lsq_entries=24)
+        vector = native._config_vector(config)
+        assert native._config_vector(config) is vector
+        assert list(vector[:4]) == [4, 16, 48, 24]
+        key = id(config)
+        assert key in native._vector_memo
+        del config
+        gc.collect()
+        assert key not in native._vector_memo
+
+    def test_trace_pointers_built_once_per_decode(self):
+        from repro.cpu import native
+
+        trace = benchmark_trace("gzip", 300)
+        address = native._trace_arrays(trace)
+        assert native._trace_arrays(trace) == address
+        assert trace.decoded().kernel_args[1].n == len(trace)
+
+    def test_precompute_flags_are_uint8(self):
+        from repro.cpu.native import _precompute_flags
+
+        instrs = [
+            Instruction(pc=0x100, op=OpClass.IALU, redundancy_key=7),
+            Instruction(pc=0x104, op=OpClass.IALU, redundancy_key=8),
+            Instruction(pc=0x108, op=OpClass.LOAD, mem_addr=0x40,
+                        redundancy_key=7),
+            Instruction(pc=0x10C, op=OpClass.IALU),
+        ]
+        trace = Trace.from_instructions(instrs)
+        assert _precompute_flags(trace, None) is None
+        flags = _precompute_flags(trace, {7})
+        assert flags.dtype.name == "uint8"
+        assert flags.tolist() == [1, 0, 0, 0]
+        assert _precompute_flags(trace, set()).tolist() == [0, 0, 0, 0]
