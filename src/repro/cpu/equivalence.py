@@ -1,10 +1,9 @@
-"""Differential equivalence: the batched core against the oracle.
+"""Differential equivalence: the compiled kernel against the oracle.
 
-The batched core (:mod:`repro.cpu.batched`, optionally compiled —
-:mod:`repro.cpu.native`) must produce **field-exact**
-:class:`~repro.cpu.stats.CoreStats` for every (configuration, trace)
-pair the interpreted reference model handles.  This module is the
-harness that earns that claim:
+The compiled kernel (:mod:`repro.cpu.native`, core ``batched-native``)
+must produce **field-exact** :class:`~repro.cpu.stats.CoreStats` for
+every (configuration, trace) pair the interpreted reference model
+handles.  This module is the harness that earns that claim:
 
 * :func:`random_machine` samples configurations across the full
   Plackett-Burman ±1 design space *plus* off-space corners the screen
@@ -19,14 +18,16 @@ harness that earns that claim:
   misfetch storms, same-address store bursts, precompute-saturated
   streams, page-stride accesses, negative program counters, tight
   branch loops);
-* :func:`compare_cores` runs one pair on two cores and reports the
-  exact fields that disagree (empty = equivalent);
+* :func:`compare_cores` runs one pair on the kernel and the oracle
+  and reports the exact fields that disagree (empty = equivalent);
 * :func:`differential_sweep` drives N randomized pairs and collects
   every divergence.
 
 ``repro diffcore`` is the CLI face of the sweep; CI runs it as a
-smoke on every push.  A divergence here means either a batched-core
-bug (fix it) or an intentional timing change (bump
+smoke on every push.  Both functions demand the kernel: without it
+they raise :class:`RuntimeError` naming the loader's reason rather
+than compare the reference with itself.  A divergence here means
+either a kernel bug (fix it) or an intentional timing change (bump
 ``SIMULATOR_VERSION`` and re-pin the goldens) — never a tolerance.
 """
 
@@ -337,44 +338,47 @@ class Divergence:
         return " ".join(parts)
 
 
+def _run_pair(config, trace, **kwargs):
+    """``(expected, actual)``: the oracle's and the kernel's stats.
+
+    The kernel runs first, so a missing kernel fails before the
+    reference spends any time."""
+    actual = simulate(config, trace, core="batched-native", **kwargs)
+    return simulate(config, trace, core="reference", **kwargs), actual
+
+
 def compare_cores(
     config: MachineConfig,
     trace: Trace,
     *,
-    core: str = "batched",
-    oracle: str = "reference",
     warmup: bool = True,
     precompute_table=None,
     prefetch_lines: int = 0,
 ) -> List[str]:
-    """Names of the :class:`CoreStats` fields on which ``core``
-    disagrees with ``oracle`` for this pair (empty = equivalent)."""
-    expected = simulate(
+    """Names of the :class:`CoreStats` fields on which the kernel
+    disagrees with the reference for this pair (empty = equivalent)."""
+    return differing_fields(*_run_pair(
         config, trace, precompute_table=precompute_table,
-        warmup=warmup, prefetch_lines=prefetch_lines, core=oracle,
-    )
-    actual = simulate(
-        config, trace, precompute_table=precompute_table,
-        warmup=warmup, prefetch_lines=prefetch_lines, core=core,
-    )
-    return differing_fields(expected, actual)
+        warmup=warmup, prefetch_lines=prefetch_lines,
+    ))
 
 
 def differential_sweep(
     pairs: int = 25,
     seed: int = 0,
     *,
-    core: str = "batched",
-    oracle: str = "reference",
     progress: Optional[Callable[[int, int, Optional[Divergence]], None]]
         = None,
 ) -> List[Divergence]:
     """Run ``pairs`` randomized (config, trace) comparisons.
 
     Deterministic in ``seed``.  Returns every divergence found (an
-    empty list is the pass verdict).  ``progress(done, total, div)``
-    is called after each pair, ``div`` non-None when it diverged.
+    empty list is the pass verdict, so ``pairs`` must be at least 1).
+    ``progress(done, total, div)`` is called after each pair, ``div``
+    non-None when it diverged.
     """
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = random.Random(seed)
     found: List[Divergence] = []
     for k in range(pairs):
@@ -394,13 +398,9 @@ def differential_sweep(
                     universe, min(len(universe), 32)
                 )
                 table = frozenset(keys)
-        expected = simulate(
+        expected, actual = _run_pair(
             config, trace, precompute_table=table, warmup=warmup,
-            prefetch_lines=prefetch, core=oracle,
-        )
-        actual = simulate(
-            config, trace, precompute_table=table, warmup=warmup,
-            prefetch_lines=prefetch, core=core,
+            prefetch_lines=prefetch,
         )
         diff = differing_fields(expected, actual)
         div = None

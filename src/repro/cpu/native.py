@@ -14,9 +14,9 @@ This module owns the build-and-load machinery:
 * builds are atomic (temp file + ``os.replace``), so concurrent
   worker processes racing to build produce one good artifact;
 * everything degrades gracefully: no toolchain, a failed build, or
-  ``REPRO_NATIVE=0`` simply returns ``None`` and the caller falls
-  back to the batched Python loop.  ``core="batched-native"`` makes
-  the failure loud instead.
+  ``REPRO_NATIVE=0`` simply returns ``None`` and ``core="batched"``
+  runs the reference model instead.  ``core="batched-native"`` makes
+  the failure loud.
 
 The compiled kernel is a pure function from (config vector, trace
 arrays) to a counter vector: no global state, no threads, no
@@ -410,7 +410,7 @@ def simulate_native(
     Returns ``None`` when the kernel is unavailable (no toolchain,
     failed build, or ``REPRO_NATIVE=0``) so the caller can fall back;
     with ``required=True`` that becomes a loud :class:`RuntimeError`.
-    Raises exactly the exceptions the Python cores raise — same
+    Raises exactly the exceptions the reference model raises — same
     messages, same :class:`SimulationHang` dump.
     """
     lib = _load()

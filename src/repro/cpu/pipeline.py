@@ -649,18 +649,17 @@ class Pipeline:
             ))
 
 
-#: The selectable simulator cores.  ``"batched"`` (the default) is the
-#: structure-of-arrays core of :mod:`repro.cpu.batched`, running the
-#: compiled kernel (:mod:`repro.cpu.native`) when a C toolchain is
-#: available and the portable batched Python loop otherwise;
-#: ``"batched-native"`` / ``"batched-python"`` force one or the other;
-#: ``"reference"`` is the interpreted per-instruction model above —
-#: the equivalence oracle.  All cores produce bit-identical
+#: The selectable simulator cores.  There are two implementations: the
+#: compiled kernel (:mod:`repro.cpu.native`) and the interpreted
+#: per-instruction model above, ``"reference"`` — the equivalence
+#: oracle.  ``"batched"`` (the default) runs the kernel when it loads
+#: and the reference model otherwise (no C toolchain, a failed build,
+#: or ``REPRO_NATIVE=0``); ``"batched-native"`` demands the kernel and
+#: fails loudly without it.  Both implementations produce bit-identical
 #: :class:`CoreStats` (enforced by :mod:`repro.cpu.equivalence`), so
 #: the choice never enters a result-cache key beyond the normalized
 #: family (see :func:`repro.exec.cache.task_key`).
-SIMULATOR_CORES = ("batched", "batched-native", "batched-python",
-                   "reference")
+SIMULATOR_CORES = ("batched", "batched-native", "reference")
 
 
 def simulate(
@@ -709,19 +708,11 @@ def simulate(
         )
         if stats is not None:
             return stats
-        # No toolchain (or disabled): fall through to the batched
-        # Python loop, which is exactly equivalent.
+        # No kernel: the reference model is exactly equivalent.
     pipeline = Pipeline(config, precompute_table, prefetch_lines)
     if warmup:
         pipeline.warm(trace)
-    if core == "reference":
-        return pipeline.run(
-            trace, max_cycles,
-            hang_cycles=hang_cycles, max_instructions=max_instructions,
-        )
-    from .batched import run_batched
-
-    return run_batched(
-        pipeline, trace, max_cycles,
+    return pipeline.run(
+        trace, max_cycles,
         hang_cycles=hang_cycles, max_instructions=max_instructions,
     )

@@ -117,17 +117,18 @@ def canonical_blob(payload) -> bytes:
 def core_family(core: str) -> str:
     """The cache-key family of a simulator core.
 
-    The batched implementations (``batched``, ``batched-native``,
-    ``batched-python``) are interchangeable by contract — field-exact
-    equivalent, enforced by :mod:`repro.cpu.equivalence` — so they
-    share one family and therefore one set of cache entries: a grid
-    run with the compiled kernel reuses results measured by the Python
-    fallback and vice versa.  The interpreted ``reference`` oracle is
-    its own family: it is the arbiter the batched cores are checked
+    Every name but ``reference`` — ``batched``, ``batched-native``,
+    and names of cores earlier versions had — maps to ``"batched"``,
+    so keys recorded under any of them stay valid.  That family holds
+    whatever ``batched`` resolved to: compiled-kernel results, or
+    reference results on a host without the kernel.  Sharing is sound
+    because the two are field-exact equivalent, enforced by
+    :mod:`repro.cpu.equivalence`.  An explicit ``reference`` run is
+    its own family: the oracle is the arbiter the kernel is checked
     *against*, so its measurements must never be satisfied from (or
-    leak into) batched-core entries — otherwise a batched-core bug
-    could silently poison the oracle's results through the cache, and
-    a differential run would compare a core against itself.
+    leak into) ``batched`` entries — otherwise a kernel bug could
+    silently poison the oracle's results through the cache, and a
+    differential run would compare a core against itself.
     """
     return "reference" if core == "reference" else "batched"
 
@@ -144,7 +145,7 @@ def task_key(task, *, version: str = SIMULATOR_VERSION) -> str:
     :data:`~repro.cpu.SIMULATOR_VERSION` after a timing-model change —
     yields a different key, so stale entries are simply never found
     rather than needing explicit invalidation.  The core enters only
-    as its normalized family: equivalent batched variants share
+    as its normalized family: ``batched`` and ``batched-native`` share
     entries, while the reference oracle's entries stay segregated
     (cache-level cross-contamination would defeat differential
     testing).

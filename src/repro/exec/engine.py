@@ -399,7 +399,6 @@ def run_grid(
     cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     version: str = SIMULATOR_VERSION,
-    chunk_size: Optional[int] = None,
     retry: Optional[RetryPolicy] = None,
     timeout: Optional[float] = None,
     on_error: str = "raise",
@@ -433,11 +432,6 @@ def run_grid(
     version:
         Simulator version tag mixed into cache keys; defaults to
         :data:`~repro.cpu.SIMULATOR_VERSION`.
-    chunk_size:
-        Accepted for backward compatibility and ignored: the
-        supervised pool sends each worker its running cell plus one
-        queued behind it (see :func:`_run_pool`), which keeps per-task
-        deadlines and dead-worker resubmission exact.
     retry:
         :class:`RetryPolicy` for failing cells.  ``None`` selects no
         retries under ``on_error="raise"`` and the default policy (3

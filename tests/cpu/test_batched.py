@@ -1,8 +1,10 @@
-"""Tests for the batched structure-of-arrays core (repro.cpu.batched).
+"""Tests for the fast simulator core: the compiled kernel
+(``core="batched-native"``, :mod:`repro.cpu.native`) and what the
+default ``core="batched"`` does without it (runs the reference model).
 
 The contract under test is *field-exact equivalence* with the
 interpreted reference model — same CoreStats, same watchdog behaviour,
-same diagnostics — plus the static trace decode it runs on.
+same diagnostics — plus the static trace decode the kernel runs on.
 """
 
 import dataclasses
@@ -48,10 +50,7 @@ needs_native = pytest.mark.skipif(
     reason="no C toolchain / native kernel build failed",
 )
 
-CORES = [
-    "batched-python",
-    pytest.param("batched-native", marks=needs_native),
-]
+CORES = [pytest.param("batched-native", marks=needs_native)]
 
 
 class TestEquivalence:
@@ -67,8 +66,14 @@ class TestEquivalence:
     @pytest.mark.parametrize("core", CORES)
     def test_differential_sweep_clean(self, core):
         """A small randomized sweep (config corners x trace corners)
-        finds zero divergences; CI runs a bigger one."""
-        assert differential_sweep(6, seed=1234, core=core) == []
+        finds zero divergences; CI runs a bigger one.  The sweep
+        always runs ``core`` (the kernel) against the reference."""
+        assert differential_sweep(6, seed=1234) == []
+
+    def test_sweep_needs_a_pair(self):
+        for pairs in (0, -2):
+            with pytest.raises(ValueError, match="at least 1"):
+                differential_sweep(pairs)
 
     def test_unknown_core_rejected(self):
         trace = benchmark_trace("gzip", 200)
@@ -117,21 +122,23 @@ class TestDecode:
         assert len(clone.decoded().prod1) == len(trace)
 
 
-class TestWatchdogParity:
-    """Both cores trip every watchdog at the same cycle with the same
-    message and the same machine-state dump (ISSUE 6 satellite)."""
+def _hang(core, trace, config, **kwargs):
+    with pytest.raises(SimulationHang) as err:
+        simulate(config, trace, core=core, **kwargs)
+    return str(err.value), err.value.dump
 
-    def _hang(self, core, trace, config, **kwargs):
-        with pytest.raises(SimulationHang) as err:
-            simulate(config, trace, core=core, **kwargs)
-        return str(err.value), err.value.dump
+
+class TestWatchdogParity:
+    """The kernel trips every watchdog at the same cycle as the
+    reference, with the same message and the same machine-state
+    dump."""
 
     @pytest.mark.parametrize("core", CORES)
     def test_hang_diagnostics_identical_cold_fetch(self, core):
         trace = benchmark_trace("gzip", 800)
-        ref = self._hang("reference", trace, MachineConfig(),
+        ref = _hang("reference", trace, MachineConfig(),
                          hang_cycles=1)
-        bat = self._hang(core, trace, MachineConfig(), hang_cycles=1)
+        bat = _hang(core, trace, MachineConfig(), hang_cycles=1)
         assert ref == bat
 
     @pytest.mark.parametrize("core", CORES)
@@ -140,9 +147,9 @@ class TestWatchdogParity:
                               dst=1, src1=1) for i in range(12)]
         trace = Trace.from_instructions(instrs, name="divchain")
         config = MachineConfig(int_div_latency=40)
-        ref = self._hang("reference", trace, config,
+        ref = _hang("reference", trace, config,
                          hang_cycles=20, warmup=True)
-        bat = self._hang(core, trace, config,
+        bat = _hang(core, trace, config,
                          hang_cycles=20, warmup=True)
         assert ref == bat
         assert ref[1]["rob_head"]["seq"] == 0
@@ -215,8 +222,54 @@ class TestKernelCorners:
     @pytest.mark.parametrize("trace_name", sorted(CORNER_TRACES))
     def test_field_exact_on_corner(self, machine, trace_name):
         trace = CORNER_TRACES[trace_name](random.Random(7))
-        assert compare_cores(CORNER_MACHINES[machine], trace,
-                             core="batched-native") == []
+        assert compare_cores(CORNER_MACHINES[machine], trace) == []
+
+
+class TestNoKernelFallback:
+    """Without the kernel (no toolchain, failed build, REPRO_NATIVE=0)
+    ``batched`` runs the reference model and ``batched-native``
+    refuses loudly; cache keys do not notice the difference."""
+
+    @pytest.mark.parametrize("bench", ["gzip", "mcf", "mesa"])
+    def test_batched_matches_reference(self, bench, no_kernel):
+        trace = benchmark_trace(bench, 2000)
+        ref = simulate(MachineConfig(), trace, warmup=True,
+                       core="reference")
+        bat = simulate(MachineConfig(), trace, warmup=True)
+        assert _stats_dict(ref) == _stats_dict(bat)
+
+    def test_hang_diagnostics_identical(self, no_kernel):
+        instrs = [Instruction(pc=0x100 + 4 * i, op=OpClass.IDIV,
+                              dst=1, src1=1) for i in range(12)]
+        trace = Trace.from_instructions(instrs, name="divchain")
+        config = MachineConfig(int_div_latency=40)
+        ref = _hang("reference", trace, config, hang_cycles=20,
+                    warmup=True)
+        bat = _hang("batched", trace, config, hang_cycles=20,
+                    warmup=True)
+        assert ref == bat
+        assert ref[1]["rob_occupancy"] == 12
+
+    def test_batched_native_names_the_reason(self, no_kernel):
+        assert no_kernel == "disabled via REPRO_NATIVE=0"
+        trace = benchmark_trace("gzip", 200)
+        with pytest.raises(RuntimeError, match=no_kernel):
+            simulate(MachineConfig(), trace, core="batched-native")
+
+    def test_task_key_unchanged(self, request):
+        from repro.exec import SimTask, task_key
+
+        trace = benchmark_trace("gzip", 600)
+
+        def keys():
+            return {task_key(SimTask(config=MachineConfig(),
+                                     trace=trace, core=core))
+                    for core in ("batched", "batched-native")}
+
+        with_kernel = keys()
+        request.getfixturevalue("no_kernel")
+        assert len(with_kernel) == 1
+        assert keys() == with_kernel
 
 
 class TestKernelArguments:

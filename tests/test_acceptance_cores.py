@@ -87,7 +87,7 @@ class TestBitIdenticalResults:
                                             batched_run):
         """The two run directories cache under disjoint keys: the
         reference oracle's entries must never be confused with the
-        batched cores' (equal *content* is the theorem being tested,
+        batched core's (equal *content* is the theorem being tested,
         not an excuse to share storage)."""
         ref_keys = {f.name for f in
                     (reference_run / "cache").glob("*.pkl")}

@@ -479,3 +479,30 @@ class TestWorkerCommand:
         spool.ensure()
         spool.drain()
         assert main(["worker", str(spool.root)]) == 0
+
+
+class TestDiffcoreCommand:
+    """``repro diffcore`` fails unless it compared the kernel with the
+    reference on at least one pair."""
+
+    @pytest.mark.parametrize("pairs", ["0", "-2"])
+    def test_no_pairs_is_a_usage_error(self, pairs, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["diffcore", "--pairs", pairs])
+        assert err.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_clean_sweep_names_both_cores(self, capsys):
+        from repro.cpu.native import _load
+
+        if _load() is None:
+            pytest.skip("no C toolchain / native kernel build failed")
+        assert main(["diffcore", "--pairs", "1", "--quiet"]) == 0
+        assert "batched-native == reference field-exact" in \
+            capsys.readouterr().out
+
+    def test_no_kernel_fails_with_the_reason(self, no_kernel, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["diffcore", "--pairs", "1", "--quiet"])
+        assert no_kernel in str(err.value.code)
+        assert "field-exact" not in capsys.readouterr().out
