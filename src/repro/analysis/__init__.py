@@ -10,10 +10,10 @@ closures shipped to fork workers, mutable defaults, undeclared
 environment inputs, and exception handlers broad enough to eat a
 ``KeyboardInterrupt`` (REP001–REP007) — plus the flow-aware
 protocol rules guarding the artifact and distribution layers:
-atomic publishes, checked sealed reads, canonical cache keys
-(REP101–REP103), monotonic lease math, lock-window discipline,
-fork/thread ordering and sanctioned process control
-(REP201–REP204), and the stale-suppression audit (REP008).  All
+checked sealed reads, canonical cache keys (REP102–REP103),
+writes through the fault-injectable seam (REP105), monotonic lease
+math, lock-window discipline, fork/thread ordering and sanctioned
+process control (REP201–REP204), and the stale-suppression audit (REP008).  All
 rules are documented in ``docs/analysis.md``.
 
 Run it as ``python -m repro.analysis [paths]`` or ``repro lint``;

@@ -18,7 +18,7 @@ both the tool table and top-level keys are accepted).  Keys:
     (``run_grid``, ``Process``, ``submit``, ...).
 ``artifact_roots``
     Extra identifier patterns (fnmatch) naming artifact-root
-    directories for the atomic-publish rule (REP101), on top of the
+    directories for the write-seam rule (REP105), on top of the
     built-ins (``pending_dir``, ``results_dir``, ...).
 ``sealed_names``
     Extra filename fragments marking sealed artifacts for the

@@ -251,30 +251,6 @@ class FunctionFlow:
                 return True
         return False
 
-    def calls_resolving_to(self, names: Set[str]) -> List[ast.Call]:
-        """Scope calls whose resolved (or dotted) name is in ``names``."""
-        out = []
-        for call in self.calls:
-            resolved = self.resolve(call) or _attr_chain(call.func)
-            if resolved in names:
-                out.append(call)
-        return out
-
-    def publishes(self, names: Set[str]) -> bool:
-        """True when a name in ``names`` flows into the source slot of
-        an atomic publish (``os.replace`` / ``os.rename``) somewhere
-        in this scope — the write it came from is then the sanctioned
-        tmp half of a publish pair."""
-        if not names:
-            return False
-        for call in self.calls_resolving_to({"os.replace", "os.rename",
-                                             "shutil.move"}):
-            if not call.args:
-                continue
-            if self.origin_names(call.args[0]) & names:
-                return True
-        return False
-
 
 def _attr_chain(node: ast.AST) -> Optional[str]:
     """A dotted rendering of an attribute chain that tolerates any

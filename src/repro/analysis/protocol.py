@@ -10,9 +10,6 @@ the package call-graph index resolving helpers like ``seal`` wrappers
 and path factories across modules.
 
 Artifact integrity (REP1xx)
-    * **REP101** — a sealed payload (or any write under an artifact
-      root) must be published atomically: end-suffixed temp name +
-      ``os.replace``, or an exclusive ``flock`` around an append.
     * **REP102** — bytes read from a sealed artifact must pass
       through ``repro.guard.seal.check`` (or a wrapper that calls
       it) before being parsed or unpickled.
@@ -20,8 +17,8 @@ Artifact integrity (REP1xx)
       ``canonicalize``/``canonical_blob``, never from unsorted
       ``json.dumps``, ``repr``, or ``str`` of unordered containers.
     * **REP105** — artifact-root / sealed-payload writes must route
-      through the sanctioned write seam
-      (:mod:`repro.guard.fsfault`); even a correct open-coded
+      through the sanctioned write seam (:mod:`repro.guard.faults`),
+      which publishes atomically; even a correct open-coded
       temp+replace dance is invisible to fault injection and the
       degradation contracts.
 
@@ -42,20 +39,13 @@ from __future__ import annotations
 
 import ast
 from fnmatch import fnmatch
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .core import Checker, FileContext
 from .dataflow import FunctionFlow, _attr_chain, walk_scope
 from .findings import Severity
 
 # -- shared vocabulary ----------------------------------------------
-
-#: Calls that atomically publish a temp file onto its final name.
-_PUBLISH_CALLS = {"os.replace", "os.rename", "shutil.move"}
-
-#: Calls that create a collision-safe temp target.
-_TMP_CALLS = {"tempfile.mkstemp", "tempfile.mkdtemp",
-              "tempfile.NamedTemporaryFile", "tempfile.TemporaryFile"}
 
 #: Identifier patterns naming artifact-root directories (extendable
 #: via the ``artifact_roots`` config key).
@@ -123,7 +113,7 @@ def _pred_canonical(resolved: str) -> bool:
                                "task_key")
 
 
-#: The sanctioned write-seam helpers of :mod:`repro.guard.fsfault`.
+#: The sanctioned write-seam helpers of :mod:`repro.guard.faults`.
 _SEAM_CALLS = ("publish_bytes", "publish_text", "vfs_write",
                "vfs_fsync", "vfs_replace")
 
@@ -216,7 +206,7 @@ class ProtocolChecker(Checker):
         return mod.functions.get(local)
 
 
-# -- helpers shared by REP101/REP102 --------------------------------
+# -- helpers shared by REP102/REP105 --------------------------------
 
 
 def _open_mode(call: ast.Call) -> str:
@@ -272,26 +262,34 @@ def _classify_write(call: ast.Call, flow: FunctionFlow) \
     return None
 
 
-class SealedWriteNotAtomic(ProtocolChecker):
-    """REP101: sealed/artifact-root writes that readers can tear.
+class ArtifactWriteOutsideSeam(ProtocolChecker):
+    """REP105: artifact writes that bypass the sanctioned write seam.
 
     The spool's whole crash model (docs/distributed.md) rests on one
     rule: a file a reader can *see* is a file a writer finished.  A
     direct ``path.write_bytes(sealed_blob)`` breaks it — a process
     dying mid-write publishes a torn artifact under its final name,
-    and the seal layer can only quarantine it after the fact.  PR 8's
-    self-run caught exactly this in ``guard/verify.write_results``:
-    the results document — the artifact ``repro verify`` exists to
-    defend — was the one sealed write in the tree that skipped the
-    temp+replace dance.  Sanctioned shapes: write to a temp name
-    (``tempfile`` or an end-suffixed ``.tmp-*`` sibling) followed by
-    ``os.replace``, or an append under an exclusive ``flock``.
+    and the seal layer can only quarantine it after the fact (the
+    results document ``repro verify`` exists to defend was once
+    written exactly so).  The seam in :mod:`repro.guard.faults`
+    publishes atomically; routing through it is also the only way a
+    write can be reached by fault injection.  An open-coded
+    ``mkstemp``+``os.replace`` dance can be perfectly atomic and
+    still be a hole in the robustness story — the injector cannot
+    schedule ENOSPC/EIO/torn-write faults on it, so its degradation
+    behaviour is never exercised, and ``docs/robustness.md``'s
+    per-writer contract table silently stops being exhaustive.  Every
+    write whose destination is an artifact root (or whose payload is
+    sealed) must reach the disk via ``publish_bytes`` /
+    ``publish_text`` or the ``vfs_*`` primitives; the seam's own
+    implementation is the one sanctioned exception (suppressed there
+    with a reason).
     """
 
-    rule = "REP101"
-    name = "unpublished-artifact-write"
-    description = ("sealed payloads / artifact-root writes without "
-                   "atomic temp+replace publish")
+    rule = "REP105"
+    name = "artifact-write-outside-seam"
+    description = ("sealed/artifact-root writes bypassing the "
+                   "repro.guard.faults seam")
     severity = Severity.ERROR
     interests = (ast.Call,)
 
@@ -306,14 +304,16 @@ class SealedWriteNotAtomic(ProtocolChecker):
             ctx, flow, target)
         if not sealed and not rooted:
             return
-        if self._sanctioned(ctx, flow, target):
+        if self._sanctioned(ctx, flow):
             return
         what = "sealed payload" if sealed else "artifact-root write"
         ctx.report(
             node, self.rule, self.severity,
-            f"{what} written in place; a crash mid-write publishes "
-            "a torn artifact — write to an end-suffixed temp name "
-            "and os.replace() it onto the final path",
+            f"{what} bypasses the sanctioned write seam; a crash "
+            "mid-write can publish a torn artifact and fault "
+            "injection cannot reach it — route it through "
+            "repro.guard.faults (publish_bytes/publish_text or the "
+            "vfs_* primitives)",
         )
 
     def _sealed_payload(self, ctx: FileContext, flow: FunctionFlow,
@@ -352,72 +352,7 @@ class SealedWriteNotAtomic(ProtocolChecker):
                 return True
         return False
 
-    def _sanctioned(self, ctx: FileContext, flow: FunctionFlow,
-                    target: Optional[ast.AST]) -> bool:
-        if flow.calls_resolving_to({"fcntl.flock"}):
-            return True  # append-under-lock (the journal discipline)
-        if not flow.calls_resolving_to(_PUBLISH_CALLS):
-            return False
-        if target is None:
-            return True  # untraceable handle, but the scope publishes
-        if flow.publishes(flow.origin_names(target)):
-            return True
-        # Temp-named target plus a publish anywhere in the scope.
-        for _, resolved in flow.origin_calls(target):
-            if resolved in _TMP_CALLS:
-                return True
-        return any("tmp" in s for s in flow.origin_strings(target))
-
-
-class ArtifactWriteOutsideSeam(SealedWriteNotAtomic):
-    """REP105: artifact writes that bypass the sanctioned write seam.
-
-    REP101 asks "is this write atomic?"; REP105 asks the stricter
-    question this PR's fault model requires: "does this write go
-    through :mod:`repro.guard.fsfault`?"  An open-coded
-    ``mkstemp``+``os.replace`` dance can be perfectly atomic and
-    still be a hole in the robustness story — the injector cannot
-    schedule ENOSPC/EIO/torn-write faults on it, so its degradation
-    behaviour is never exercised, and ``docs/robustness.md``'s
-    per-writer contract table silently stops being exhaustive.  Every
-    write whose destination is an artifact root (or whose payload is
-    sealed) must reach the disk via ``publish_bytes`` /
-    ``publish_text`` or the ``vfs_*`` primitives; the seam's own
-    implementation is the one sanctioned exception (suppressed there
-    with a reason).
-    """
-
-    rule = "REP105"
-    name = "artifact-write-outside-seam"
-    description = ("sealed/artifact-root writes bypassing the "
-                   "repro.guard.fsfault seam")
-    severity = Severity.ERROR
-    interests = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: FileContext) -> None:
-        flow = ctx.flow_for(node)
-        classified = _classify_write(node, flow)
-        if classified is None:
-            return
-        target, payload = classified
-        sealed = self._sealed_payload(ctx, flow, payload)
-        rooted = target is not None and self._rooted(
-            ctx, flow, target)
-        if not sealed and not rooted:
-            return
-        if self._sanctioned(ctx, flow, target):
-            return
-        what = "sealed payload" if sealed else "artifact-root write"
-        ctx.report(
-            node, self.rule, self.severity,
-            f"{what} bypasses the sanctioned write seam; fault "
-            "injection cannot reach it and its degradation contract "
-            "is unexercised — route it through repro.guard.fsfault "
-            "(publish_bytes/publish_text or the vfs_* primitives)",
-        )
-
-    def _sanctioned(self, ctx: FileContext, flow: FunctionFlow,
-                    target: Optional[ast.AST]) -> bool:
+    def _sanctioned(self, ctx: FileContext, flow: FunctionFlow) -> bool:
         for call in flow.calls:
             resolved = flow.resolve(call) or _attr_chain(call.func)
             if resolved and self._satisfies(ctx, resolved,
@@ -871,7 +806,6 @@ class UnsanctionedProcessControl(ProtocolChecker):
 #: The REP1xx/REP2xx suite, in rule order (registered into
 #: ``repro.analysis.checkers.ALL_CHECKERS``).
 PROTOCOL_CHECKERS = (
-    SealedWriteNotAtomic,
     ArtifactWriteOutsideSeam,
     UncheckedSealedRead,
     NoncanonicalKeyHash,

@@ -166,14 +166,6 @@ def _add_exec_args(parser):
              "from the spool down to at most N files (default: keep "
              "everything; a restarted broker adopts them for free)",
     )
-    parser.add_argument(
-        "--fsfault", default=None, metavar="SPEC",
-        help="inject deterministic I/O faults at the write seam: "
-             "comma-separated action:index[:count] items with actions "
-             "enospc, eio, torn, fsync, rename and count optionally "
-             "'always' (e.g. 'enospc:5:10,rename:2'); equivalent to "
-             "REPRO_FSFAULT_SPEC",
-    )
 
 
 class _ExecOptions:
@@ -209,15 +201,6 @@ def _exec_options(args):
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
     if args.retry < 1:
         raise SystemExit(f"--retry must be >= 1, got {args.retry}")
-    if getattr(args, "fsfault", None):
-        from repro.guard import fsfault
-
-        try:
-            fsfault.install(
-                fsfault.FsFaultInjector.from_spec(args.fsfault)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad --fsfault spec: {exc}")
     try:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
     except OSError as exc:
@@ -403,8 +386,6 @@ class _Obs:
                 "dist": getattr(args, "dist", None),
                 "stream": self.stream_dir,
                 "profile": self.profile_dir,
-                "fsfault": getattr(args, "fsfault", None)
-                or os.environ.get("REPRO_FSFAULT_SPEC"),  # repro: noqa[REP006] -- recorded verbatim for provenance, never branched on
             }
             workload = {
                 "benchmarks": args.benchmarks,
@@ -425,6 +406,9 @@ class _Obs:
                 artifacts["results"] = os.path.join(
                     args.run_dir, "results.json"
                 )
+            from repro.guard import faults
+
+            injector = faults.active()
             self.manifest = RunManifest(
                 command=command,
                 fingerprint=config_fingerprint({
@@ -434,7 +418,7 @@ class _Obs:
                 }),
                 settings=settings,
                 workload=workload,
-                fault_spec=os.environ.get("REPRO_FAULT_SPEC"),  # repro: noqa[REP006] -- recorded verbatim in the manifest for provenance, never branched on
+                fault_spec=str(injector) if injector is not None else None,
                 artifacts=artifacts,
             )
 
@@ -838,15 +822,6 @@ def cmd_verify(args) -> int:
 def cmd_worker(args) -> int:
     from repro.dist.worker import DistWorker
 
-    if args.fsfault:
-        from repro.guard import fsfault
-
-        try:
-            fsfault.install(
-                fsfault.FsFaultInjector.from_spec(args.fsfault)
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad --fsfault spec: {exc}")
     worker = DistWorker(
         args.spool,
         worker_id=args.worker_id,
@@ -1247,10 +1222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-stream", action="store_true",
                    help="skip the worker's event-log lane "
                         "(stream/<id>.events.jsonl under the spool)")
-    p.add_argument("--fsfault", default=None, metavar="SPEC",
-                   help="inject deterministic I/O faults in this "
-                        "worker's write seam (same grammar as the "
-                        "experiment commands' --fsfault)")
     p.set_defaults(func=cmd_worker)
 
     p = sub.add_parser(
@@ -1373,8 +1344,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_under_fault_spec(args) -> int:
+    """Run a cell-executing command under ``REPRO_FAULT_SPEC``.
+
+    The spec is parsed before any cell runs, so a bad one is a usage
+    error (exit 2) rather than a crash mid-screen, and the injector is
+    uninstalled when the command returns.
+    """
+    from repro.guard import faults
+
+    try:
+        injector = faults.from_env()
+    except ValueError as exc:
+        print(f"bad {faults.ENV_VAR}: {exc}", file=sys.stderr)
+        return 2
+    if injector is None:
+        return args.func(args)
+    with faults.injected(injector):
+        return args.func(args)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.func in (cmd_screen, cmd_classify, cmd_enhance, cmd_worker):
+        return _run_under_fault_spec(args)
     return args.func(args)
 
 

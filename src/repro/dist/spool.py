@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.cpu import SIMULATOR_VERSION
-from repro.guard import fsfault
+from repro.guard import faults
 from repro.guard.errors import SealCorrupt, SealError
 from repro.guard.seal import check, seal
 
@@ -172,7 +172,7 @@ class Spool:
         # Two retries ride out a transient fault window; a persistent
         # outage propagates, and the broker's reclaim machinery (not
         # a corrupt file) is what re-covers the task.
-        fsfault.publish_bytes(path, blob, retries=2)
+        faults.publish_bytes(path, blob, retries=2)
 
     # -- manifest ---------------------------------------------------
 

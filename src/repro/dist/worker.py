@@ -39,8 +39,8 @@ import time
 from typing import Optional, Union
 
 from repro.cpu import SIMULATOR_VERSION
-from repro.exec import faultinject
 from repro.exec.engine import _execute
+from repro.guard import faults
 from repro.guard.errors import SealError
 from repro.obs.stream import EventWriter
 
@@ -150,7 +150,7 @@ class DistWorker:
     def run(self) -> int:
         """Drain the spool until told to stop; returns tasks executed."""
         self.spool.ensure()
-        injector = faultinject.active()
+        injector = faults.active()
         if injector is not None:
             injector.stall_sleep = self._stall_sleep
         # Announce before the first scan so the broker's attach grace
@@ -223,7 +223,7 @@ class DistWorker:
                    "task", "task", index=index, attempt=attempt,
                    key=key[:12])
                if self.stream is not None else None)
-        injector = faultinject.active()
+        injector = faults.active()
         try:
             if injector is not None:
                 # in_worker=True: a kill fault takes this process down

@@ -9,10 +9,10 @@ workers, bounded retries, checkpoint/resume journals) while
 guaranteeing results identical to the serial path.  See
 :mod:`repro.exec.engine` for the execution model,
 :mod:`repro.exec.cache` for the cache design,
-:mod:`repro.exec.fault` for failure semantics,
-:mod:`repro.exec.journal` for the resume journal, and
-:mod:`repro.exec.faultinject` for the deterministic fault-injection
-harness the fault paths are tested with.
+:mod:`repro.exec.fault` for failure semantics, and
+:mod:`repro.exec.journal` for the resume journal; the deterministic
+fault injector the fault paths are tested with lives in
+:mod:`repro.guard.faults`.
 """
 
 from .cache import (
@@ -29,7 +29,6 @@ from .fault import (
     GridResult,
     RetryPolicy,
 )
-from .faultinject import Fault, FaultInjector, InjectedFault
 from .journal import (
     Journal,
     JournalRepair,
@@ -40,11 +39,8 @@ from .journal import (
 
 __all__ = [
     "FailureRecord",
-    "Fault",
-    "FaultInjector",
     "GridError",
     "GridResult",
-    "InjectedFault",
     "Journal",
     "JournalRepair",
     "JournalScan",

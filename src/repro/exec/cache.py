@@ -40,7 +40,7 @@ from typing import Dict, Optional, Set, Tuple, Union
 
 from repro.cpu import SIMULATOR_VERSION
 from repro.cpu.stats import CoreStats
-from repro.guard import fsfault, retention
+from repro.guard import faults, retention
 from repro.guard.errors import SealError, StatsInvalid
 from repro.guard.seal import check as check_seal, seal as make_seal
 
@@ -379,7 +379,7 @@ class ResultCache:
         """Store ``stats`` under ``key`` in both layers (sealed on disk).
 
         The on-disk write goes through the sanctioned atomic-publish
-        seam (:func:`repro.guard.fsfault.publish_bytes`): under an
+        seam (:func:`repro.guard.faults.publish_bytes`): under an
         I/O fault — injected or real — the entry name is never
         visible torn, and the ``OSError`` propagates so the engine's
         ``put_failures`` accounting (the "cache writes are down"
@@ -395,7 +395,7 @@ class ResultCache:
                 kind=CACHE_ENTRY_KIND, schema=CACHE_ENTRY_SCHEMA,
                 simulator_version=self.version,
             )
-            fsfault.publish_bytes(self._file(key), blob)
+            faults.publish_bytes(self._file(key), blob)
             self._enforce_budget()
 
     def _enforce_budget(self) -> None:

@@ -69,11 +69,11 @@ from typing import (
 from repro.cpu import MachineConfig, SIMULATOR_VERSION
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import CoreStats
+from repro.guard import faults
 from repro.guard.audit import AuditPolicy, coerce_policy, verify_restored
 from repro.guard.errors import AuditMismatch
 from repro.workloads import Trace
 
-from . import faultinject
 from .cache import ResultCache, task_key
 from .fault import (
     DEFAULT_RETRY_POLICY,
@@ -164,7 +164,7 @@ _IN_WORKER = False
 
 def _execute_cell(task: SimTask, index: int, attempt: int) -> CoreStats:
     """Execute one cell, giving the fault injector its shot first."""
-    injector = faultinject.active()
+    injector = faults.active()
     if injector is not None:
         injector.fire(index, attempt, in_worker=_IN_WORKER)
     return _execute(task)

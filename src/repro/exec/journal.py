@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.cpu import SIMULATOR_VERSION
-from repro.guard import fsfault
+from repro.guard import faults
 
 __all__ = [
     "Journal",
@@ -231,7 +231,7 @@ class Journal:
         same cell are merely redundant, never conflicting.
 
         Fails **atomically** under I/O faults: the write goes through
-        the sanctioned seam (:func:`repro.guard.fsfault.vfs_write`),
+        the sanctioned seam (:func:`repro.guard.faults.vfs_write`),
         and on any ``OSError`` — ENOSPC, EIO, a torn half-line — the
         file is truncated back to its pre-record length *while the
         lock is still held*, then the write is retried.  The journal
@@ -262,9 +262,9 @@ class Journal:
             start = os.fstat(fd).st_size
             for attempt in range(self._WRITE_ATTEMPTS):
                 try:
-                    fsfault.vfs_write(self._handle, data)
+                    faults.vfs_write(self._handle, data)
                     if self.sync:
-                        fsfault.vfs_fsync(fd)
+                        faults.vfs_fsync(fd)
                     break
                 except OSError:
                     self.write_failures += 1

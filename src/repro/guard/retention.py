@@ -20,7 +20,7 @@ valid artifact, and it does so under three strict rules:
 
 Deletions route through plain ``unlink`` (removal needs no atomic
 publish); the one rewrite — journal compaction — publishes the
-compacted file through :func:`repro.guard.fsfault.publish_bytes`, so
+compacted file through :func:`repro.guard.faults.publish_bytes`, so
 a crash mid-compaction leaves the original journal untouched.
 
 Surfaced as ``repro gc`` and ``repro cache stats``; the engine and
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from . import fsfault
+from . import faults
 
 __all__ = [
     "CacheStats",
@@ -411,7 +411,7 @@ def compact_journal(path: Union[str, os.PathLike], *,
     report.journal_lines_dropped = dropped
     report.journal_bytes_freed = len(data) - len(compacted)
     if dropped and not dry_run:
-        fsfault.publish_bytes(path, compacted, retries=2)
+        faults.publish_bytes(path, compacted, retries=2)
     return report
 
 

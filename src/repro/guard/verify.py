@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from . import fsfault
+from . import faults
 from .errors import SealError, SealMissing
 from .seal import check as check_seal, seal as make_seal
 
@@ -114,7 +114,7 @@ def write_results(path: Union[str, os.PathLike], result,
     # observes a half-written results document, and an injected
     # ENOSPC/rename fault either clears within the retry budget or
     # propagates with the previous document intact.
-    fsfault.publish_bytes(path, blob, retries=2)
+    faults.publish_bytes(path, blob, retries=2)
     return path
 
 

@@ -29,7 +29,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.guard import fsfault
+from repro.guard import faults
 
 from .metrics import MetricsRegistry
 from .span import Span, Tracer
@@ -116,7 +116,7 @@ def write_chrome_trace(tracer: Tracer,
     """Write :func:`chrome_trace` to ``path``; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fsfault.publish_text(
+    faults.publish_text(
         path, json.dumps(chrome_trace(tracer), sort_keys=True),
         retries=2,
     )
@@ -166,7 +166,7 @@ def write_metrics_jsonl(registry: MetricsRegistry,
         json.dumps({"name": name, **fields}, sort_keys=True)
         for name, fields in registry.snapshot().items()
     ]
-    fsfault.publish_text(path, "".join(line + "\n" for line in lines),
+    faults.publish_text(path, "".join(line + "\n" for line in lines),
                          retries=2)
     return path
 

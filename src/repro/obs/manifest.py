@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.guard import fsfault
+from repro.guard import faults
 from repro.guard.errors import SealCorrupt, SealMissing, SealVersionDrift
 
 from . import clock
@@ -178,13 +178,13 @@ class RunManifest:
         """Write the manifest as indented JSON; returns the path.
 
         Publishes atomically through the sanctioned seam
-        (:func:`repro.guard.fsfault.publish_text`): a reader — or
+        (:func:`repro.guard.faults.publish_text`): a reader — or
         ``repro verify`` after a crash — never sees a torn manifest,
         only the previous one or none.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fsfault.publish_text(
+        faults.publish_text(
             path,
             json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
             retries=2,

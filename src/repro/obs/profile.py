@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.guard import fsfault
+from repro.guard import faults
 
 __all__ = ["PhaseProfiler", "collapsed_stacks"]
 
@@ -161,10 +161,10 @@ class PhaseProfiler:
         tmp = stats_path.with_name(
             stats_path.name + f".tmp-{os.getpid()}-p")
         profiler.dump_stats(tmp)
-        fsfault.vfs_replace(tmp, stats_path)
+        faults.vfs_replace(tmp, stats_path)
 
         stats = pstats.Stats(str(stats_path))
-        fsfault.publish_text(
+        faults.publish_text(
             collapsed_path,
             "\n".join(collapsed_stacks(stats)) + "\n",
         )

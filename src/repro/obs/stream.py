@@ -74,7 +74,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-from repro.guard import fsfault
+from repro.guard import faults
 
 from . import clock
 
@@ -270,9 +270,13 @@ class EventWriter:
             pid=os.getpid(), wall=clock.wall_time(),
         )
 
-    def emit(self, kind: str, name: str = "", category: str = "",
+    def emit(self, kind: str, name: str = "", category: str = "", /,
              sid: Optional[int] = None, **attrs) -> None:
-        """Append one record (guarded; never raises into the run)."""
+        """Append one record (guarded; never raises into the run).
+
+        ``kind``, ``name`` and ``category`` are positional-only, so an
+        event may carry attributes of those names (a retry's ``kind``).
+        """
         if self._disabled:
             return
         try:
@@ -297,10 +301,10 @@ class EventWriter:
                 # abort the run.  A torn final line is exactly the
                 # crash signature the next generation's tail repair
                 # (and scan_stream) already tolerates.
-                fsfault.vfs_write(self._handle, line)
+                faults.vfs_write(self._handle, line)
                 self._handle.flush()
                 if self.sync:
-                    fsfault.vfs_fsync(self._handle.fileno())
+                    faults.vfs_fsync(self._handle.fileno())
             finally:
                 if fcntl is not None:
                     fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)

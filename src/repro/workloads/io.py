@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from repro.cpu.isa import BranchKind, OpClass
-from repro.guard import fsfault
+from repro.guard import faults
 from repro.guard.errors import TraceCorrupt
 from repro.guard.seal import (
     MAGIC as SEAL_MAGIC,
@@ -80,7 +80,7 @@ def save_trace(trace: Trace, path: Union[str, os.PathLike]) -> None:
     )
     # The sanctioned publish seam: temp name + replace, every step
     # fault-injectable, the destination never visible torn.
-    fsfault.publish_bytes(path, blob, retries=2)
+    faults.publish_bytes(path, blob, retries=2)
 
 
 def _strict_validate(trace: Trace, artifact) -> None:

@@ -81,17 +81,18 @@ class TestDecoratedFunctions:
             "    blob = encode(payload)\n"
             "    path.write_bytes(blob)\n"
         )
-        assert "REP101" in _rules(source)
+        assert "REP105" in _rules(source)
 
     def test_atomic_publish_of_decorated_seal_is_sanctioned(self):
         source = self.SEALER + (
+            "from repro.guard.faults import vfs_replace\n"
             "def save(path, payload):\n"
             "    blob = encode(payload)\n"
             "    tmp = path.with_name(path.name + '.tmp')\n"
             "    tmp.write_bytes(blob)\n"
-            "    os.replace(tmp, path)\n"
+            "    vfs_replace(tmp, path)\n"
         )
-        assert "REP101" not in _rules(source)
+        assert "REP105" not in _rules(source)
 
 
 class TestReexportedClosures:
@@ -106,22 +107,22 @@ class TestReexportedClosures:
             "        path.write_bytes(blob)\n"
             "    return publish\n"
         )
-        findings = [f for f in _lint(source) if f.rule == "REP101"]
+        findings = [f for f in _lint(source) if f.rule == "REP105"]
         assert findings, "closure write under results_dir missed"
         assert findings[0].line == 5
 
     def test_publishing_closure_is_sanctioned(self):
         source = (
             "__all__ = ['make_publisher']\n"
-            "import os\n"
+            "from repro.guard.faults import vfs_replace\n"
             "def make_publisher(results_dir):\n"
             "    def publish(key, blob):\n"
             "        tmp = results_dir / (key + '.tmp')\n"
             "        tmp.write_bytes(blob)\n"
-            "        os.replace(tmp, results_dir / key)\n"
+            "        vfs_replace(tmp, results_dir / key)\n"
             "    return publish\n"
         )
-        assert "REP101" not in _rules(source)
+        assert "REP105" not in _rules(source)
 
 
 class TestContainerDispatch:

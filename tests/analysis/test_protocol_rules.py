@@ -42,46 +42,42 @@ def _rules(findings):
 
 
 class TestArtifactIntegrityGateBites:
-    def test_rep101_direct_cache_entry_write(self):
+    def test_rep105_direct_cache_entry_write(self):
         """Dropping cache.put's seam publish for a direct write
-        publishes torn entries; REP101 (not atomic) and REP105 (not
-        through the seam) must both name the write."""
+        publishes torn entries; REP105 must name the write."""
         old = (
-            "            fsfault.publish_bytes(self._file(key), blob)\n"
+            "            faults.publish_bytes(self._file(key), blob)\n"
         )
         new = (
             "            self._file(key).write_bytes(blob)\n"
         )
         source, mutated, line = _mutate("exec/cache.py", old, new)
-        clean = _rules(_lint(source, "exec/cache.py"))
-        assert "REP101" not in clean
-        assert "REP105" not in clean
-        findings = _lint(mutated, "exec/cache.py")
-        for rule in ("REP101", "REP105"):
-            hits = [f for f in findings if f.rule == rule]
-            assert hits, f"{rule} missed the in-place sealed write"
-            assert hits[0].path == "exec/cache.py"
-            assert hits[0].line == line
+        assert "REP105" not in _rules(_lint(source, "exec/cache.py"))
+        hits = [f for f in _lint(mutated, "exec/cache.py")
+                if f.rule == "REP105"]
+        assert hits, "REP105 missed the in-place sealed write"
+        assert hits[0].path == "exec/cache.py"
+        assert hits[0].line == line
 
-    def test_rep101_spool_write_atomic_gutted(self):
+    def test_rep105_spool_write_atomic_gutted(self):
         """Replacing Spool._write_atomic's seam publish with a plain
         write breaks every artifact the spool publishes (the sealed
         payload arrives via the blob parameter — caller propagation
         must still see it)."""
-        old = "        fsfault.publish_bytes(path, blob, retries=2)\n"
+        old = "        faults.publish_bytes(path, blob, retries=2)\n"
         new = "        path.write_bytes(blob)\n"
         source, mutated, line = _mutate("dist/spool.py", old, new)
-        assert "REP101" not in _rules(_lint(source, "dist/spool.py"))
+        assert "REP105" not in _rules(_lint(source, "dist/spool.py"))
         hits = [f for f in _lint(mutated, "dist/spool.py")
-                if f.rule == "REP101"]
-        assert hits, "REP101 missed the gutted atomic-write helper"
+                if f.rule == "REP105"]
+        assert hits, "REP105 missed the gutted atomic-write helper"
         assert hits[0].line == line
 
     def test_rep105_open_coded_atomic_dance(self):
-        """An open-coded mkstemp-style temp+replace is *atomic* —
-        REP101 passes — but invisible to fault injection; REP105
-        alone must flag it and demand the fsfault seam."""
-        old = "        fsfault.publish_bytes(path, blob, retries=2)\n"
+        """An open-coded mkstemp-style temp+replace is *atomic* but
+        invisible to fault injection; REP105 must flag its write and
+        nothing else, demanding the fault-injectable seam."""
+        old = "        faults.publish_bytes(path, blob, retries=2)\n"
         new = (
             "        tmp = path.parent / "
             "f\"{path.name}.tmp-{os.getpid()}\"\n"
@@ -92,11 +88,9 @@ class TestArtifactIntegrityGateBites:
         clean = _rules(_lint(source, "dist/spool.py"))
         assert "REP105" not in clean
         findings = _lint(mutated, "dist/spool.py")
-        assert "REP101" not in _rules(findings), \
+        assert _rules(findings) == ["REP105"], \
             "the open-coded dance is atomic; only REP105 should bite"
-        hits = [f for f in findings if f.rule == "REP105"]
-        assert hits, "REP105 missed the seam bypass"
-        assert hits[0].line == line + 1  # the write_bytes line
+        assert findings[0].line == line + 1  # the write_bytes line
 
     def test_rep102_read_result_skips_decode(self):
         """Parsing a sealed .result without the check-wrapping
@@ -148,10 +142,10 @@ class TestConcurrencyGateBites:
         """A sleep inside the journal's exclusive flock window stalls
         every concurrent writer; REP202 must name the sleep."""
         old = (
-            "                    fsfault.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, data)\n"
         )
         new = (
-            "                    fsfault.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, data)\n"
             "                    time.sleep(0.01)\n"
         )
         source, mutated, line = _mutate("exec/journal.py", old, new)

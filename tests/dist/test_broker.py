@@ -19,8 +19,6 @@ from repro.dist import DistOptions, coerce_dist_options
 from repro.dist.spool import Spool
 from repro.dist.worker import DistWorker
 from repro.exec import (
-    Fault,
-    FaultInjector,
     Journal,
     ResultCache,
     RetryPolicy,
@@ -28,7 +26,8 @@ from repro.exec import (
     run_grid,
     task_key,
 )
-from repro.exec import faultinject
+from repro.guard import faults
+from repro.guard.faults import Fault, FaultInjector
 from repro.workloads import benchmark_trace
 
 
@@ -122,8 +121,8 @@ class TestDistributedRun:
 
     def test_worker_error_is_retried(self, tmp_path, tasks, clean):
         options = dist_options(tmp_path)
-        injector = FaultInjector({2: Fault("raise", 1)})
-        with faultinject.injected(injector):
+        injector = FaultInjector([Fault("raise", 2, 1)])
+        with faults.injected(injector):
             threads = attach_workers(options)
             grid = run_grid(
                 tasks, dist=options, on_error="retry",

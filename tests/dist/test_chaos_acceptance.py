@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.dist.broker import CHAOS_EXIT_CODE
-from repro.exec.faultinject import KILL_EXIT_CODE
+from repro.guard.faults import KILL_EXIT_CODE
 
 #: Small but real: 88 configurations x 2 benchmarks = 176 cells.
 WORKLOAD = ["-b", "gzip,mcf", "-n", "500"]

@@ -15,9 +15,10 @@ import pytest
 from repro.cpu import MachineConfig, SIMULATOR_VERSION
 from repro.dist.spool import Spool
 from repro.dist.worker import DistWorker
-from repro.exec import Fault, FaultInjector, grid_tasks, task_key
-from repro.exec import faultinject
+from repro.exec import grid_tasks, task_key
 from repro.exec.engine import _execute
+from repro.guard import faults
+from repro.guard.faults import Fault, FaultInjector
 from repro.workloads import benchmark_trace
 
 
@@ -69,8 +70,8 @@ class TestExecution:
 
     def test_failure_is_sealed_not_raised(self, spool, tasks):
         keys = _publish(spool, tasks, [0])
-        with faultinject.injected(
-            FaultInjector({0: Fault("raise", faultinject.ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", 0, faults.ALWAYS)])
         ):
             executed = DistWorker(spool, worker_id="w-err",
                                   max_tasks=1, poll=0.01).run()
@@ -128,9 +129,9 @@ class TestLiveness:
     def test_run_routes_stall_faults_through_worker(self, spool):
         # run() must rebind the active injector's stall clock so a
         # stall fault silences this worker's heartbeats for real.
-        injector = FaultInjector({})
+        injector = FaultInjector()
         worker = DistWorker(spool, max_idle=0.05, poll=0.01)
-        with faultinject.injected(injector):
+        with faults.injected(injector):
             worker.run()
         assert injector.stall_sleep == worker._stall_sleep
 

@@ -2,7 +2,7 @@
 
 Every failure mode the supervisor claims to survive is demonstrated
 here with the deterministic injector from
-:mod:`repro.exec.faultinject`: transient errors retried to success,
+:mod:`repro.guard.faults`: transient errors retried to success,
 permanent errors skipped with structured records, workers killed
 mid-grid and their tasks resubmitted, hung tasks timed out, an
 unhealthy pool degrading to in-process execution — all with results
@@ -16,18 +16,15 @@ import pytest
 from repro.core import PBExperiment
 from repro.cpu import MachineConfig
 from repro.exec import (
-    Fault,
-    FaultInjector,
     GridError,
     GridResult,
-    InjectedFault,
     ResultCache,
     RetryPolicy,
     grid_tasks,
     run_grid,
 )
-from repro.exec import faultinject
-from repro.exec.faultinject import ALWAYS
+from repro.guard import faults
+from repro.guard.faults import ALWAYS, Fault, FaultInjector, InjectedFault
 from repro.workloads import benchmark_trace
 
 SUBSET = [
@@ -159,42 +156,36 @@ class TestRetryPolicy:
 
 
 class TestFaultInjector:
+    """The task channel of the injector; the I/O channels and the
+    shared grammar are in ``tests/guard``."""
+
     def test_from_spec(self):
         injector = FaultInjector.from_spec(
             "kill:5,raise:12:2,delay:20:1:0.25,interrupt:7,"
             "raise:9:always"
         )
-        assert injector.schedule[5] == Fault("kill")
-        assert injector.schedule[12] == Fault("raise", 2)
-        assert injector.schedule[20] == Fault("delay", 1, 0.25)
-        assert injector.schedule[7] == Fault("interrupt")
-        assert injector.schedule[9].attempts == ALWAYS
+        assert injector.faults == [
+            Fault("kill", 5), Fault("raise", 12, 2),
+            Fault("delay", 20, 1, 0.25), Fault("interrupt", 7),
+            Fault("raise", 9, ALWAYS),
+        ]
+        assert {f.channel for f in injector.faults} == {"task"}
 
     def test_from_spec_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="justanaction"):
             FaultInjector.from_spec("justanaction")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="explode:3"):
             FaultInjector.from_spec("explode:3")
 
-    def test_seeded_is_deterministic(self):
-        a = FaultInjector.seeded(7, 88, raises=2, kills=1, delays=1)
-        b = FaultInjector.seeded(7, 88, raises=2, kills=1, delays=1)
-        assert a.schedule == b.schedule
-        assert len(a.schedule) == 4
-
-    def test_seeded_rejects_overcommit(self):
-        with pytest.raises(ValueError, match="schedule"):
-            FaultInjector.seeded(1, 3, raises=4)
-
     def test_transient_fires_only_early_attempts(self):
-        injector = FaultInjector({4: Fault("raise", 2)})
+        injector = FaultInjector([Fault("raise", 4, 2)])
         with pytest.raises(InjectedFault):
             injector.fire(4, 0)
         with pytest.raises(InjectedFault):
             injector.fire(4, 1)
         injector.fire(4, 2)          # attempt budget spent: no fault
         injector.fire(5, 0)          # unscheduled index: no fault
-        assert injector.fired == [(4, 0, "raise"), (4, 1, "raise")]
+        assert injector.fired == [("task", 4, "raise")] * 2
 
     def test_stall_uses_the_separate_stall_clock(self):
         # stall_sleep is deliberately not the instrumented sleep: a
@@ -202,38 +193,29 @@ class TestFaultInjector:
         # sleeper, so a stall looks hung while a delay looks slow.
         slept, stalled = [], []
         injector = FaultInjector(
-            {1: Fault("stall", seconds=0.5),
-             2: Fault("delay", seconds=0.25)},
+            [Fault("stall", 1, seconds=0.5),
+             Fault("delay", 2, seconds=0.25)],
             sleep=slept.append, stall_sleep=stalled.append,
         )
         injector.fire(1, 0)
         injector.fire(2, 0)
         assert stalled == [0.5]
         assert slept == [0.25]
-        assert injector.fired == [(1, 0, "stall"), (2, 0, "delay")]
-
-    def test_seeded_schedules_stalls(self):
-        injector = FaultInjector.seeded(
-            3, 40, stalls=2, stall_seconds=0.1,
-        )
-        stalls = [f for f in injector.schedule.values()
-                  if f.action == "stall"]
-        assert len(stalls) == 2
-        assert all(f.seconds == 0.1 for f in stalls)
+        assert injector.fired == [("task", 1, "stall"),
+                                  ("task", 2, "delay")]
 
     def test_from_spec_parses_stall(self):
         injector = FaultInjector.from_spec("stall:9:1:2.0")
-        fault = injector.schedule[9]
-        assert fault == Fault("stall", 1, 2.0)
+        assert injector.faults == [Fault("stall", 9, 1, 2.0)]
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError, match="action"):
-            Fault("explode")
+        with pytest.raises(ValueError, match="unknown action 'explode'"):
+            Fault("explode", 0)
 
 
 class TestSerialFaults:
     def test_fail_fast_propagates_original_error(self, tasks):
-        with faultinject.injected(FaultInjector({1: Fault("raise")})):
+        with faults.injected(FaultInjector([Fault("raise", 1)])):
             with pytest.raises(InjectedFault):
                 run_grid(tasks)
 
@@ -242,16 +224,16 @@ class TestSerialFaults:
         policy = RetryPolicy(
             max_attempts=3, backoff=0.25, sleep=slept.append,
         )
-        injector = FaultInjector({2: Fault("raise", 2)})
-        with faultinject.injected(injector):
+        injector = FaultInjector([Fault("raise", 2, 2)])
+        with faults.injected(injector):
             grid = run_grid(tasks, on_error="retry", retry=policy)
         assert cycles(grid) == clean
-        assert injector.fired == [(2, 0, "raise"), (2, 1, "raise")]
+        assert injector.fired == [("task", 2, "raise"), ("task", 2, "raise")]
         assert slept == [0.25, 0.5]
 
     def test_retry_exhaustion_raises_grid_error(self, tasks):
-        with faultinject.injected(
-            FaultInjector({0: Fault("raise", ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", 0, ALWAYS)])
         ):
             with pytest.raises(GridError) as info:
                 run_grid(
@@ -265,8 +247,8 @@ class TestSerialFaults:
         assert isinstance(info.value.__cause__, InjectedFault)
 
     def test_skip_returns_partial_grid(self, tasks, clean):
-        with faultinject.injected(
-            FaultInjector({1: Fault("raise", ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", 1, ALWAYS)])
         ):
             grid = run_grid(tasks, on_error="skip")
         assert isinstance(grid, GridResult)
@@ -281,8 +263,8 @@ class TestSerialFaults:
 
     def test_skip_progress_reaches_total(self, tasks):
         seen = []
-        with faultinject.injected(
-            FaultInjector({0: Fault("raise", ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", 0, ALWAYS)])
         ):
             run_grid(
                 tasks, on_error="skip",
@@ -291,21 +273,21 @@ class TestSerialFaults:
         assert seen[-1] == (len(tasks), len(tasks))
 
     def test_injected_interrupt_propagates(self, tasks):
-        with faultinject.injected(
-            FaultInjector({3: Fault("interrupt")})
+        with faults.injected(
+            FaultInjector([Fault("interrupt", 3)])
         ):
             with pytest.raises(KeyboardInterrupt):
                 run_grid(tasks)
 
     def test_stall_is_invisible_to_results(self, tasks, clean):
         injector = FaultInjector(
-            {2: Fault("stall", seconds=30.0)},
+            {Fault("stall", 2, seconds=30.0)},
             stall_sleep=lambda s: None,
         )
-        with faultinject.injected(injector):
+        with faults.injected(injector):
             grid = run_grid(tasks)
         assert cycles(grid) == clean
-        assert injector.fired == [(2, 0, "stall")]
+        assert injector.fired == [("task", 2, "stall")]
 
     def test_invalid_on_error_rejected(self, tasks):
         with pytest.raises(ValueError, match="on_error"):
@@ -315,13 +297,13 @@ class TestSerialFaults:
 @needs_fork
 class TestPoolFaults:
     def test_worker_kill_resubmits_bit_identical(self, tasks, clean):
-        with faultinject.injected(FaultInjector({3: Fault("kill")})):
+        with faults.injected(FaultInjector([Fault("kill", 3)])):
             grid = run_grid(tasks, jobs=2)
         assert cycles(grid) == clean
 
     def test_timeout_kills_hung_task_then_retries(self, tasks, clean):
-        injector = FaultInjector({0: Fault("delay", 1, seconds=60.0)})
-        with faultinject.injected(injector):
+        injector = FaultInjector([Fault("delay", 0, 1, seconds=60.0)])
+        with faults.injected(injector):
             grid = run_grid(
                 tasks, jobs=2, timeout=1.0, on_error="retry",
             )
@@ -329,9 +311,9 @@ class TestPoolFaults:
 
     def test_timeout_exhaustion_is_recorded(self, tasks, clean):
         injector = FaultInjector(
-            {0: Fault("delay", ALWAYS, seconds=60.0)}
+            {Fault("delay", 0, ALWAYS, seconds=60.0)}
         )
-        with faultinject.injected(injector):
+        with faults.injected(injector):
             grid = run_grid(
                 tasks, jobs=2, timeout=0.5, on_error="skip",
                 retry=RetryPolicy(max_attempts=2),
@@ -342,8 +324,8 @@ class TestPoolFaults:
         assert cycles(grid) == expected
 
     def test_pool_error_skip_is_partial(self, tasks, clean):
-        with faultinject.injected(
-            FaultInjector({4: Fault("raise", ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", 4, ALWAYS)])
         ):
             grid = run_grid(
                 tasks, jobs=2, on_error="skip",
@@ -354,10 +336,10 @@ class TestPoolFaults:
         assert cycles(grid) == expected
 
     def test_unhealthy_pool_degrades_to_in_process(self, tasks, clean):
-        injector = FaultInjector({
-            0: Fault("kill"), 2: Fault("kill"), 4: Fault("kill"),
-        })
-        with faultinject.injected(injector):
+        injector = FaultInjector([
+            Fault("kill", 0), Fault("kill", 2), Fault("kill", 4),
+        ])
+        with faults.injected(injector):
             with pytest.warns(RuntimeWarning, match="unhealthy"):
                 grid = run_grid(
                     tasks, jobs=2, on_error="retry",
@@ -416,8 +398,8 @@ class TestPBExperimentFaults:
         n_bench = len(traces)
         # Fail gzip's cell of design row 3 permanently.
         index = 3 * n_bench + list(traces).index("gzip")
-        with faultinject.injected(
-            FaultInjector({index: Fault("raise", ALWAYS)})
+        with faults.injected(
+            FaultInjector([Fault("raise", index, ALWAYS)])
         ):
             result = experiment.run(on_error="skip")
         assert not result.complete
@@ -433,8 +415,8 @@ class TestPBExperimentFaults:
     def test_retry_makes_experiment_bit_identical(self, traces):
         experiment = PBExperiment(traces, parameter_names=SUBSET)
         reference = experiment.run()
-        with faultinject.injected(
-            FaultInjector({5: Fault("raise", 2), 20: Fault("raise")})
+        with faults.injected(
+            FaultInjector([Fault("raise", 5, 2), Fault("raise", 20)])
         ):
             retried = experiment.run(
                 on_error="retry", retry=RetryPolicy(max_attempts=3),
@@ -466,19 +448,19 @@ class TestAcceptance:
 
         journal = tmp_path / "screen.journal"
         # Phase 1: Ctrl-C (injected) at cell 30 of the journaled run.
-        with faultinject.injected(
-            FaultInjector({30: Fault("interrupt")})
+        with faults.injected(
+            FaultInjector([Fault("interrupt", 30)])
         ):
             with pytest.raises(KeyboardInterrupt):
                 experiment.run(journal=journal)
 
         # Phase 2: resume on a worker pool, with a worker kill and
         # two transient task failures along the way.
-        with faultinject.injected(FaultInjector({
-            45: Fault("kill"),
-            50: Fault("raise"),
-            60: Fault("raise"),
-        })):
+        with faults.injected(FaultInjector([
+            Fault("kill", 45),
+            Fault("raise", 50),
+            Fault("raise", 60),
+        ])):
             result = experiment.run(
                 jobs=2, journal=journal, on_error="retry",
                 retry=RetryPolicy(max_attempts=3),
@@ -507,10 +489,10 @@ class TestSweepFaults:
         best_index = values.index(reference.best_value())
         n_bench = len(traces)
         schedule = {
-            best_index * n_bench + j: Fault("raise", ALWAYS)
+            Fault("raise", best_index * n_bench + j, ALWAYS)
             for j in range(n_bench)
         }
-        with faultinject.injected(FaultInjector(schedule)):
+        with faults.injected(FaultInjector(schedule)):
             partial = sweep(
                 traces, "rob_entries", values, on_error="skip",
             )
@@ -524,8 +506,8 @@ class TestSweepFaults:
         from repro.core import sweep
 
         n_cells = 2 * len(traces)
-        schedule = {i: Fault("raise", ALWAYS) for i in range(n_cells)}
-        with faultinject.injected(FaultInjector(schedule)):
+        schedule = {Fault("raise", i, ALWAYS) for i in range(n_cells)}
+        with faults.injected(FaultInjector(schedule)):
             partial = sweep(
                 traces, "rob_entries", [32, 64], on_error="skip",
             )

@@ -11,15 +11,14 @@ import pytest
 from repro.core import PBExperiment, rank_parameters_from_result
 from repro.cpu import MachineConfig
 from repro.exec import (
-    Fault,
-    FaultInjector,
     Journal,
     grid_tasks,
     run_grid,
     task_key,
 )
-from repro.exec import faultinject
 import repro.exec.engine as engine
+from repro.guard import faults
+from repro.guard.faults import Fault, FaultInjector
 from repro.workloads import benchmark_trace
 
 SUBSET = [
@@ -123,8 +122,8 @@ class TestGridResume:
         path = tmp_path / "grid.journal"
         clean = [s.cycles for s in run_grid(tasks)]
         stop_at = 4
-        with faultinject.injected(
-            FaultInjector({stop_at: Fault("interrupt")})
+        with faults.injected(
+            FaultInjector([Fault("interrupt", stop_at)])
         ):
             with pytest.raises(KeyboardInterrupt):
                 run_grid(tasks, journal=path)
@@ -166,8 +165,8 @@ class TestExperimentResume:
         experiment = PBExperiment(traces, parameter_names=SUBSET)
         reference = experiment.run()
         path = tmp_path / "screen.journal"
-        with faultinject.injected(
-            FaultInjector({10: Fault("interrupt")})
+        with faults.injected(
+            FaultInjector([Fault("interrupt", 10)])
         ):
             with pytest.raises(KeyboardInterrupt):
                 experiment.run(journal=path)

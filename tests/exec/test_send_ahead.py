@@ -16,8 +16,9 @@ import pytest
 
 from repro.cli import main
 from repro.cpu import MachineConfig
-from repro.exec import Fault, FaultInjector, grid_tasks, run_grid
-from repro.exec import engine, faultinject
+from repro.exec import engine, grid_tasks, run_grid
+from repro.guard import faults
+from repro.guard.faults import Fault, FaultInjector
 from repro.obs import Telemetry
 from repro.workloads import benchmark_trace
 
@@ -70,7 +71,7 @@ class TestSendAhead:
 
     def test_kill_requeues_queued_cell_uncharged(self, tasks, clean):
         telemetry = Telemetry.armed()
-        with faultinject.injected(FaultInjector({0: Fault("kill")})):
+        with faults.injected(FaultInjector([Fault("kill", 0)])):
             grid = run_grid(tasks, jobs=2, telemetry=telemetry)
         assert cycles(grid) == clean
         snap = telemetry.snapshot()
@@ -91,12 +92,12 @@ class TestSendAhead:
         # Cells 0 and 1 each take 1 s against a 1.5 s budget.  Had
         # cell 1's deadline started when it was sent (with cell 0),
         # it would expire at 1.5 s, before cell 1 ends at 2 s.
-        injector = FaultInjector({
-            0: Fault("delay", seconds=1.0),
-            1: Fault("delay", seconds=1.0),
-        })
+        injector = FaultInjector([
+            Fault("delay", 0, seconds=1.0),
+            Fault("delay", 1, seconds=1.0),
+        ])
         telemetry = Telemetry.armed()
-        with faultinject.injected(injector):
+        with faults.injected(injector):
             grid = run_grid(tasks, jobs=2, timeout=1.5,
                             telemetry=telemetry)
         assert cycles(grid) == clean
@@ -111,11 +112,11 @@ class TestSendAhead:
         # Worker 0 dies on cell 0; worker 1 is still busy with cell 2
         # and holds cell 3 queued when the pool gives up, so the
         # in-process fallback must pick up both.
-        injector = FaultInjector({
-            0: Fault("kill"),
-            2: Fault("delay", seconds=0.5),
-        })
-        with faultinject.injected(injector):
+        injector = FaultInjector([
+            Fault("kill", 0),
+            Fault("delay", 2, seconds=0.5),
+        ])
+        with faults.injected(injector):
             with pytest.warns(RuntimeWarning, match="unhealthy"):
                 grid = run_grid(tasks, jobs=2, max_worker_deaths=0)
         assert cycles(grid) == clean
@@ -123,8 +124,8 @@ class TestSendAhead:
 
     def test_stop_terminates_worker_with_queued_cell(self, tasks):
         context = multiprocessing.get_context("fork")
-        injector = FaultInjector({0: Fault("delay", seconds=30.0)})
-        with faultinject.injected(injector):
+        injector = FaultInjector([Fault("delay", 0, seconds=30.0)])
+        with faults.injected(injector):
             worker = engine._Worker(context, tasks)
         worker.send(0, 0)
         worker.send(1, 0)

@@ -3,7 +3,7 @@
 The run directory going read-only (EROFS — a failed-over network
 mount, a filesystem remounted ``ro`` after journal errors) must never
 crash a grid.  Every durable writer satisfies one of the two
-contracts from ``repro.guard.fsfault``:
+contracts from ``repro.guard.faults``:
 
 * **degrade loudly** — cache puts and event-stream lanes self-disable
   with one warning and a counter, and the run completes;
@@ -25,17 +25,17 @@ from repro.cpu import MachineConfig, simulate
 from repro.exec import ResultCache, SimTask, run_grid
 from repro.exec.journal import Journal
 from repro.dist.spool import Spool
-from repro.guard import fsfault
-from repro.guard.fsfault import ALWAYS, FsFault, FsFaultInjector, injected
+from repro.guard import faults
+from repro.guard.faults import ALWAYS, Fault, FaultInjector, injected
 from repro.obs.stream import EventWriter
 from repro.workloads import benchmark_trace
 
 
 @pytest.fixture(autouse=True)
 def _no_leftover_injector():
-    fsfault.uninstall()
+    faults.uninstall()
     yield
-    fsfault.uninstall()
+    faults.uninstall()
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def _tasks(n=2):
 
 
 def _erofs_always():
-    return FsFaultInjector([FsFault("erofs", 0, count=ALWAYS)])
+    return FaultInjector([Fault("erofs", 0, ALWAYS)])
 
 
 class TestInjectedErofs:
@@ -58,7 +58,7 @@ class TestInjectedErofs:
         with injected(_erofs_always()):
             with open(tmp_path / "f", "wb") as handle:
                 with pytest.raises(OSError) as err:
-                    fsfault.vfs_write(handle, b"x")
+                    faults.vfs_write(handle, b"x")
         assert err.value.errno == errno.EROFS
 
     def test_cache_put_degrades_and_grid_completes(self, tmp_path):
@@ -111,8 +111,8 @@ class TestInjectedErofs:
         journal = Journal(path)
         journal.record("good", stats)
         before = path.read_bytes()
-        with injected(FsFaultInjector(
-                [FsFault("torn", 0, count=ALWAYS)])):
+        with injected(FaultInjector(
+                [Fault("torn", 0, ALWAYS)])):
             with pytest.raises(OSError):
                 journal.record("bad", stats)
         journal.close()

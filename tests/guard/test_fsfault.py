@@ -1,29 +1,30 @@
-"""Unit tests for the I/O fault injector and the write seam.
+"""Unit tests for the I/O channels of ``repro.guard.faults``.
 
-The seam's contract (``repro.guard.fsfault``) in four claims:
+I/O spec items parse to ``write`` / ``fsync`` / ``rename`` faults. The
+write seam's contract in three claims:
 
-* schedules are **deterministic** — same spec, same operation
-  sequence, same faults, no wall clock, no randomness at fire time;
 * each seam primitive consumes exactly one index on its own channel
   (``write`` / ``fsync`` / ``rename``), so specs are schedulable
   without knowing how writers interleave;
-* :func:`~repro.guard.fsfault.publish_bytes` is **atomic under every
+* :func:`~repro.guard.faults.publish_bytes` is **atomic under every
   fault**: the destination name only ever holds the old payload or
   the complete new one, and no temp residue survives a failure;
 * a transient fault window clears — retries consume fresh indices
   and succeed once past the window.
+
+The grammar shared with task faults, the ``fired`` log and the
+injector's lifecycle are in ``test_faults.py``.
 """
 
 import errno
-import os
 
 import pytest
 
-from repro.guard import fsfault
-from repro.guard.fsfault import (
+from repro.guard import faults
+from repro.guard.faults import (
     ALWAYS,
-    FsFault,
-    FsFaultInjector,
+    Fault,
+    FaultInjector,
     injected,
     publish_bytes,
     publish_text,
@@ -35,83 +36,37 @@ from repro.guard.fsfault import (
 
 @pytest.fixture(autouse=True)
 def _no_leftover_injector():
-    fsfault.uninstall()
+    faults.uninstall()
     yield
-    fsfault.uninstall()
+    faults.uninstall()
 
 
 class TestFaultValidation:
     def test_unknown_action_rejected(self):
-        with pytest.raises(ValueError, match="unknown fsfault action"):
-            FsFault("explode", 0)
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="index"):
-            FsFault("enospc", -1)
-
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError, match="count"):
-            FsFault("eio", 0, count=0)
-
-    def test_channel_mapping(self):
-        assert FsFault("enospc", 0).channel == "write"
-        assert FsFault("eio", 0).channel == "write"
-        assert FsFault("torn", 0).channel == "write"
-        assert FsFault("fsync", 0).channel == "fsync"
-        assert FsFault("rename", 0).channel == "rename"
+        with pytest.raises(ValueError, match="unknown action 'chaos'"):
+            Fault("chaos", 0)
 
 
 class TestSpecParsing:
     def test_round_trip(self):
-        inj = FsFaultInjector.from_spec(
+        inj = FaultInjector.from_spec(
             "enospc:5:10, torn:30, rename:2, fsync:0:always"
         )
-        assert [(f.action, f.index, f.count) for f in inj.faults] == [
-            ("enospc", 5, 10), ("torn", 30, 1), ("rename", 2, 1),
-            ("fsync", 0, ALWAYS),
+        assert inj.faults == [
+            Fault("enospc", 5, 10), Fault("torn", 30),
+            Fault("rename", 2), Fault("fsync", 0, ALWAYS),
         ]
-
-    def test_empty_items_skipped(self):
-        inj = FsFaultInjector.from_spec("eio:1,,")
-        assert len(inj.faults) == 1
-
-    def test_missing_index_rejected(self):
-        with pytest.raises(ValueError, match="action:index"):
-            FsFaultInjector.from_spec("enospc")
+        assert [f.channel for f in inj.faults] == \
+            ["write", "write", "rename", "fsync"]
 
     def test_bad_action_rejected(self):
-        with pytest.raises(ValueError, match="unknown fsfault action"):
-            FsFaultInjector.from_spec("chaos:1")
-
-
-class TestSeededSchedules:
-    def test_same_seed_same_schedule(self):
-        a = FsFaultInjector.seeded(7, 100, enospc=3, eio=2, torn=1,
-                                   fsyncs=2, renames=2)
-        b = FsFaultInjector.seeded(7, 100, enospc=3, eio=2, torn=1,
-                                   fsyncs=2, renames=2)
-        assert [(f.action, f.index, f.count) for f in a.faults] == \
-            [(f.action, f.index, f.count) for f in b.faults]
-
-    def test_different_seed_different_schedule(self):
-        a = FsFaultInjector.seeded(1, 1000, enospc=4)
-        b = FsFaultInjector.seeded(2, 1000, enospc=4)
-        assert [(f.index) for f in a.faults] != \
-            [(f.index) for f in b.faults]
-
-    def test_write_faults_on_distinct_indices(self):
-        inj = FsFaultInjector.seeded(3, 50, enospc=10, eio=10, torn=10)
-        indices = [f.index for f in inj.faults]
-        assert len(indices) == len(set(indices)) == 30
-
-    def test_oversubscription_rejected(self):
-        with pytest.raises(ValueError, match="cannot schedule"):
-            FsFaultInjector.seeded(0, 5, enospc=6)
+        with pytest.raises(ValueError, match="chaos:1: unknown action"):
+            FaultInjector.from_spec("chaos:1")
 
 
 class TestChannelCounters:
     def test_each_primitive_consumes_its_own_channel(self, tmp_path):
-        inj = FsFaultInjector([])
+        inj = FaultInjector([])
         with injected(inj):
             with open(tmp_path / "f", "wb") as handle:
                 vfs_write(handle, b"x")
@@ -121,7 +76,7 @@ class TestChannelCounters:
         assert inj.counts == {"write": 2, "fsync": 1, "rename": 1}
 
     def test_window_semantics(self, tmp_path):
-        inj = FsFaultInjector([FsFault("enospc", 1, count=2)])
+        inj = FaultInjector([Fault("enospc", 1, 2)])
         with injected(inj), open(tmp_path / "f", "wb") as handle:
             vfs_write(handle, b"ok")          # index 0: clean
             for _ in range(2):                # indices 1, 2: faulted
@@ -132,17 +87,11 @@ class TestChannelCounters:
         assert inj.fired == [("write", 1, "enospc"),
                              ("write", 2, "enospc")]
 
-    def test_fired_log_records_channel_index_action(self, tmp_path):
-        inj = FsFaultInjector([FsFault("rename", 0)])
-        with injected(inj), pytest.raises(OSError):
-            vfs_replace(tmp_path / "a", tmp_path / "b")
-        assert inj.fired == [("rename", 0, "rename")]
-
 
 class TestTornWrites:
     def test_half_the_bytes_land_then_enospc(self, tmp_path):
         path = tmp_path / "torn"
-        inj = FsFaultInjector([FsFault("torn", 0)])
+        inj = FaultInjector([Fault("torn", 0)])
         with injected(inj):
             with open(path, "wb") as handle:
                 with pytest.raises(OSError) as err:
@@ -158,7 +107,7 @@ class TestPublishAtomicity:
                                                  action):
         path = tmp_path / "artifact.bin"
         path.write_bytes(b"old payload")
-        inj = FsFaultInjector([FsFault(action, 0, count=ALWAYS)])
+        inj = FaultInjector([Fault(action, 0, ALWAYS)])
         with injected(inj), pytest.raises(OSError):
             publish_bytes(path, b"new payload", fsync=True, retries=2)
         assert path.read_bytes() == b"old payload"
@@ -167,7 +116,7 @@ class TestPublishAtomicity:
 
     def test_retries_clear_a_transient_window(self, tmp_path):
         path = tmp_path / "artifact.bin"
-        inj = FsFaultInjector([FsFault("enospc", 0, count=2)])
+        inj = FaultInjector([Fault("enospc", 0, 2)])
         with injected(inj):
             publish_bytes(path, b"payload", retries=2)
         assert path.read_bytes() == b"payload"
@@ -184,33 +133,13 @@ class TestPublishAtomicity:
         """An in-progress publish must be invisible to directory
         scans globbing final suffixes (*.task, *.pkl, *.result)."""
         seen = []
-        real_write = fsfault.vfs_write
+        real_write = faults.vfs_write
 
         def spy(handle, data):
             seen.extend(p.name for p in tmp_path.glob("*.task"))
             real_write(handle, data)
 
-        monkeypatch.setattr(fsfault, "vfs_write", spy)
+        monkeypatch.setattr(faults, "vfs_write", spy)
         publish_bytes(tmp_path / "cell.task", b"payload")
         assert seen == []  # only the finished name is ever visible
         assert (tmp_path / "cell.task").exists()
-
-
-class TestInstallation:
-    def test_install_uninstall(self):
-        inj = FsFaultInjector([])
-        fsfault.install(inj)
-        assert fsfault.active() is inj
-        fsfault.uninstall()
-        assert fsfault.active() is None
-
-    def test_env_spec_auto_installs_once(self, monkeypatch):
-        monkeypatch.setenv(fsfault.ENV_VAR, "eio:3")
-        monkeypatch.setattr(fsfault, "_ACTIVE", None)
-        monkeypatch.setattr(fsfault, "_ENV_CHECKED", False)
-        inj = fsfault.active()
-        assert inj is not None
-        assert [(f.action, f.index) for f in inj.faults] == [("eio", 3)]
-        # The env is consulted once: uninstall wins afterwards.
-        fsfault.uninstall()
-        assert fsfault.active() is None

@@ -17,7 +17,7 @@ contract through the real CLI:
   empty journal.  A clean rerun on the same run directory completes
   byte-identically: faults cleared, nothing poisoned.
 * **distributed worker under fault**: one worker runs its whole life
-  with ``--fsfault`` transient windows; its spool publishes ride the
+  under ``REPRO_FAULT_SPEC`` transient windows; its spool publishes ride the
   retry budget and the screen completes byte-identically.
 
 The byte-identity oracle is the same quiet single-host screen used
@@ -52,17 +52,17 @@ OUTAGE_SPEC = "enospc:0:always"
 WORKER_SPEC = "enospc:5:2,rename:3:2"
 
 
-def _env(fsfault_spec=None):
+def _env(fault_spec=None):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                  if p]
     )
-    if fsfault_spec is not None:
-        env["REPRO_FSFAULT_SPEC"] = fsfault_spec
+    if fault_spec is not None:
+        env["REPRO_FAULT_SPEC"] = fault_spec
     else:
-        env.pop("REPRO_FSFAULT_SPEC", None)
+        env.pop("REPRO_FAULT_SPEC", None)
     return env
 
 
@@ -74,7 +74,7 @@ def _screen(run_dir, *extra):
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """The sealed oracle: a quiet fault-free screen."""
-    run_dir = tmp_path_factory.mktemp("fsfault-reference")
+    run_dir = tmp_path_factory.mktemp("diskfault-reference")
     assert main(["screen", *WORKLOAD, "--run-dir", str(run_dir)]) == 0
     return run_dir
 
@@ -82,7 +82,7 @@ def reference_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def faulted_run(tmp_path_factory):
     """One screen straight through a transient fault window."""
-    run_dir = tmp_path_factory.mktemp("fsfault-transient")
+    run_dir = tmp_path_factory.mktemp("diskfault-transient")
     proc = subprocess.run(
         _screen(run_dir), env=_env(TRANSIENT_SPEC), timeout=300,
         capture_output=True, text=True,
@@ -94,7 +94,7 @@ def faulted_run(tmp_path_factory):
 @pytest.fixture(scope="module")
 def outage_run(tmp_path_factory):
     """A permanent outage, then the same run dir rerun clean."""
-    run_dir = tmp_path_factory.mktemp("fsfault-outage")
+    run_dir = tmp_path_factory.mktemp("diskfault-outage")
     crashed = subprocess.run(
         _screen(run_dir), env=_env(OUTAGE_SPEC), timeout=300,
         capture_output=True, text=True,
@@ -121,15 +121,14 @@ def outage_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dist_faulted_run(tmp_path_factory):
-    """Broker in-process, one dist worker living under ``--fsfault``."""
-    run_dir = tmp_path_factory.mktemp("fsfault-dist")
+    """Broker in-process, one dist worker under ``REPRO_FAULT_SPEC``."""
+    run_dir = tmp_path_factory.mktemp("diskfault-dist")
     spool = run_dir / "spool"
     worker = subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", str(spool),
-         "--worker-id", "fsfault-w0", "--poll", "0.02",
-         "--heartbeat-interval", "0.05", "--max-idle", "120",
-         "--fsfault", WORKER_SPEC],
-        env=_env(), stdout=subprocess.DEVNULL,
+         "--worker-id", "diskfault-w0", "--poll", "0.02",
+         "--heartbeat-interval", "0.05", "--max-idle", "120"],
+        env=_env(WORKER_SPEC), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
     try:
@@ -169,7 +168,8 @@ class TestTransientWindow:
     def test_fault_spec_recorded_in_manifest(self, faulted_run):
         doc = json.loads(
             (faulted_run["run_dir"] / "manifest.json").read_text())
-        assert doc["run"]["settings"]["fsfault"] == TRANSIENT_SPEC
+        assert doc["run"]["fault_spec"] == TRANSIENT_SPEC
+        assert "fsfault" not in doc["run"]["settings"]
 
     def test_results_byte_identical(self, faulted_run, reference_run):
         assert (faulted_run["run_dir"] / "results.json").read_bytes() \

@@ -35,6 +35,16 @@ class TestWriter:
         assert "wall" in anchor.attrs and "pid" in anchor.attrs
         assert scan.records[-1].attrs["status"] == "completed"
 
+    def test_attrs_may_reuse_record_field_names(self, tmp_path):
+        """The engine's retry and task-failed instants carry a
+        ``kind`` attribute; it must land in attrs, not collide."""
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            writer.mark("retry", "fault", index=3, kind="error")
+        record = scan_stream(path).records[1]
+        assert (record.kind, record.name) == ("instant", "retry")
+        assert record.attrs == {"index": 3, "kind": "error"}
+
     def test_sequence_and_lane_on_every_record(self, tmp_path):
         path = lane_path(tmp_path, "w-1")
         with EventWriter(path, lane="w-1", version="v") as writer:

@@ -125,6 +125,50 @@ class TestExecFlags:
             main(["screen", "--resume"])
 
 
+class TestFaultSpec:
+    """``REPRO_FAULT_SPEC`` is parsed before any cell runs."""
+
+    @pytest.mark.parametrize("item, reason", [
+        ("raise:-1", "index must be >= 0"),
+        ("rename:0:1:0.5", "rename takes no seconds"),
+    ], ids=["task", "io"])
+    def test_bad_spec_is_a_usage_error(self, tmp_path, capsys,
+                                       monkeypatch, item, reason):
+        import repro.exec.engine as engine
+
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("a cell ran under a bad spec")
+
+        monkeypatch.setattr(engine, "simulate", no_simulate)
+        monkeypatch.setenv("REPRO_FAULT_SPEC", f"kill:5,{item}")
+        run_dir = tmp_path / "run"
+        assert main(["screen", "-b", "gzip", "-n", "800",
+                     "--run-dir", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"bad REPRO_FAULT_SPEC: {item}: {reason}" in err
+        assert not (run_dir / "results.json").exists()
+
+    @pytest.mark.parametrize("command", ["classify", "enhance", "worker"])
+    def test_every_cell_running_command_checks_it(self, tmp_path, capsys,
+                                                  monkeypatch, command):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "explode:1")
+        argv = [command] + ([str(tmp_path / "spool")]
+                            if command == "worker" else [])
+        assert main(argv) == 2
+        assert "bad REPRO_FAULT_SPEC: explode:1: unknown action" in \
+            capsys.readouterr().err
+
+    def test_injector_is_scoped_to_the_command(self, tmp_path,
+                                               monkeypatch):
+        from repro.guard import faults
+
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "rename:1000000")
+        assert main(["worker", str(tmp_path / "spool"),
+                     "--poll", "0.01", "--max-idle", "0.05"]) == 0
+        monkeypatch.delenv("REPRO_FAULT_SPEC")
+        assert faults.active() is None
+
+
 class TestInterruptHandling:
     def _interrupt_run(self, monkeypatch):
         from repro.core import PBExperiment
