@@ -3,20 +3,23 @@
 The default core runs ``_native/core.c``, a compiled cycle loop that
 produces **field-exact** :class:`~repro.cpu.stats.CoreStats` against
 the interpreted reference model, enforced by
-:mod:`repro.cpu.equivalence` over every core.
+:mod:`repro.cpu.equivalence` over every core.  The same library
+carries ``_native/synth.c``, the trace-synthesis loop behind
+:meth:`repro.workloads.synthetic.SyntheticProgram.emit`, which is
+byte-identical to the Python loop it replaces (:func:`synthesize`).
 
 This module owns the build-and-load machinery:
 
 * the kernel is compiled on demand with whatever C compiler is on
   ``PATH`` (``cc``/``gcc``/``clang``) into a **content-addressed**
-  shared object — the cache key hashes the source, the flags and the
-  compiler, so editing ``core.c`` can never pick up a stale build;
+  shared object — the cache key hashes every source, the flags and
+  the compiler, so editing a source can never pick up a stale build;
 * builds are atomic (temp file + ``os.replace``), so concurrent
   worker processes racing to build produce one good artifact;
 * everything degrades gracefully: no toolchain, a failed build, or
-  ``REPRO_NATIVE=0`` simply returns ``None`` and ``core="batched"``
-  runs the reference model instead.  ``core="batched-native"`` makes
-  the failure loud.
+  ``REPRO_NATIVE=0`` simply returns ``None``: ``core="batched"``
+  runs the reference model instead and synthesis runs its Python
+  loop.  ``core="batched-native"`` makes the failure loud.
 
 The compiled kernel is a pure function from (config vector, trace
 arrays) to a counter vector: no global state, no threads, no
@@ -47,8 +50,12 @@ from .params import MachineConfig
 from .pipeline import SimulationError
 from .stats import CacheSnapshot, CoreStats
 
-_SOURCE = Path(__file__).resolve().parent / "_native" / "core.c"
-_CFLAGS = ("-O2", "-std=c99", "-fPIC", "-shared")
+_SOURCES = tuple(
+    Path(__file__).resolve().parent / "_native" / name
+    for name in ("core.c", "synth.c")
+)
+# No FP contraction: synth.c must round like the Python it mirrors.
+_CFLAGS = ("-O2", "-std=c99", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def _cflags() -> tuple:
@@ -155,14 +162,14 @@ def _cache_dir() -> Path:
 
 def _build(compiler: str) -> Path:
     """Compile the kernel into the content-addressed cache; idempotent."""
-    source = _SOURCE.read_bytes()
     cflags = _cflags()
-    digest = hashlib.sha256(
-        source + b"\0" + " ".join(cflags).encode() + b"\0"
-        + compiler.encode()
-    ).hexdigest()[:20]
+    digest = hashlib.sha256()
+    for source in _SOURCES:
+        digest.update(source.name.encode() + b"\0" + source.read_bytes()
+                      + b"\0")
+    digest.update(" ".join(cflags).encode() + b"\0" + compiler.encode())
     cache = _cache_dir()
-    artifact = cache / f"core-{digest}.so"
+    artifact = cache / f"core-{digest.hexdigest()[:20]}.so"
     if artifact.exists():
         return artifact
     cache.mkdir(parents=True, exist_ok=True)
@@ -170,7 +177,7 @@ def _build(compiler: str) -> Path:
     os.close(fd)
     try:
         result = subprocess.run(
-            [compiler, *cflags, "-o", tmp, str(_SOURCE)],
+            [compiler, *cflags, "-o", tmp, *map(str, _SOURCES), "-lm"],
             capture_output=True, text=True,
         )
         if result.returncode != 0:
@@ -205,6 +212,8 @@ def _load():
             ctypes.c_void_p,                      # pre_flag (nullable)
             ctypes.c_void_p,                      # out
         ]
+        lib.repro_synthesize.restype = None
+        lib.repro_synthesize.argtypes = [ctypes.c_void_p]  # _SynthArgs
         _lib = lib
     except Exception as exc:
         _lib = False
@@ -465,3 +474,108 @@ def simulate_native(
             f"{trace.name}"
         )
     return _stats_from(values).validate(trace.name)
+
+
+class _SynthArgs(ctypes.Structure):
+    """synth.c's ``SynthArgs``: scalars and array addresses, in order."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in (
+        "n", "n_blocks", "n_main", "n_functions", "function_blocks",
+        "max_call_depth",
+    )] + [(name, ctypes.c_void_p) for name in (
+        "block_pc", "block_end_pc", "block_kind", "block_dominant",
+        "block_bias", "block_others", "slot_start", "slot_op", "slot_mode",
+        "slot_key", "slot_stream_start", "hot_cursor",
+    )] + [(name, ctypes.c_double) for name in (
+        "stack_fraction", "hot_fraction", "reuse_exponent",
+    )] + [(name, ctypes.c_int64) for name in (
+        "stack_bytes", "hot_bytes", "region_bytes", "data_footprint",
+        "stream_region", "data_base", "heap_base", "stream_base",
+        "stack_base",
+    )] + [(name, ctypes.c_void_p) for name in (
+        "uniforms", "reuse_draws", "lookbacks",
+    )] + [(name, ctypes.c_int64) for name in ("n_streams", "n_walkers")] + [
+        (name, ctypes.c_void_p) for name in (
+            "streams", "walkers", "call_stack", "pc", "op", "src1", "src2",
+            "dst", "mem_addr", "branch_kind", "taken", "target",
+            "redundancy_key",
+        )]
+
+
+#: numpy dtype of each ``SynthArgs`` array that is not ``int64``.
+_SYNTH_DTYPES = {
+    "block_bias": np.float64, "uniforms": np.float64,
+    "reuse_draws": np.float64, "op": np.uint8, "branch_kind": np.uint8,
+    "taken": np.bool_, "src1": np.int16, "src2": np.int16, "dst": np.int16,
+}
+
+
+def _synth_check(fields: dict) -> None:
+    """Raise unless synth.c can run on ``fields`` within its arrays."""
+    names = [name for name, _ in _SynthArgs._fields_]
+    if sorted(fields) != sorted(names):
+        raise TypeError("synthesize() needs exactly synth.c's SynthArgs "
+                        f"fields, got {sorted(fields)}")
+    n, blocks = fields["n"], fields["n_blocks"]
+    functions = fields["n_functions"] * fields["function_blocks"]
+    if min(n, fields["n_main"], fields["n_streams"], fields["n_walkers"],
+           fields["region_bytes"]) < 1 or fields["n_functions"] < 0 or (
+               fields["n_functions"] and fields["function_blocks"] < 1) \
+            or fields["n_main"] + functions > blocks:
+        raise ValueError("synthesize() scalars out of range")
+    for name, kind in _SynthArgs._fields_:
+        array = fields[name]
+        if kind is ctypes.c_void_p and not (
+                isinstance(array, np.ndarray) and array.flags.c_contiguous
+                and array.dtype == _SYNTH_DTYPES.get(name, np.int64)):
+            raise TypeError(f"synthesize(): {name} must be a C-contiguous "
+                            f"{np.dtype(_SYNTH_DTYPES.get(name, np.int64))} "
+                            "array")
+    start = fields["slot_start"]
+    if start.size != blocks + 1 or start[0] != 0 \
+            or (np.diff(start) < 0).any():
+        raise ValueError("synthesize(): slot_start must rise from 0 over "
+                         "n_blocks + 1 entries")
+    slots = int(start[-1])
+    sizes = dict.fromkeys(("block_pc", "block_end_pc", "block_kind",
+                           "block_dominant", "block_bias"), blocks)
+    sizes.update(dict.fromkeys(("slot_op", "slot_mode", "slot_key",
+                                "slot_stream_start", "hot_cursor"), slots))
+    sizes.update(dict.fromkeys(("uniforms", "reuse_draws", "lookbacks"),
+                               2 * n + 1))
+    sizes.update(dict.fromkeys(("pc", "op", "src1", "src2", "dst",
+                                "mem_addr", "branch_kind", "taken",
+                                "target", "redundancy_key"), n))
+    sizes.update(
+        block_others=5 * blocks,                # synth.c's N_OTHERS
+        streams=2 * fields["n_streams"], walkers=2 * fields["n_walkers"],
+        call_stack=2 * min(max(fields["max_call_depth"], 0), n),
+    )
+    for name, size in sizes.items():
+        if fields[name].size < size:
+            raise ValueError(f"synthesize(): {name} holds "
+                             f"{fields[name].size} < {size} entries")
+    successors = (fields["block_dominant"], fields["block_others"])
+    if any(a.size and (a.min() < 0 or a.max() >= blocks) for a in successors):
+        raise ValueError("synthesize(): successor outside the program")
+
+
+def synthesize(**fields) -> bool:
+    """Run synth.c's emit loop on ``fields``, every ``SynthArgs``
+    field by name: C-contiguous numpy arrays of the C field's type for
+    the pointers, numbers for the rest.  The arrays are checked against
+    the sizes and block indices the loop relies on.
+
+    Returns False, touching nothing, when the kernel library is
+    unavailable, so the caller runs its Python loop instead.
+    """
+    lib = _load()
+    if lib is None:
+        return False
+    _synth_check(fields)
+    args = _SynthArgs(**{
+        name: value.ctypes.data if isinstance(value, np.ndarray) else value
+        for name, value in fields.items()
+    })
+    lib.repro_synthesize(ctypes.byref(args))
+    return True

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cpu import native
 from repro.cpu.isa import NO_REG, NO_VALUE, BranchKind, OpClass
 from .trace import Trace
 
@@ -125,6 +126,20 @@ class WorkloadProfile:
             raise ValueError("stack + hot fractions exceed 1")
         if not 0.0 < self.dep_lookback_p <= 1.0:
             raise ValueError("dep_lookback_p must lie in (0, 1]")
+        # The emitters index and divide by these; reject what would
+        # crash the Python loop or read out of bounds in the C one.
+        for knob in ("loop_span", "n_functions", "function_blocks",
+                     "max_call_depth", "data_footprint", "stack_bytes",
+                     "hot_bytes", "n_arenas", "n_streams", "stream_region",
+                     "n_redundant_keys"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be non-negative")
+        if self.n_blocks < 1:
+            raise ValueError("the main program needs at least one block")
+        if self.n_functions and self.function_blocks < 1:
+            raise ValueError("functions need at least one block")
+        if self.region_bytes < 1:
+            raise ValueError("region_bytes must be at least 1")
 
     def _weights(self) -> Dict[OpClass, float]:
         return {
@@ -140,37 +155,66 @@ class WorkloadProfile:
         }
 
 
-class _StaticSlot:
-    """One static non-branch instruction (re-executed identically)."""
-
-    __slots__ = ("op", "mode", "key", "stream_cursor", "stream_start",
-                 "hot_cursor")
-
-    def __init__(self, op: int, mode: int, key: int,
-                 stream_start: int = 0, hot_cursor: int = 0):
-        self.op = op
-        self.mode = mode          # 0 = plain/working-set, 1 = stream, 2 = pointer
-        self.key = key            # redundancy key or NO_VALUE
-        self.stream_start = stream_start
-        self.stream_cursor = stream_start
-        self.hot_cursor = hot_cursor  # walking pointer within the hot heap
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_FP_OPS = frozenset(int(o) for o in (
+    OpClass.FALU, OpClass.FMULT, OpClass.FDIV, OpClass.FSQRT))
+_CONDITIONAL = int(BranchKind.CONDITIONAL)
+_CALL = int(BranchKind.CALL)
+_RETURN = int(BranchKind.RETURN)
+_N_OTHERS = 5                  # non-dominant successors per main block
 
 
-class _Block:
-    """A static basic block: body slots plus a terminating branch."""
+def _mix_cdf(profile: WorkloadProfile) -> Tuple[np.ndarray, np.ndarray]:
+    """The op classes and the normalised cumulative mix over them.
 
-    __slots__ = ("pc", "slots", "kind", "dominant", "bias", "others",
-                 "callee", "end_pc")
+    ``ops[cdf.searchsorted(rng.random(k), side="right")]`` is what
+    ``rng.choice(ops, size=k, p=probs)`` computes, without re-checking
+    ``probs`` on every call.
+    """
+    weights = profile._weights()
+    ops = np.array([int(op) for op in weights], dtype=np.int64)
+    probs = np.array([weights[op] for op in weights], dtype=np.float64)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return ops, cdf
 
-    def __init__(self, pc: int):
-        self.pc = pc
-        self.slots: List[_StaticSlot] = []
-        self.kind = int(BranchKind.CONDITIONAL)
-        self.dominant = 0         # dominant successor block id
-        self.bias = 1.0           # probability of taking the dominant edge
-        self.others: List[int] = []
-        self.callee = -1
-        self.end_pc = pc
+
+def _integers_below(rng: np.random.Generator):
+    """``bound -> rng.integers(0, bound)``, same draws, less overhead.
+
+    For ``bound <= 2**32`` numpy takes 32-bit halves of the bit
+    generator's 64-bit words, low half first, keeping the high half for
+    the next 32-bit draw, and scales them by Lemire's method.  Nothing
+    else the build calls draws 32-bit halves, so the spare half can
+    live here while ``random``, ``poisson`` and ``beta`` keep drawing
+    whole words from the same generator.
+    """
+    raw = rng.bit_generator.random_raw
+    spare: List[int] = []
+
+    def next32() -> int:
+        if spare:
+            return spare.pop()
+        word = raw()
+        spare.append(word >> 32)
+        return word & 0xFFFF_FFFF
+
+    def integers(bound: int) -> int:
+        if bound == 1:
+            return 0                        # numpy draws nothing
+        if bound > 1 << 32:                 # whole 64-bit words
+            return int(rng.integers(0, bound))
+        if bound == 1 << 32:
+            return next32()
+        m = next32() * bound
+        if m & 0xFFFF_FFFF < bound:
+            threshold = ((1 << 32) - bound) % bound
+            while m & 0xFFFF_FFFF < threshold:
+                m = next32() * bound
+        return m >> 32
+
+    return integers
 
 
 class SyntheticProgram:
@@ -179,124 +223,158 @@ class SyntheticProgram:
     Building the program is separated from emitting a trace so tests
     can inspect the static structure, and so multiple trace lengths
     share one layout.
+
+    The program is a set of flat ``int64`` arrays (``block_bias`` is
+    ``float64``).  Blocks ``[0, n_main)`` are the main program; function
+    ``f`` is the linear chain starting at block
+    ``n_main + f * profile.function_blocks``.  Per block: its first
+    pc, its branch's pc (``block_end_pc``), its ``BranchKind``, its
+    dominant successor, the probability of taking it, and
+    ``_N_OTHERS`` other successors (main conditional blocks only).
+    Block ``b`` owns slots ``slot_start[b]:slot_start[b + 1]``.  Per
+    slot: its op class, its mode (0 working set, 1 stream, 2 pointer
+    chase), its redundancy key or ``NO_VALUE``, its stream pick and its
+    ``hot_cursor`` into the hot heap, which :meth:`emit` advances.
     """
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
         rng = np.random.default_rng(profile.seed)
-        self._rng = rng
-        ops, probs = self._mix_distribution(profile)
-        self.main_blocks: List[_Block] = []
-        self.function_entry: List[int] = []
-        self.blocks: List[_Block] = []
+        random, poisson, beta = rng.random, rng.poisson, rng.beta
+        integers = _integers_below(rng)
+        ops, cdf = _mix_cdf(profile)
+        lam = profile.block_len_mean - 1
+        hot_words = max(1, profile.hot_bytes // _WORD)
+        streaming = profile.streaming_fraction
+        pointer = streaming + profile.pointer_fraction
+        redundancy = profile.redundancy_fraction
+        n_keys = profile.n_redundant_keys
+        exponent = profile.redundancy_exponent
+
+        slot_op: List[int] = []
+        slot_mode: List[int] = []
+        slot_key: List[int] = []
+        slot_stream: List[int] = []
+        slot_hot: List[int] = []
+        slot_start: List[int] = []
+        block_pc: List[int] = []
+        block_end_pc: List[int] = []
+
+        def make_block(pc: int) -> int:
+            body_len = max(1, int(poisson(lam)))
+            slot_start.append(len(slot_op))
+            for op in ops[cdf.searchsorted(random(body_len),
+                                           side="right")].tolist():
+                mode = 0
+                key = NO_VALUE
+                stream = 0
+                hot = 0
+                if op == _LOAD or op == _STORE:
+                    u = random()
+                    hot = integers(hot_words) * _WORD
+                    if u < streaming:
+                        mode = 1
+                        stream = integers(1 << 16)  # pool index
+                    elif op == _LOAD and u < pointer:
+                        mode = 2
+                elif random() < redundancy:
+                    # Redundant compute slot: persistent power-law key.
+                    key = min(int(n_keys * random() ** exponent),
+                              n_keys - 1)
+                slot_op.append(op)
+                slot_mode.append(mode)
+                slot_key.append(key)
+                slot_stream.append(stream)
+                slot_hot.append(hot)
+            block_pc.append(pc)
+            block_end_pc.append(pc + 4 * body_len)   # the branch's own pc
+            return pc + 4 * body_len + 4
+
         next_pc = _CODE_BASE
-        # Main program blocks.
-        for i in range(profile.n_blocks):
-            block, next_pc = self._make_block(next_pc, ops, probs)
-            self.main_blocks.append(block)
-            self.blocks.append(block)
-        self._wire_main_control_flow()
-        # Functions: linear chains ending in a return.
-        for f in range(profile.n_functions):
-            entry = len(self.blocks)
-            self.function_entry.append(entry)
-            for j in range(profile.function_blocks):
-                block, next_pc = self._make_block(next_pc, ops, probs)
-                last = j == profile.function_blocks - 1
-                if last:
-                    block.kind = int(BranchKind.RETURN)
-                else:
-                    # Fall through (or occasionally call deeper).
-                    block.kind = int(BranchKind.CONDITIONAL)
-                    block.dominant = len(self.blocks) + 1
-                    block.bias = 1.0
-                    block.others = []
-                    if rng.random() < profile.nested_call_fraction:
-                        block.kind = int(BranchKind.CALL)
-                self.blocks.append(block)
-        self.code_bytes = next_pc - _CODE_BASE
+        n = profile.n_blocks
+        for _ in range(n):
+            next_pc = make_block(next_pc)
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _mix_distribution(profile) -> Tuple[np.ndarray, np.ndarray]:
-        weights = profile._weights()
-        ops = np.array([int(op) for op in weights], dtype=np.int64)
-        probs = np.array([weights[op] for op in weights], dtype=np.float64)
-        probs = probs / probs.sum()
-        return ops, probs
-
-    def _make_block(self, pc: int, ops, probs) -> Tuple[_Block, int]:
-        profile = self.profile
-        rng = self._rng
-        block = _Block(pc)
-        body_len = max(1, int(rng.poisson(profile.block_len_mean - 1)))
-        slot_ops = rng.choice(ops, size=body_len, p=probs)
-        for op in slot_ops:
-            block.slots.append(self._make_slot(int(op)))
-        block.end_pc = pc + 4 * body_len     # the branch's own pc
-        return block, block.end_pc + 4
-
-    def _make_slot(self, op: int) -> _StaticSlot:
-        profile = self.profile
-        rng = self._rng
-        mode = 0
-        key = NO_VALUE
-        stream_start = 0
-        hot_cursor = 0
-        if op == int(OpClass.LOAD) or op == int(OpClass.STORE):
-            u = rng.random()
-            hot_cursor = int(
-                rng.integers(0, max(1, profile.hot_bytes // _WORD))
-            ) * _WORD
-            if u < profile.streaming_fraction:
-                mode = 1
-                stream_start = int(rng.integers(0, 1 << 16))  # pool index
-            elif op == int(OpClass.LOAD) and \
-                    u < profile.streaming_fraction + profile.pointer_fraction:
-                mode = 2
-        elif rng.random() < profile.redundancy_fraction:
-            # Redundant compute slot: persistent power-law key.
-            u = rng.random()
-            key = int(profile.n_redundant_keys *
-                      u ** profile.redundancy_exponent)
-            key = min(key, profile.n_redundant_keys - 1)
-        return _StaticSlot(op, mode, key, stream_start, hot_cursor)
-
-    def _wire_main_control_flow(self) -> None:
-        profile = self.profile
-        rng = self._rng
-        n = len(self.main_blocks)
-        for i, block in enumerate(self.main_blocks):
-            if rng.random() < profile.call_fraction and profile.n_functions:
-                block.kind = int(BranchKind.CALL)
+        # Main control flow.
+        kind = [_CONDITIONAL] * n
+        dominant = [0] * n
+        bias = [1.0] * n
+        others = [0] * (_N_OTHERS * n)
+        span = max(1, profile.loop_span)
+        for i in range(n):
+            if random() < profile.call_fraction and profile.n_functions:
+                kind[i] = _CALL
                 continue
-            back_edge = rng.random() < profile.loop_fraction and i > 0
+            back_edge = random() < profile.loop_fraction and i > 0
             if back_edge:
                 low = max(0, i - profile.loop_span)
-                block.dominant = int(rng.integers(low, i + 1))
+                dominant[i] = low + integers(i + 1 - low)
             else:
-                block.dominant = (i + 1) % n
+                dominant[i] = (i + 1) % n
             # Back-edge bias bounds the loop trip count; uncapped biases
             # would trap the walk in one loop and shrink the code
             # working set to a handful of blocks.
             cap = profile.loop_bias_cap if back_edge else 0.98
-            block.bias = min(
-                float(rng.beta(profile.bias_alpha, profile.bias_beta)), cap
-            )
+            bias[i] = min(float(beta(profile.bias_alpha, profile.bias_beta)),
+                          cap)
             # Non-dominant successors are mostly local (nearby blocks,
             # preserving I-cache locality) with one rare far jump.
-            span = max(1, profile.loop_span)
             low = max(0, i - span)
             high = min(n, i + span + 1)
-            nearby = [int(v) for v in rng.integers(low, high, size=4)]
-            block.others = nearby + [int(rng.integers(0, n))]
+            base = _N_OTHERS * i
+            for k in range(_N_OTHERS - 1):
+                others[base + k] = low + integers(high - low)
+            others[base + _N_OTHERS - 1] = integers(n)
+
+        # Functions: linear chains ending in a return, falling through
+        # (or occasionally calling deeper) on the way.
+        for _ in range(profile.n_functions):
+            for j in range(profile.function_blocks):
+                next_pc = make_block(next_pc)
+                others.extend([0] * _N_OTHERS)
+                if j == profile.function_blocks - 1:
+                    kind.append(_RETURN)
+                    dominant.append(0)
+                else:
+                    call = random() < profile.nested_call_fraction
+                    kind.append(_CALL if call else _CONDITIONAL)
+                    dominant.append(len(dominant) + 1)
+                bias.append(1.0)
+        slot_start.append(len(slot_op))
+
+        self.code_bytes = next_pc - _CODE_BASE
+        self.n_main = n
+        self.block_pc = np.array(block_pc, np.int64)
+        self.block_end_pc = np.array(block_end_pc, np.int64)
+        self.block_kind = np.array(kind, np.int64)
+        self.block_dominant = np.array(dominant, np.int64)
+        self.block_bias = np.array(bias, np.float64)
+        self.block_others = np.array(others, np.int64)
+        self.slot_start = np.array(slot_start, np.int64)
+        self.slot_op = np.array(slot_op, np.int64)
+        self.slot_mode = np.array(slot_mode, np.int64)
+        self.slot_key = np.array(slot_key, np.int64)
+        self.slot_stream_start = np.array(slot_stream, np.int64)
+        self.hot_cursor = np.array(slot_hot, np.int64)
 
     # -- trace emission ---------------------------------------------------------
 
     def emit(self, length: int, seed: Optional[int] = None,
              name: Optional[str] = None) -> Trace:
-        """Generate a dynamic trace of exactly ``length`` instructions."""
+        """Generate a dynamic trace of exactly ``length`` instructions.
+
+        The trace is a function of the profile, ``length``, ``seed``
+        and the program's ``hot_cursor`` array.  Emitting advances the
+        hot-heap cursors in place, and a second ``emit`` on the same
+        program continues from where the first stopped, so only its
+        hot-heap addresses differ from a fresh program's.  A fresh
+        program (as :func:`generate_trace` and
+        :func:`~repro.workloads.benchmark_trace` build) therefore always
+        yields the identical trace for the same arguments.
+
+        The loop runs in the compiled kernel library when it loads and
+        in :meth:`_emit_python` otherwise; the two are bit-identical.
+        """
         if length < 1:
             raise ValueError("trace length must be positive")
         profile = self.profile
@@ -304,180 +382,121 @@ class SyntheticProgram:
             profile.seed * 1_000_003 + 17 if seed is None else seed
         )
         n = length
-        pc = np.zeros(n, np.int64)
-        op = np.zeros(n, np.uint8)
-        src1 = np.full(n, NO_REG, np.int16)
-        src2 = np.full(n, NO_REG, np.int16)
-        dst = np.full(n, NO_REG, np.int16)
-        mem_addr = np.full(n, NO_VALUE, np.int64)
-        branch_kind = np.zeros(n, np.uint8)
-        taken = np.zeros(n, np.bool_)
-        target = np.full(n, NO_VALUE, np.int64)
-        redundancy_key = np.full(n, NO_VALUE, np.int64)
-
+        trace = Trace(
+            np.zeros(n, np.int64),                 # pc
+            np.zeros(n, np.uint8),                 # op
+            np.full(n, NO_REG, np.int16),          # src1
+            np.full(n, NO_REG, np.int16),          # src2
+            np.full(n, NO_REG, np.int16),          # dst
+            np.full(n, NO_VALUE, np.int64),        # mem_addr
+            np.zeros(n, np.uint8),                 # branch_kind
+            np.zeros(n, np.bool_),                 # taken
+            np.full(n, NO_VALUE, np.int64),        # target
+            np.full(n, NO_VALUE, np.int64),        # redundancy_key
+            name=name or profile.name,
+        )
         # Pre-drawn randomness in bulk (much faster than per-call).
         pool = 2 * n + 16
         uniforms = rng.random(pool)
         lookbacks = rng.geometric(profile.dep_lookback_p, pool)
         reuse_draws = rng.random(pool)
-        u_i = 0
-
-        words = max(1, profile.data_footprint // _WORD)
-        stream_words = max(1, profile.stream_region // _WORD)
-        # [region, access-count] per concurrent cold walker; walkers
-        # start on contiguous regions (the hottest arenas), like real
-        # allocators laying hot structures out together.
-        n_cold_regions = max(
-            1, profile.data_footprint // profile.region_bytes
-        )
-        self._walkers = [
-            [w % n_cold_regions, 0]
-            for w in range(max(1, profile.n_arenas))
-        ]
-        self._next_walker = 0
-        self._cold_count = 0
-        self._active_walker = 0
-        # [start offset, bytes advanced] per shared sequential stream.
-        # Starts are spread across distinct pages (and therefore cache/
-        # TLB sets) deterministically, with a small in-page jitter.
+        # Start offset of each shared sequential stream.  Starts are
+        # spread across distinct pages (and therefore cache/TLB sets)
+        # deterministically, with a small in-page jitter.
+        stream_bytes = max(1, profile.stream_region // _WORD) * _WORD
         stream_rng = np.random.default_rng(profile.seed + 7)
-        self._streams = [
-            [(((3 + 2 * k) * 4096)
-              + int(stream_rng.integers(0, 64)) * _WORD)
-             % (stream_words * _WORD), 0]
+        streams = [
+            (((3 + 2 * k) * 4096) + int(stream_rng.integers(0, 64)) * _WORD)
+            % stream_bytes
             for k in range(max(1, profile.n_streams))
         ]
-        recent_int: List[int] = [1, 2, 3, 4]
-        recent_fp: List[int] = [32, 33, 34, 35]
-        call_stack: List[int] = []      # block ids to return to
-        ret_addr_stack: List[int] = []  # return pcs (targets of RETURN)
-        current = 0                     # block id
-        slot_index = 0
-        i = 0
-        blocks = self.blocks
-        is_fp = {int(OpClass.FALU), int(OpClass.FMULT),
-                 int(OpClass.FDIV), int(OpClass.FSQRT)}
-
-        while i < n:
-            block = blocks[current]
-            if slot_index < len(block.slots):
-                slot = block.slots[slot_index]
-                o = slot.op
-                pc[i] = block.pc + 4 * slot_index
-                op[i] = o
-                if o == int(OpClass.LOAD) or o == int(OpClass.STORE):
-                    addr = self._data_address(
-                        slot, words, stream_words, reuse_draws[u_i]
-                    )
-                    mem_addr[i] = addr
-                    if slot.mode == 2:  # pointer chase
-                        src1[i] = _POINTER_REG
-                        if o == int(OpClass.LOAD):
-                            dst[i] = _POINTER_REG
-                    else:
-                        src1[i] = self._pick_source(
-                            recent_int, lookbacks[u_i]
-                        )
-                        if o == int(OpClass.LOAD):
-                            d = int(1 + (lookbacks[u_i + 1] % 29))
-                            dst[i] = d
-                            self._record_write(recent_int, d)
-                        else:
-                            src2[i] = self._pick_source(
-                                recent_int, lookbacks[u_i + 1]
-                            )
-                else:
-                    fp = o in is_fp
-                    pool = recent_fp if fp else recent_int
-                    src1[i] = self._pick_source(pool, lookbacks[u_i])
-                    src2[i] = self._pick_source(pool, lookbacks[u_i + 1])
-                    base = 32 if fp else 1
-                    span = 31 if fp else 29
-                    d = int(base + (int(uniforms[u_i] * 1e9) % span))
-                    dst[i] = d
-                    self._record_write(pool, d)
-                    redundancy_key[i] = slot.key
-                u_i = (u_i + 2) % (2 * n)
-                slot_index += 1
-                i += 1
-                continue
-
-            # Block-terminating control transfer.
-            pc[i] = block.end_pc
-            op[i] = int(OpClass.BRANCH)
-            kind = block.kind
-            branch_kind[i] = kind
-            src1[i] = recent_int[-1]
-            if kind == int(BranchKind.CALL):
-                callee_entry = self.function_entry[
-                    int(uniforms[u_i] * len(self.function_entry))
-                    % len(self.function_entry)
-                ] if self.function_entry else 0
-                if len(call_stack) >= profile.max_call_depth or \
-                        not self.function_entry:
-                    # Too deep: degrade to a fall-through branch.
-                    branch_kind[i] = int(BranchKind.CONDITIONAL)
-                    taken[i] = False
-                    next_block = self._fallthrough_of(current)
-                else:
-                    return_block = self._fallthrough_of(current)
-                    call_stack.append(return_block)
-                    ret_addr_stack.append(block.end_pc + 4)
-                    taken[i] = True
-                    target[i] = blocks[callee_entry].pc
-                    next_block = callee_entry
-            elif kind == int(BranchKind.RETURN):
-                if call_stack:
-                    next_block = call_stack.pop()
-                    taken[i] = True
-                    target[i] = ret_addr_stack.pop()
-                else:
-                    next_block = 0
-                    taken[i] = True
-                    target[i] = blocks[0].pc
-            else:  # conditional
-                if uniforms[u_i] < block.bias:
-                    next_block = block.dominant
-                else:
-                    choice = block.others[
-                        int(uniforms[u_i] * 977) % len(block.others)
-                    ]
-                    next_block = choice
-                fall = self._fallthrough_of(current)
-                if next_block == fall:
-                    taken[i] = False
-                else:
-                    taken[i] = True
-                    target[i] = blocks[next_block].pc
-            u_i = (u_i + 1) % (2 * n)
-            current = next_block
-            slot_index = 0
-            i += 1
-
-        trace = Trace(pc, op, src1, src2, dst, mem_addr, branch_kind,
-                      taken, target, redundancy_key,
-                      name=name or profile.name)
+        if not self._emit_native(trace, uniforms, lookbacks, reuse_draws,
+                                 streams):
+            self._emit_python(trace, uniforms, lookbacks, reuse_draws,
+                              streams)
         return trace
 
-    def _fallthrough_of(self, block_id: int) -> int:
-        nxt = block_id + 1
-        if nxt >= len(self.blocks):
-            return 0
-        # Main blocks wrap within main program; function chains continue.
-        if block_id < len(self.main_blocks) <= nxt:
-            return 0
-        return nxt
+    def _emit_native(self, trace: Trace, uniforms: np.ndarray,
+                     lookbacks: np.ndarray, reuse_draws: np.ndarray,
+                     stream_starts: List[int]) -> bool:
+        """Fill ``trace``'s arrays in synth.c; False if it is absent."""
+        profile = self.profile
+        n = len(trace)
+        streams = np.zeros((len(stream_starts), 2), np.int64)
+        streams[:, 0] = stream_starts
+        regions = max(1, profile.data_footprint // profile.region_bytes)
+        walkers = np.zeros((max(1, profile.n_arenas), 2), np.int64)
+        walkers[:, 0] = np.arange(len(walkers)) % regions
+        # One frame per call: never more frames than instructions.
+        call_stack = np.zeros(
+            (max(1, min(profile.max_call_depth, n)), 2), np.int64)
+        return native.synthesize(
+            n=n, n_blocks=len(self.block_pc), n_main=self.n_main,
+            n_functions=profile.n_functions,
+            function_blocks=profile.function_blocks,
+            max_call_depth=profile.max_call_depth,
+            block_pc=self.block_pc, block_end_pc=self.block_end_pc,
+            block_kind=self.block_kind, block_dominant=self.block_dominant,
+            block_bias=self.block_bias, block_others=self.block_others,
+            slot_start=self.slot_start, slot_op=self.slot_op,
+            slot_mode=self.slot_mode, slot_key=self.slot_key,
+            slot_stream_start=self.slot_stream_start,
+            hot_cursor=self.hot_cursor,
+            stack_fraction=profile.stack_fraction,
+            hot_fraction=profile.hot_fraction,
+            reuse_exponent=profile.reuse_exponent,
+            stack_bytes=profile.stack_bytes, hot_bytes=profile.hot_bytes,
+            region_bytes=profile.region_bytes,
+            data_footprint=profile.data_footprint,
+            stream_region=profile.stream_region,
+            data_base=_DATA_BASE, heap_base=_HEAP_BASE,
+            stream_base=_STREAM_BASE, stack_base=_STACK_BASE,
+            uniforms=uniforms, reuse_draws=reuse_draws, lookbacks=lookbacks,
+            n_streams=len(streams), n_walkers=len(walkers),
+            streams=streams, walkers=walkers, call_stack=call_stack,
+            pc=trace.pc, op=trace.op, src1=trace.src1, src2=trace.src2,
+            dst=trace.dst, mem_addr=trace.mem_addr,
+            branch_kind=trace.branch_kind, taken=trace.taken,
+            target=trace.target, redundancy_key=trace.redundancy_key,
+        )
 
-    def _data_address(self, slot: _StaticSlot, words: int,
-                      stream_words: int, draw: float) -> int:
-        if slot.mode == 1:  # streaming: one of the program's shared streams
-            pick = (slot.stream_start + int(draw * 524287.0))
-            stream = self._streams[pick % len(self._streams)]
-            addr = _STREAM_BASE + (stream[0] + stream[1]) % (
-                stream_words * _WORD
-            )
-            stream[1] += _WORD
-            return addr
+    def _emit_python(self, trace: Trace, uniforms: np.ndarray,
+                     lookbacks: np.ndarray, reuse_draws: np.ndarray,
+                     stream_starts: List[int]) -> None:
+        """Fill ``trace``'s arrays: the reference for ``synth.c``."""
+        profile = self.profile
+        n = len(trace)
+        pc, op, src1, src2, dst = (trace.pc, trace.op, trace.src1,
+                                   trace.src2, trace.dst)
+        mem_addr, branch_kind, taken, target, redundancy_key = (
+            trace.mem_addr, trace.branch_kind, trace.taken, trace.target,
+            trace.redundancy_key)
+        block_pc = self.block_pc.tolist()
+        block_end_pc = self.block_end_pc.tolist()
+        block_kind = self.block_kind.tolist()
+        block_dominant = self.block_dominant.tolist()
+        block_bias = self.block_bias.tolist()
+        block_others = self.block_others.tolist()
+        slot_start = self.slot_start.tolist()
+        slot_op = self.slot_op.tolist()
+        slot_mode = self.slot_mode.tolist()
+        slot_key = self.slot_key.tolist()
+        slot_stream_start = self.slot_stream_start.tolist()
+        hot_cursor = self.hot_cursor.tolist()
+        n_blocks = len(block_pc)
+        n_main = self.n_main
+        n_functions = profile.n_functions
+        function_blocks = profile.function_blocks
+
+        def fallthrough_of(block_id: int) -> int:
+            nxt = block_id + 1
+            if nxt >= n_blocks:
+                return 0
+            # Main blocks wrap within main program; function chains continue.
+            if block_id < n_main <= nxt:
+                return 0
+            return nxt
+
         # Working-set / pointer-chase accesses are a three-tier mixture:
         #
         # * stack — a tiny region with near-total reuse (L1 resident);
@@ -488,74 +507,187 @@ class SyntheticProgram:
         #   sequential per-slot offset within it: hot pages are revisited
         #   (L2-capacity and D-TLB reach contrasts) while the long tail
         #   keeps missing to DRAM (memory latency/bandwidth contrasts).
-        profile = self.profile
         f_stack = profile.stack_fraction
         f_hot = profile.hot_fraction
-        if draw < f_stack:
-            stack_words = max(1, profile.stack_bytes // _WORD)
-            index = int(stack_words * (draw / f_stack)) if f_stack else 0
-            return _STACK_BASE + min(index, stack_words - 1) * _WORD
-        if draw < f_stack + f_hot:
-            addr = _HEAP_BASE + slot.hot_cursor
-            slot.hot_cursor += _WORD
-            if slot.hot_cursor >= profile.hot_bytes:
-                slot.hot_cursor = 0
-            return addr
-        rest = 1.0 - f_stack - f_hot
-        v = (draw - f_stack - f_hot) / rest if rest > 0 else 0.0
-        return self._cold_address(v)
+        stack_words = max(1, profile.stack_bytes // _WORD)
+        hot_bytes = profile.hot_bytes
+        stream_bytes = max(1, profile.stream_region // _WORD) * _WORD
+        # [start offset, bytes advanced] per shared sequential stream.
+        streams = [[start, 0] for start in stream_starts]
 
-    def _cold_address(self, v: float) -> int:
-        """One access from the program's pool of cold-arena walkers.
-
-        The program keeps ``n_arenas`` concurrent walkers (live arenas);
-        each walks its region in 64-word sequential runs, then jumps to
-        a new power-law-selected region.  A small pool bounds the
-        *concurrent* page working set (TLB pressure) while the power
-        law still grades the total footprint (cache-capacity pressure).
-        """
-        profile = self.profile
+        # The cold tail comes from a pool of ``n_arenas`` concurrent
+        # walkers (live arenas), each walking its region in sequential
+        # runs before jumping on.  A small pool bounds the *concurrent*
+        # page working set (TLB pressure) while the power law still
+        # grades the total footprint (cache-capacity pressure).
+        # [region, access-count] per walker; walkers start on contiguous
+        # regions (the hottest arenas), like real allocators laying hot
+        # structures out together.
         region_bytes = profile.region_bytes
         n_regions = max(1, profile.data_footprint // region_bytes)
-        # Walkers are *sticky*: the program works on one arena for a
-        # phase of accesses before switching (real code walks one
-        # structure at a time).  Phasing keeps conflicting pages from
-        # alternating rapidly, which is what actually costs TLB misses.
-        self._cold_count += 1
-        if self._cold_count % 24 == 0:
-            self._active_walker = int(v * 7919.0) % len(self._walkers)
-        walker = self._walkers[self._active_walker]
-        # A walker visits a region for a 48-access sequential run, then
-        # usually advances to the *next* region (real data structures
-        # are contiguous page runs, which index TLB and cache sets
-        # uniformly) and occasionally reseeds to a power-law-selected
-        # region (temporal reuse of hot arenas).
+        walkers = [[w % n_regions, 0]
+                   for w in range(max(1, profile.n_arenas))]
+        cold_count = 0
+        active_walker = 0
         run_words = 48
-        if walker[1] and walker[1] % run_words == 0:
-            if (walker[1] // run_words) % 6:
-                walker[0] = (walker[0] + 1) % n_regions
-            else:
-                walker[0] = min(
-                    int(n_regions * v ** profile.reuse_exponent),
-                    n_regions - 1,
-                )
-        offset = (walker[1] * _WORD) % region_bytes
-        walker[1] += 1
-        return _DATA_BASE + walker[0] * region_bytes + offset
 
-    @staticmethod
-    def _pick_source(recent: List[int], lookback: int) -> int:
-        # Deep lookbacks fall off the recent-writer window: the value
-        # is old enough to be "always ready" (no dependence edge).
-        if lookback > 6:
-            return NO_REG
-        return recent[-1 - (int(lookback) - 1) % len(recent)]
+        recent_int: List[int] = [1, 2, 3, 4]
+        recent_fp: List[int] = [32, 33, 34, 35]
+        call_stack: List[int] = []      # block ids to return to
+        ret_addr_stack: List[int] = []  # return pcs (targets of RETURN)
+        current = 0                     # block id
+        slot = slot_start[0]
+        u_i = 0
+        i = 0
 
-    @staticmethod
-    def _record_write(recent: List[int], reg: int) -> None:
-        recent.append(reg)
-        if len(recent) > 16:
-            recent.pop(0)
+        while i < n:
+            if slot < slot_start[current + 1]:
+                o = slot_op[slot]
+                pc[i] = block_pc[current] + 4 * (slot - slot_start[current])
+                op[i] = o
+                if o == _LOAD or o == _STORE:
+                    draw = reuse_draws[u_i]
+                    if slot_mode[slot] == 1:
+                        # Streaming: one of the program's shared streams.
+                        pick = slot_stream_start[slot] + int(draw * 524287.0)
+                        stream = streams[pick % len(streams)]
+                        addr = _STREAM_BASE + (
+                            stream[0] + stream[1]) % stream_bytes
+                        stream[1] += _WORD
+                    elif draw < f_stack:
+                        index = int(stack_words * (draw / f_stack))
+                        addr = _STACK_BASE + min(
+                            index, stack_words - 1) * _WORD
+                    elif draw < f_stack + f_hot:
+                        addr = _HEAP_BASE + hot_cursor[slot]
+                        hot_cursor[slot] += _WORD
+                        if hot_cursor[slot] >= hot_bytes:
+                            hot_cursor[slot] = 0
+                    else:
+                        rest = 1.0 - f_stack - f_hot
+                        v = (draw - f_stack - f_hot) / rest \
+                            if rest > 0 else 0.0
+                        # Walkers are *sticky*: the program works on one
+                        # arena for a phase of accesses before switching
+                        # (real code walks one structure at a time), so
+                        # conflicting pages do not alternate rapidly,
+                        # which is what actually costs TLB misses.
+                        cold_count += 1
+                        if cold_count % 24 == 0:
+                            active_walker = int(v * 7919.0) % len(walkers)
+                        walker = walkers[active_walker]
+                        # After a 48-access sequential run a walker
+                        # usually advances to the *next* region (real data
+                        # structures are contiguous page runs, which index
+                        # TLB and cache sets uniformly) and occasionally
+                        # reseeds to a power-law-selected region (temporal
+                        # reuse of hot arenas).
+                        if walker[1] and walker[1] % run_words == 0:
+                            if (walker[1] // run_words) % 6:
+                                walker[0] = (walker[0] + 1) % n_regions
+                            else:
+                                walker[0] = min(
+                                    int(n_regions
+                                        * v ** profile.reuse_exponent),
+                                    n_regions - 1,
+                                )
+                        offset = (walker[1] * _WORD) % region_bytes
+                        walker[1] += 1
+                        addr = (_DATA_BASE + walker[0] * region_bytes
+                                + offset)
+                    mem_addr[i] = addr
+                    if slot_mode[slot] == 2:  # pointer chase
+                        src1[i] = _POINTER_REG
+                        if o == _LOAD:
+                            dst[i] = _POINTER_REG
+                    else:
+                        src1[i] = _pick_source(recent_int, lookbacks[u_i])
+                        if o == _LOAD:
+                            d = int(1 + (lookbacks[u_i + 1] % 29))
+                            dst[i] = d
+                            _record_write(recent_int, d)
+                        else:
+                            src2[i] = _pick_source(
+                                recent_int, lookbacks[u_i + 1]
+                            )
+                else:
+                    fp = o in _FP_OPS
+                    recent = recent_fp if fp else recent_int
+                    src1[i] = _pick_source(recent, lookbacks[u_i])
+                    src2[i] = _pick_source(recent, lookbacks[u_i + 1])
+                    base = 32 if fp else 1
+                    span = 31 if fp else 29
+                    d = int(base + (int(uniforms[u_i] * 1e9) % span))
+                    dst[i] = d
+                    _record_write(recent, d)
+                    redundancy_key[i] = slot_key[slot]
+                u_i = (u_i + 2) % (2 * n)
+                slot += 1
+                i += 1
+                continue
+
+            # Block-terminating control transfer.
+            end_pc = block_end_pc[current]
+            pc[i] = end_pc
+            op[i] = int(OpClass.BRANCH)
+            kind = block_kind[current]
+            branch_kind[i] = kind
+            src1[i] = recent_int[-1]
+            if kind == _CALL:
+                if len(call_stack) >= profile.max_call_depth or \
+                        not n_functions:
+                    # Too deep: degrade to a fall-through branch.
+                    branch_kind[i] = _CONDITIONAL
+                    taken[i] = False
+                    next_block = fallthrough_of(current)
+                else:
+                    callee_entry = n_main + function_blocks * (
+                        int(uniforms[u_i] * n_functions) % n_functions)
+                    call_stack.append(fallthrough_of(current))
+                    ret_addr_stack.append(end_pc + 4)
+                    taken[i] = True
+                    target[i] = block_pc[callee_entry]
+                    next_block = callee_entry
+            elif kind == _RETURN:
+                taken[i] = True
+                if call_stack:
+                    next_block = call_stack.pop()
+                    target[i] = ret_addr_stack.pop()
+                else:
+                    next_block = 0
+                    target[i] = block_pc[0]
+            else:  # conditional
+                if uniforms[u_i] < block_bias[current]:
+                    next_block = block_dominant[current]
+                else:
+                    next_block = block_others[
+                        _N_OTHERS * current
+                        + int(uniforms[u_i] * 977) % _N_OTHERS
+                    ]
+                if next_block == fallthrough_of(current):
+                    taken[i] = False
+                else:
+                    taken[i] = True
+                    target[i] = block_pc[next_block]
+            u_i = (u_i + 1) % (2 * n)
+            current = next_block
+            slot = slot_start[current]
+            i += 1
+        self.hot_cursor[:] = hot_cursor
+
+
+def _pick_source(recent: List[int], lookback: int) -> int:
+    # Deep lookbacks fall off the recent-writer window: the value
+    # is old enough to be "always ready" (no dependence edge).
+    if lookback > 6:
+        return NO_REG
+    return recent[-1 - (int(lookback) - 1) % len(recent)]
+
+
+def _record_write(recent: List[int], reg: int) -> None:
+    recent.append(reg)
+    if len(recent) > 16:
+        recent.pop(0)
 
 
 def generate_trace(

@@ -1,12 +1,28 @@
 """Tests for the statistical workload generator (repro.workloads.synthetic)."""
 
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cpu import BranchKind, OpClass
+from repro.core.replication import replicated_suite
+from repro.cpu import BranchKind, OpClass, native
 from repro.workloads import SyntheticProgram, WorkloadProfile, generate_trace
+from repro.workloads.profiles import BENCHMARK_NAMES, default_length, profile
+from repro.workloads.synthetic import _integers_below, _mix_cdf
+from repro.workloads.trace import Trace
+
+needs_native = pytest.mark.skipif(
+    native._load() is None,
+    reason="no C toolchain / native kernel build failed",
+)
+
+#: The ten arrays of a trace, in constructor order.
+TRACE_ARRAYS = ("pc", "op", "src1", "src2", "dst", "mem_addr",
+                "branch_kind", "taken", "target", "redundancy_key")
 
 
 def small_profile(**kw):
@@ -37,6 +53,29 @@ class TestProfileValidation:
     def test_lookback_bounds(self):
         with pytest.raises(ValueError):
             small_profile(dep_lookback_p=0.0)
+
+    @pytest.mark.parametrize("knobs", [
+        dict(region_bytes=0),
+        dict(function_blocks=0),
+        dict(function_blocks=-1, n_functions=0),
+        dict(loop_span=-1),
+        dict(n_blocks=0),
+        dict(n_functions=-1),
+        dict(n_streams=-1),
+        dict(n_arenas=-1),
+        dict(max_call_depth=-1),
+        dict(n_redundant_keys=-1),
+        dict(data_footprint=-1),
+        dict(stack_bytes=-1),
+        dict(hot_bytes=-1),
+        dict(stream_region=-1),
+    ], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
+    def test_knobs_the_emitters_cannot_use(self, knobs):
+        with pytest.raises(ValueError):
+            small_profile(**knobs)
+
+    def test_functionless_program_needs_no_function_blocks(self):
+        small_profile(n_functions=0, function_blocks=0)
 
 
 class TestDeterminism:
@@ -196,3 +235,354 @@ def test_generator_always_produces_valid_traces(length, seed):
     tr = generate_trace(p, length)
     assert len(tr) == length
     tr.validate()
+
+
+#: sha-256 ``Trace.fingerprint()`` of every golden case, recorded from
+#: the per-object generator that preceded the flat arrays and synth.c.
+GOLDEN = {
+    "gcc/len1":
+        "91fa61cfc0617276ce72af04b7a96e1af5aa2080c61600c86b207ef7c0d444f4",
+    "gcc/len17":
+        "9ed82a387b364a73610644ceed68633def6601fa02e444156a69b9f521dd60f8",
+    "gcc/len200000":
+        "4a5fe973acea2531badcd05f4be5759067e3e19f455b4177023269dd9214f6c8",
+    "gzip/emit1":
+        "bc4eedaaaf9a660f43f3e6bac57b14705f1be0a67255f7301a32a5c2d4219b8c",
+    "gzip/emit2":
+        "1d6b4dbba8b914932ece156c1192070f7296361b942582b38babc302c74faa56",
+    "replicated/gzip#0":
+        "485bc43315bc994c942f67a0048cb1b00c2d9d778ef0613c8d397d655847d6d9",
+    "replicated/gzip#1":
+        "3f3dce390c53600a51555a42307de79a14dae0faf75ed630750e2696ba5c08e7",
+    "replicated/gzip#2":
+        "5317bc0f47058094fa89a5381a89e788e660a76df243bd54578668846928d968",
+    "replicated/mcf#0":
+        "74f6ddf2cee704ef96468380bc6b4bb22fd9ebebe4da6a9aa7d421ffef5c2464",
+    "replicated/mcf#1":
+        "5d5e8f766d551592df61572cb55dc53ff9183de11fb52d86b344a52dedd224dc",
+    "replicated/mcf#2":
+        "2f81d26441f3f48d1af2a48843db7ca18d321231f2b05f71baa97aabd4edd189",
+    "seed+0/ammp":
+        "6da95bf7656457bb9437e4de81c62b0fdff406fa5a9b174fbbb590edce499a2a",
+    "seed+0/art":
+        "5f5e5345561b9cbbbb9f155421c4b4bb53ffef7607b5142a6dc9e8033531d5de",
+    "seed+0/bzip2":
+        "0b8e45a8247c372ba4d4895c361a396fd0a0331dd8e38a7a9c734dfc95c0b964",
+    "seed+0/equake":
+        "9a105cb111cf12a32189215c5c15a9c978ef354689d8378764ae1d2e3d050cb3",
+    "seed+0/gcc":
+        "e66d1e6704dd4784eb58810fff9f8d19161e57cd8a47a7b2201701e4721ec7b8",
+    "seed+0/gzip":
+        "a753f3269a19ccd44deae66d85861d2331b00b9c4b6bb8ca108b27e5d0219dd3",
+    "seed+0/mcf":
+        "d18a14d0fff5b6d5edf76d20607b57b615794a8f64d5e8ade7ce0e48f2c3b977",
+    "seed+0/mesa":
+        "23034976ab19c5c5eff4682a9cc937211654a5cd2e0f4fbea570495676f32a6d",
+    "seed+0/parser":
+        "1f851bc655bffafd7b6980e82b210236cd48fe156c0828fbb70d965d8a27f596",
+    "seed+0/twolf":
+        "3fc4fc21f23c36302e538cc8f73ccb929373194327a64f491c4c6be6809d7f0e",
+    "seed+0/vortex":
+        "f5fab30f35c91c3747aca8cd8d6db600e3bca4f7621f3cd4d05274bc1a338fcb",
+    "seed+0/vpr-Place":
+        "8ecd776f96e4640d781f5c407c867436b7f5bdb125f120cbdbd042f916d63dab",
+    "seed+0/vpr-Route":
+        "78666d0a5d32af8c21424cfe8f8dff43f9b49f6400645037bc4001708e917928",
+    "seed+29/ammp":
+        "01863bd3f906b094e42092dbcf19e50b974a4a20a3bdb24dfc3c06c1fedcaee6",
+    "seed+29/art":
+        "7f65d84d1e578cf45f0be84258ee42a3ec54c6ba9e8566adbf892800d1f41ef7",
+    "seed+29/bzip2":
+        "0e6c1c166593586190fb7fa26119144f8cef3e6760f83db0ae0b976227ddeda0",
+    "seed+29/equake":
+        "e13f52b1621965ad2eceba218994e9c5c312631825813fca6248d78d73794cd9",
+    "seed+29/gcc":
+        "87793c14422311574e3652f17d9b49b94b8265606b40eea427fbf290cc3646aa",
+    "seed+29/gzip":
+        "0da08aa99d72ba79f901c7a8ee6441a90c061e0a3346d1a9ab98c7cae90c99f8",
+    "seed+29/mcf":
+        "d76a1e74cd43b9817478956adaf4f98f7daf5a59a3d1c7be7648e72c1e1c7340",
+    "seed+29/mesa":
+        "575bfc704ec6dd3909c9ef27f2543c46f47275df431a5a37e3039167ebe4430f",
+    "seed+29/parser":
+        "3ec755f7fb4f4e9f0fa9181bd172e5cfd6ba7853bedf9a36100d6b41fccf43b7",
+    "seed+29/twolf":
+        "55eb19e212133e3202d66df5b24bf8f21172e764e09f36cef3be1d5095311a63",
+    "seed+29/vortex":
+        "67d039963d5f28f7733bb9fb85ec124658df00bac9fea56a174fc71c8f7a3c73",
+    "seed+29/vpr-Place":
+        "6b162885db300caa834a45fc1b50af01bf102ee9565f2249447ad478611c5bea",
+    "seed+29/vpr-Route":
+        "19871303445c91eb8ef8b4851953d515b46052dfd1c7544141c4151ba014f669",
+    "seed+801/ammp":
+        "57b31737ce4764a061957b2bf683505e84222d2a10be44e6e58bf33790bf7e3b",
+    "seed+801/art":
+        "5570a8722eaf5b778b7c52348abfb6149a532a0c9ce34d7d8634233fdf8232a6",
+    "seed+801/bzip2":
+        "46ab6cd84c7fca771a367720a90057026e174a90fb3e7c0fa8a53fd110c7f998",
+    "seed+801/equake":
+        "5c8ff99828e4e2bfb4342b6cd7b0254666de2f536c09219678104b62e0255d0e",
+    "seed+801/gcc":
+        "7abe647824df7f27be28f105e9e6fccc8d2aa250c60f9e878ca0ceab9a5a2ee1",
+    "seed+801/gzip":
+        "3f56249bf62002d33c35aca28e533ad6b519cc49e710eb477a2c9a4075827f9d",
+    "seed+801/mcf":
+        "64c5dd379329255e8f5a3c17a08696a49a2a71db35b49d7e49ee20e36ddfc843",
+    "seed+801/mesa":
+        "78df22cf8bd61781f81fc57f9fd2ea4ccdbff5e4d453898afcc8e667762321a6",
+    "seed+801/parser":
+        "e4276aaad277d8ebd42d612a21edee6140cef3d22037cf4e2fe8ea7adb46ba53",
+    "seed+801/twolf":
+        "e9175999b1519347c4472760c62f862699495f33661962aeea1b328414d3cd05",
+    "seed+801/vortex":
+        "1880a08474c007d32006313dd1854650f803e7fcae87bf06711db0f97e44bc2a",
+    "seed+801/vpr-Place":
+        "d93e7eabc51f55e3749f24318532d65b6d2aa1f374f1b16ceafe9e72f0c52e08",
+    "seed+801/vpr-Route":
+        "5226f14dd721118039bb63e67932475832029bd455c82ee9e0f4a28204f1f784",
+}
+
+
+PATHS = [pytest.param("native", marks=needs_native), "python"]
+
+
+@pytest.fixture
+def path(request, monkeypatch):
+    """Run ``emit`` through synth.c or, with the kernel switched off as
+    ``REPRO_NATIVE=0`` does, through the Python loop."""
+    if request.param == "python":
+        monkeypatch.setattr(native, "_lib", False)
+    return request.param
+
+
+@pytest.mark.parametrize("path", PATHS, indirect=True)
+class TestGoldenBytes:
+    """Synthesis is pinned byte for byte: every task key and cached
+    result depends on these traces."""
+
+    @pytest.mark.parametrize("offset", [0, 29, 801])
+    def test_suite_at_scale_5(self, path, offset):
+        for name in BENCHMARK_NAMES:
+            base = profile(name)
+            program = SyntheticProgram(
+                dataclasses.replace(base, seed=base.seed + offset))
+            trace = program.emit(default_length(name), name=name)
+            assert trace.fingerprint() == GOLDEN[f"seed+{offset}/{name}"]
+
+    @pytest.mark.parametrize("length", [1, 17, 200_000])
+    def test_gcc_lengths(self, path, length):
+        trace = SyntheticProgram(profile("gcc")).emit(length, name="gcc")
+        assert trace.fingerprint() == GOLDEN[f"gcc/len{length}"]
+
+    def test_second_emit_continues_hot_cursors(self, path):
+        program = SyntheticProgram(profile("gzip"))
+        first = program.emit(5000, name="gzip")
+        second = program.emit(5000, name="gzip")
+        assert first.fingerprint() == GOLDEN["gzip/emit1"]
+        assert second.fingerprint() == GOLDEN["gzip/emit2"]
+        # Only hot-heap addresses move; everything else repeats.
+        assert not np.array_equal(first.mem_addr, second.mem_addr)
+        for field in TRACE_ARRAYS:
+            if field != "mem_addr":
+                assert np.array_equal(getattr(first, field),
+                                      getattr(second, field))
+
+    def test_replicated_suite(self, path):
+        suite = replicated_suite(("gzip", "mcf"), 3000, 3)
+        for name, traces in suite.items():
+            for r, trace in enumerate(traces):
+                assert trace.fingerprint() == GOLDEN[f"replicated/{name}#{r}"]
+
+
+@needs_native
+@given(
+    length=st.integers(1, 2500),
+    seed=st.integers(1, 2 ** 20),
+    n_blocks=st.integers(1, 40),
+    n_functions=st.integers(0, 6),
+    function_blocks=st.integers(1, 4),
+    max_call_depth=st.integers(0, 4),
+    call_fraction=st.sampled_from([0.0, 0.1, 0.5]),
+    nested_call_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    loop_span=st.integers(0, 8),
+    fractions=st.sampled_from([
+        (0.0, 0.0), (0.45, 0.30), (0.0, 1.0), (1.0, 0.0), (0.7, 0.3),
+        (0.1, 0.2), (0.0, 0.5),
+    ]),
+    streaming_fraction=st.sampled_from([0.0, 0.1, 1.0]),
+    pointer_fraction=st.sampled_from([0.0, 0.05, 0.5]),
+    n_streams=st.integers(0, 5),
+    n_arenas=st.integers(0, 6),
+    hot_bytes=st.sampled_from([0, 8, 96, 4096]),
+    region_bytes=st.sampled_from([1, 64, 4096]),
+    data_footprint=st.sampled_from([0, 4096, 1 << 16]),
+    reuse_exponent=st.sampled_from([0.5, 1.0, 2.1, 4.0]),
+)
+@settings(max_examples=40, deadline=None)
+@example(length=1, seed=7, n_blocks=8, n_functions=3, function_blocks=2,
+         max_call_depth=2, call_fraction=0.3, nested_call_fraction=0.3,
+         loop_span=4, fractions=(0.45, 0.30), streaming_fraction=0.1,
+         pointer_fraction=0.05, n_streams=2, n_arenas=4, hot_bytes=4096,
+         region_bytes=4096, data_footprint=1 << 16, reuse_exponent=2.1)
+@example(length=3000, seed=11, n_blocks=16, n_functions=0,
+         function_blocks=1, max_call_depth=0, call_fraction=0.5,
+         nested_call_fraction=0.0, loop_span=3, fractions=(0.0, 1.0),
+         streaming_fraction=1.0, pointer_fraction=0.5, n_streams=0,
+         n_arenas=0, hot_bytes=96, region_bytes=64, data_footprint=4096,
+         reuse_exponent=4.0)
+@example(length=3000, seed=13, n_blocks=24, n_functions=4,
+         function_blocks=3, max_call_depth=4, call_fraction=0.5,
+         nested_call_fraction=1.0, loop_span=0, fractions=(0.7, 0.3),
+         streaming_fraction=0.0, pointer_fraction=0.5, n_streams=3,
+         n_arenas=2, hot_bytes=8, region_bytes=1, data_footprint=0,
+         reuse_exponent=0.5)
+@example(length=3000, seed=17, n_blocks=12, n_functions=2,
+         function_blocks=2, max_call_depth=1, call_fraction=0.1,
+         nested_call_fraction=0.3, loop_span=8, fractions=(0.0, 0.0),
+         streaming_fraction=0.0, pointer_fraction=0.05, n_streams=1,
+         n_arenas=6, hot_bytes=0, region_bytes=64, data_footprint=1 << 16,
+         reuse_exponent=1.0)
+def test_native_synthesis_matches_python_loop(
+        length, seed, fractions, **knobs):
+    """Both emitters fill the same ten arrays and leave the same
+    hot-heap cursors, emit after emit on one program, over the knob
+    space, corners included: no functions, no call depth, no stack or
+    no cold tier, all streaming, pointer chasing, no streams and
+    one-instruction traces.
+    """
+    stack_fraction, hot_fraction = fractions
+    p = WorkloadProfile(name="parity", seed=seed,
+                        stack_fraction=stack_fraction,
+                        hot_fraction=hot_fraction, **knobs)
+    fast, oracle = SyntheticProgram(p), SyntheticProgram(p)
+    for _ in range(2):
+        a = fast.emit(length)
+        with mock.patch.object(native, "_lib", False):
+            b = oracle.emit(length)
+        for field in TRACE_ARRAYS:
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype and np.array_equal(x, y), field
+        assert np.array_equal(fast.hot_cursor, oracle.hot_cursor)
+
+
+@needs_native
+def test_return_without_a_caller_restarts_the_program():
+    """A return with no frame to pop goes back to block 0.  Generated
+    programs only return from called functions, so this edits one."""
+    p = small_profile(call_fraction=0.0)
+    programs = SyntheticProgram(p), SyntheticProgram(p)
+    for program in programs:
+        program.block_kind[3] = int(BranchKind.RETURN)
+    trace = programs[0].emit(2000)
+    with mock.patch.object(native, "_lib", False):
+        oracle = programs[1].emit(2000)
+    for field in TRACE_ARRAYS:
+        assert np.array_equal(getattr(trace, field), getattr(oracle, field))
+    returns = trace.branch_kind == int(BranchKind.RETURN)
+    assert returns.any()
+    assert (trace.target[returns] == programs[0].block_pc[0]).all()
+
+
+@needs_native
+def test_rounding_below_the_cold_tier_picks_walkers_like_python():
+    """Stack + hot fractions a few ulps short of 1 leave a cold tier
+    whose draws can map to a negative ``v``; Python's floor ``%`` still
+    picks a valid walker, and so must synth.c."""
+    p = small_profile(stack_fraction=0.3, hot_fraction=0.6999999999999998,
+                      streaming_fraction=0.0, n_arenas=5, n_functions=0)
+    n = 400
+    draws = np.full(2 * n + 16, 0.9999999999999998)
+    assert int((draws[0] - 0.3 - p.hot_fraction)
+               / (1.0 - 0.3 - p.hot_fraction) * 7919.0) < 0
+    traces = []
+    for emit in ("_emit_native", "_emit_python"):
+        trace = Trace(np.zeros(n, np.int64), np.zeros(n, np.uint8),
+                      *(np.full(n, -1, np.int16) for _ in range(3)),
+                      np.full(n, -1, np.int64), np.zeros(n, np.uint8),
+                      np.zeros(n, np.bool_), np.full(n, -1, np.int64),
+                      np.full(n, -1, np.int64))
+        getattr(SyntheticProgram(p), emit)(
+            trace, np.full(2 * n + 16, 0.5), np.ones(2 * n + 16, np.int64),
+            draws, [0])
+        traces.append(trace)
+    for field in TRACE_ARRAYS:
+        assert np.array_equal(getattr(traces[0], field),
+                              getattr(traces[1], field)), field
+
+
+@needs_native
+class TestNativeEntryChecks:
+    """synth.c gets only arrays it can index within bounds."""
+
+    def _emit(self, program, length=100, pool=None):
+        trace = program.emit(length)
+        pool = 2 * length + 16 if pool is None else pool
+        return program._emit_native(trace, np.zeros(pool),
+                                    np.ones(pool, np.int64), np.zeros(pool),
+                                    [0])
+
+    def test_accepts_what_emit_allocates(self):
+        assert self._emit(SyntheticProgram(small_profile()))
+
+    def test_wrong_dtype(self):
+        program = SyntheticProgram(small_profile())
+        program.block_bias = program.block_bias.astype(np.float32)
+        with pytest.raises(TypeError, match="block_bias"):
+            self._emit(program)
+
+    def test_too_few_draws(self):
+        with pytest.raises(ValueError, match="uniforms"):
+            self._emit(SyntheticProgram(small_profile()), pool=100)
+
+    def test_successor_outside_the_program(self):
+        program = SyntheticProgram(small_profile())
+        program.block_dominant[0] = len(program.block_pc)
+        with pytest.raises(ValueError, match="successor"):
+            self._emit(program)
+
+
+class TestInlinedDraws:
+    """The build skips numpy's per-call overhead by doing what
+    ``Generator.choice`` and ``Generator.integers`` do; if a numpy
+    release changes either, these fail instead of traces drifting."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cdf_search_is_generator_choice(self, seed):
+        mix = np.random.default_rng(1000 + seed)
+        weights = mix.random(9) * (mix.random(9) < 0.7)
+        weights[mix.integers(9)] += 0.01           # never all zero
+        p = small_profile(**dict(zip(
+            ("ialu_weight", "imult_weight", "idiv_weight", "falu_weight",
+             "fmult_weight", "fdiv_weight", "fsqrt_weight", "load_weight",
+             "store_weight"), weights.tolist())))
+        ops, cdf = _mix_cdf(p)
+        probs = weights / weights.sum()
+        ours, numpy = (np.random.default_rng(seed) for _ in range(2))
+        for k in (1, 2, 5, 17, 300):
+            expected = numpy.choice(ops, size=k, p=probs)
+            got = ops[cdf.searchsorted(ours.random(k), side="right")]
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert ours.random() == numpy.random()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_integers_below_is_generator_integers(self, seed):
+        bounds = [1, 2, 3, 7, 12, 64, 1000, 4096, 65536, 2 ** 31 + 1,
+                  2 ** 32 - 1, 2 ** 32, 2 ** 32 + 5, 2 ** 40]
+        ours, numpy = (np.random.default_rng(seed) for _ in range(2))
+        integers = _integers_below(ours)
+        pick = np.random.default_rng(seed + 99)
+        for _ in range(400):
+            bound = bounds[pick.integers(len(bounds))]
+            assert integers(bound) == numpy.integers(0, bound)
+            # Whole-word draws in between leave the spare half alone.
+            if pick.random() < 0.3:
+                assert ours.random() == numpy.random()
+            if pick.random() < 0.1:
+                assert ours.beta(8.0, 1.0) == numpy.beta(8.0, 1.0)
+            if pick.random() < 0.1:
+                low = int(pick.integers(0, 50))
+                high = low + int(pick.integers(1, 30))
+                assert [low + integers(high - low) for _ in range(4)] == \
+                    numpy.integers(low, high, size=4).tolist()
+        assert ours.random() == numpy.random()
