@@ -45,7 +45,10 @@
  * those lines, and only those, to stay unexecuted.
  *
  * Built by repro.cpu.native with gcc or clang (C99 plus
- * __builtin_ctzll); no dependencies beyond libc.
+ * __builtin_ctzll); this file needs nothing beyond libc.  The library
+ * it is built into also carries synth.c, which builds and emits
+ * synthetic programs, and links numpy's sampler archive
+ * (libnpyrandom.a) for the build when numpy ships it.
  */
 
 #include <stdint.h>

@@ -1,14 +1,23 @@
-/* Trace synthesis loop: the per-instruction half of
- * repro.workloads.synthetic.SyntheticProgram.emit.
+/* Trace synthesis: both halves of repro.workloads.synthetic.SyntheticProgram.
  *
- * Python builds the static program (flat per-block and per-slot
- * arrays), draws every random number the loop consumes in bulk, and
- * allocates the ten trace arrays and the scratch state below.  This
- * loop fills the arrays and advances the program's hot-heap cursors in
- * place, exactly as SyntheticProgram._emit_python does: the contract
- * is byte-identical traces, enforced by tests/workloads/test_synthetic.py.
+ * repro_build_program is the static build, SyntheticProgram.__init__:
+ * it draws every block and slot of the program from the profile's
+ * numpy Generator, through numpy's own samplers called on that
+ * Generator's bit generator, in the order _build_python draws them, so
+ * every program array is byte-identical to the Python builder's.  It
+ * is compiled only when numpy's sampler archive (libnpyrandom.a) and
+ * its bitgen.h header are found, under REPRO_BUILD_PROGRAM.
  *
- * Details that are easy to get wrong:
+ * repro_synthesize is the emit loop, the per-instruction half of
+ * SyntheticProgram.emit.  Python draws every random number the loop
+ * consumes in bulk and allocates the ten trace arrays and the scratch
+ * state below.  This loop fills the arrays and advances the program's
+ * hot-heap cursors in place, exactly as SyntheticProgram._emit_python
+ * does.
+ *
+ * The contract for both is byte-identical output, enforced by
+ * tests/workloads/test_synthetic.py.  Details that are easy to get
+ * wrong:
  *
  * 1. Floating point follows the Python expression by expression:
  *    `(draw - f_stack) - f_hot`, `pow` for `v ** reuse_exponent`, and
@@ -23,6 +32,12 @@
  * 3. `min(int(x), n - 1)` is written `x < n ? (int64_t)x : n - 1`,
  *    which agrees for every x Python accepts and stays defined for the
  *    NaN a negative base would give `pow`.
+ *
+ * 4. The build's `ops[cdf.searchsorted(u, side="right")]` is the first
+ *    op whose cdf entry is not <= u: numpy sorts NaN last, so a NaN
+ *    cdf (weights summing past the double range) picks like Python.
+ *    `min(beta, cap)` returns beta unless cap < beta, as Python's min
+ *    does.
  */
 
 #include <math.h>
@@ -245,3 +260,177 @@ void repro_synthesize(const SynthArgs *a) {
         slot = a->slot_start[current];
     }
 }
+
+#ifdef REPRO_BUILD_PROGRAM
+#include <stdbool.h>
+#include "numpy/random/bitgen.h"
+
+/* numpy's samplers, as declared in numpy/random/distributions.h (which
+ * needs Python.h), linked from numpy's libnpyrandom.a. */
+extern double random_standard_uniform(bitgen_t *bitgen_state);
+extern int64_t random_poisson(bitgen_t *bitgen_state, double lam);
+extern double random_beta(bitgen_t *bitgen_state, double a, double b);
+extern uint64_t random_bounded_uint64(bitgen_t *bitgen_state, uint64_t off,
+                                      uint64_t rng, uint64_t mask,
+                                      bool use_masked);
+
+enum { NO_VALUE = -1 };
+
+/* The profile's knobs, the Generator's bit generator and the program
+ * arrays to fill (repro.cpu.native._BuildArgs).  The slot arrays hold
+ * slot_capacity entries; the block arrays hold one entry per block
+ * (N_OTHERS in block_others, one more in slot_start). */
+typedef struct {
+    bitgen_t *bitgen;
+    int64_t n_ops;
+    const int64_t *ops;
+    const double *cdf;
+    double lam;
+    int64_t hot_words;
+    double streaming, pointer, redundancy;
+    int64_t n_keys;
+    double exponent;
+    int64_t n_main, loop_span;
+    double call_fraction, loop_fraction, loop_bias_cap, bias_alpha,
+        bias_beta;
+    int64_t n_functions, function_blocks;
+    double nested_call_fraction;
+    int64_t code_base, slot_capacity;
+    int64_t *block_pc, *block_end_pc, *block_kind, *block_dominant;
+    double *block_bias;
+    int64_t *block_others, *slot_start;
+    int64_t *slot_op, *slot_mode, *slot_key, *slot_stream_start, *hot_cursor;
+} BuildArgs;
+
+/* Generator.random() */
+static double uniform(const BuildArgs *a) {
+    return random_standard_uniform(a->bitgen);
+}
+
+/* Generator.integers(0, bound) for bound >= 1. */
+static int64_t below(const BuildArgs *a, int64_t bound) {
+    return (int64_t)random_bounded_uint64(a->bitgen, 0,
+                                          (uint64_t)(bound - 1), 0, false);
+}
+
+/* Block `b` at `pc` and its slots from *slots on, advancing *slots
+ * past them; returns the next block's pc.  Slots that do not fit leave
+ * *slots above the capacity and the block unwritten. */
+static int64_t make_block(const BuildArgs *a, int64_t b, int64_t pc,
+                          int64_t *slots) {
+    int64_t body = random_poisson(a->bitgen, a->lam);
+    const int64_t first = *slots;
+    if (body < 1)
+        body = 1;
+    *slots += body;
+    if (*slots > a->slot_capacity)
+        return pc;
+    a->slot_start[b] = first;
+    /* All of the block's op draws come first, as rng.random(body_len). */
+    for (int64_t s = first; s < *slots; s++) {
+        const double u = uniform(a);
+        int64_t k = 0;
+        while (k < a->n_ops - 1 && a->cdf[k] <= u)
+            k++;
+        a->slot_op[s] = a->ops[k];
+    }
+    for (int64_t s = first; s < *slots; s++) {
+        const int64_t op = a->slot_op[s];
+        int64_t mode = 0, key = NO_VALUE, stream = 0, hot = 0;
+        if (op == OP_LOAD || op == OP_STORE) {
+            const double u = uniform(a);
+            hot = below(a, a->hot_words) * WORD;
+            if (u < a->streaming) {
+                mode = 1;
+                stream = below(a, 1 << 16);
+            } else if (op == OP_LOAD && u < a->pointer) {
+                mode = 2;
+            }
+        } else if (uniform(a) < a->redundancy) {
+            /* min(int(n_keys * u ** exponent), n_keys - 1): the product
+             * is never negative, and from 2**63 up, where the cast is
+             * undefined, min picks n_keys - 1. */
+            const double x = (double)a->n_keys * pow(uniform(a), a->exponent);
+            key = x < 9223372036854775808.0 ? (int64_t)x : INT64_MAX;
+            if (key > a->n_keys - 1)
+                key = a->n_keys - 1;
+        }
+        a->slot_mode[s] = mode;
+        a->slot_key[s] = key;
+        a->slot_stream_start[s] = stream;
+        a->hot_cursor[s] = hot;
+    }
+    a->block_pc[b] = pc;
+    a->block_end_pc[b] = pc + 4 * body;  /* the branch's own pc */
+    return pc + 4 * body + 4;
+}
+
+/* Fill the program arrays; returns the number of slots the program
+ * needs, or a lower bound on it above slot_capacity when they do not
+ * fit, leaving the arrays incomplete. */
+int64_t repro_build_program(const BuildArgs *a) {
+    const int64_t n = a->n_main;
+    const int64_t span = a->loop_span > 1 ? a->loop_span : 1;
+    int64_t pc = a->code_base, slots = 0, b = n;
+
+    for (int64_t i = 0; i < n; i++) {
+        pc = make_block(a, i, pc, &slots);
+        if (slots > a->slot_capacity)
+            return slots;
+    }
+
+    /* Main control flow. */
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *others = a->block_others + N_OTHERS * i;
+        a->block_kind[i] = KIND_CONDITIONAL;
+        a->block_dominant[i] = 0;
+        a->block_bias[i] = 1.0;
+        for (int k = 0; k < N_OTHERS; k++)
+            others[k] = 0;
+        if (uniform(a) < a->call_fraction && a->n_functions) {
+            a->block_kind[i] = KIND_CALL;
+            continue;
+        }
+        const int back_edge = uniform(a) < a->loop_fraction && i > 0;
+        if (back_edge) {
+            const int64_t low = i > a->loop_span ? i - a->loop_span : 0;
+            a->block_dominant[i] = low + below(a, i + 1 - low);
+        } else {
+            a->block_dominant[i] = (i + 1) % n;
+        }
+        const double cap = back_edge ? a->loop_bias_cap : 0.98;
+        const double bias = random_beta(a->bitgen, a->bias_alpha,
+                                        a->bias_beta);
+        a->block_bias[i] = cap < bias ? cap : bias;
+        /* Other successors: within max(1, loop_span) of i, then anywhere;
+         * high is min(n, i + span + 1) without overflowing. */
+        const int64_t low = i > span ? i - span : 0;
+        const int64_t high = i + 1 + (span < n - i - 1 ? span : n - i - 1);
+        for (int k = 0; k < N_OTHERS - 1; k++)
+            others[k] = low + below(a, high - low);
+        others[N_OTHERS - 1] = below(a, n);
+    }
+
+    /* Functions: linear chains ending in a return. */
+    for (int64_t f = 0; f < a->n_functions; f++) {
+        for (int64_t j = 0; j < a->function_blocks; j++, b++) {
+            pc = make_block(a, b, pc, &slots);
+            if (slots > a->slot_capacity)
+                return slots;
+            for (int k = 0; k < N_OTHERS; k++)
+                a->block_others[N_OTHERS * b + k] = 0;
+            a->block_bias[b] = 1.0;
+            if (j == a->function_blocks - 1) {
+                a->block_kind[b] = KIND_RETURN;
+                a->block_dominant[b] = 0;
+            } else {
+                a->block_kind[b] = uniform(a) < a->nested_call_fraction
+                    ? KIND_CALL : KIND_CONDITIONAL;
+                a->block_dominant[b] = b + 1;
+            }
+        }
+    }
+    a->slot_start[b] = slots;
+    return slots;
+}
+#endif

@@ -4,16 +4,22 @@ The default core runs ``_native/core.c``, a compiled cycle loop that
 produces **field-exact** :class:`~repro.cpu.stats.CoreStats` against
 the interpreted reference model, enforced by
 :mod:`repro.cpu.equivalence` over every core.  The same library
-carries ``_native/synth.c``, the trace-synthesis loop behind
-:meth:`repro.workloads.synthetic.SyntheticProgram.emit`, which is
-byte-identical to the Python loop it replaces (:func:`synthesize`).
+carries ``_native/synth.c``, both halves of trace synthesis, each
+byte-identical to the Python it replaces: the static program build
+behind :class:`repro.workloads.synthetic.SyntheticProgram`
+(:func:`build_program`) and the emit loop behind its ``emit``
+(:func:`synthesize`).  The build draws through numpy's own samplers,
+so the library links numpy's static sampler archive
+(``numpy/random/lib/libnpyrandom.a``); where a numpy install lacks it,
+the library is built without the program build.
 
 This module owns the build-and-load machinery:
 
 * the kernel is compiled on demand with whatever C compiler is on
   ``PATH`` (``cc``/``gcc``/``clang``) into a **content-addressed**
-  shared object — the cache key hashes every source, the flags and
-  the compiler, so editing a source can never pick up a stale build;
+  shared object — the cache key hashes every source, the flags, the
+  compiler and numpy's sampler header and archive, so editing a source
+  or upgrading numpy can never pick up a stale build;
 * builds are atomic (temp file + ``os.replace``), so concurrent
   worker processes racing to build produce one good artifact;
 * everything degrades gracefully: no toolchain, a failed build, or
@@ -24,22 +30,25 @@ This module owns the build-and-load machinery:
 The compiled kernel is a pure function from (config vector, trace
 arrays) to a counter vector: no global state, no threads, no
 callbacks into Python — safe under ``fork`` and trivially
-deterministic.  The per-call Python work is kept to a minimum: the
-config vector is built once per :class:`MachineConfig` object and the
-trace pointers once per :class:`~repro.workloads.trace.DecodedTrace`.
+deterministic.  The program build draws from the bit generator of the
+``numpy.random.Generator`` it is handed, under that generator's lock.
+The per-call Python work is kept to a minimum: the config vector is
+built once per :class:`MachineConfig` object and the trace pointers
+once per :class:`~repro.workloads.trace.DecodedTrace`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -160,16 +169,47 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "native"
 
 
-def _build(compiler: str) -> Path:
-    """Compile the kernel into the content-addressed cache; idempotent."""
-    cflags = _cflags()
+def _samplers() -> Optional[Tuple[Path, Path]]:
+    """numpy's sampler header (``bitgen.h``) and static archive
+    (``libnpyrandom.a``), or None when this numpy install lacks either."""
+    header = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+    archive = Path(np.__file__).resolve().parent / "random" / "lib" \
+        / "libnpyrandom.a"
+    if header.is_file() and archive.is_file():
+        return header, archive
+    return None
+
+
+def _recipe(compiler: str) -> Tuple[str, List[str], List[str]]:
+    """The library's content-addressed file name, and the compiler
+    flags and inputs that build it.
+
+    With numpy's samplers the library links their archive and gains
+    the program build (``REPRO_BUILD_PROGRAM``): the define, the
+    header's bytes and the archive's bytes enter the digest, so a
+    numpy upgrade rebuilds the library.
+    """
+    flags = _cflags()
+    inputs = [str(source) for source in _SOURCES]
+    samplers = _samplers()
+    if samplers is not None:
+        flags += ("-DREPRO_BUILD_PROGRAM",)
     digest = hashlib.sha256()
-    for source in _SOURCES:
+    for source in (*_SOURCES, *(samplers or ())):
         digest.update(source.name.encode() + b"\0" + source.read_bytes()
                       + b"\0")
-    digest.update(" ".join(cflags).encode() + b"\0" + compiler.encode())
+    digest.update(" ".join(flags).encode() + b"\0" + compiler.encode())
+    if samplers is not None:
+        flags += (f"-I{np.get_include()}",)
+        inputs.append(str(samplers[1]))
+    return f"core-{digest.hexdigest()[:20]}.so", list(flags), inputs
+
+
+def _build(compiler: str) -> Path:
+    """Compile the kernel into the content-addressed cache; idempotent."""
+    name, flags, inputs = _recipe(compiler)
     cache = _cache_dir()
-    artifact = cache / f"core-{digest.hexdigest()[:20]}.so"
+    artifact = cache / name
     if artifact.exists():
         return artifact
     cache.mkdir(parents=True, exist_ok=True)
@@ -177,7 +217,7 @@ def _build(compiler: str) -> Path:
     os.close(fd)
     try:
         result = subprocess.run(
-            [compiler, *cflags, "-o", tmp, *map(str, _SOURCES), "-lm"],
+            [compiler, *flags, "-o", tmp, *inputs, "-lm"],
             capture_output=True, text=True,
         )
         if result.returncode != 0:
@@ -214,6 +254,9 @@ def _load():
         ]
         lib.repro_synthesize.restype = None
         lib.repro_synthesize.argtypes = [ctypes.c_void_p]  # _SynthArgs
+        if hasattr(lib, "repro_build_program"):  # built with the samplers
+            lib.repro_build_program.restype = ctypes.c_int64
+            lib.repro_build_program.argtypes = [ctypes.c_void_p]  # _BuildArgs
         _lib = lib
     except Exception as exc:
         _lib = False
@@ -579,3 +622,103 @@ def synthesize(**fields) -> bool:
     })
     lib.repro_synthesize(ctypes.byref(args))
     return True
+
+
+class _BuildArgs(ctypes.Structure):
+    """synth.c's ``BuildArgs``: scalars and array addresses, in order."""
+
+    _fields_ = [("bitgen", ctypes.c_void_p), ("n_ops", ctypes.c_int64)] + [
+        (name, ctypes.c_void_p) for name in ("ops", "cdf")
+    ] + [("lam", ctypes.c_double), ("hot_words", ctypes.c_int64)] + [
+        (name, ctypes.c_double) for name in (
+            "streaming", "pointer", "redundancy")
+    ] + [("n_keys", ctypes.c_int64), ("exponent", ctypes.c_double)] + [
+        (name, ctypes.c_int64) for name in ("n_main", "loop_span")
+    ] + [(name, ctypes.c_double) for name in (
+        "call_fraction", "loop_fraction", "loop_bias_cap", "bias_alpha",
+        "bias_beta",
+    )] + [(name, ctypes.c_int64) for name in (
+        "n_functions", "function_blocks",
+    )] + [("nested_call_fraction", ctypes.c_double)] + [
+        (name, ctypes.c_int64) for name in ("code_base", "slot_capacity")
+    ] + [(name, ctypes.c_void_p) for name in (
+        "block_pc", "block_end_pc", "block_kind", "block_dominant",
+        "block_bias", "block_others", "slot_start", "slot_op", "slot_mode",
+        "slot_key", "slot_stream_start", "hot_cursor",
+    )]
+
+
+#: numpy dtype of each ``BuildArgs`` array that is not ``int64``.
+_BUILD_DTYPES = {"cdf": np.float64, "block_bias": np.float64}
+
+
+def _build_check(fields: dict) -> None:
+    """Raise unless synth.c can build a program from ``fields`` within
+    its arrays, with sampler parameters numpy's Python layer accepts."""
+    names = [name for name, _ in _BuildArgs._fields_]
+    if sorted(fields) != sorted(names):
+        raise TypeError("build_program() needs exactly synth.c's BuildArgs "
+                        f"fields, got {sorted(fields)}")
+    if not isinstance(fields["bitgen"], np.random.Generator):
+        raise TypeError("build_program(): bitgen must be a "
+                        "numpy.random.Generator")
+    blocks = fields["n_main"] + fields["n_functions"] \
+        * fields["function_blocks"]
+    if min(fields["n_main"], fields["n_ops"], fields["hot_words"]) < 1 \
+            or min(fields["n_functions"], fields["loop_span"],
+                   fields["n_keys"], fields["slot_capacity"]) < 0 \
+            or (fields["n_functions"] and fields["function_blocks"] < 1):
+        raise ValueError("build_program() scalars out of range")
+    # Generator.poisson and Generator.beta check these; their C does not.
+    if not (math.isfinite(fields["lam"]) and fields["lam"] >= 0
+            and math.isfinite(fields["exponent"]) and fields["exponent"] >= 0
+            and all(math.isfinite(fields[name]) and fields[name] > 0
+                    for name in ("bias_alpha", "bias_beta"))):
+        raise ValueError("build_program() sampler parameters out of range")
+    for name, kind in _BuildArgs._fields_[1:]:
+        array = fields[name]
+        if kind is ctypes.c_void_p and not (
+                isinstance(array, np.ndarray) and array.flags.c_contiguous
+                and array.dtype == _BUILD_DTYPES.get(name, np.int64)):
+            raise TypeError(f"build_program(): {name} must be a C-contiguous "
+                            f"{np.dtype(_BUILD_DTYPES.get(name, np.int64))} "
+                            "array")
+    sizes = dict.fromkeys(("ops", "cdf"), fields["n_ops"])
+    sizes.update(dict.fromkeys(("block_pc", "block_end_pc", "block_kind",
+                                "block_dominant", "block_bias"), blocks))
+    sizes.update(dict.fromkeys(("slot_op", "slot_mode", "slot_key",
+                                "slot_stream_start", "hot_cursor"),
+                               fields["slot_capacity"]))
+    sizes.update(block_others=5 * blocks,         # synth.c's N_OTHERS
+                 slot_start=blocks + 1)
+    for name, size in sizes.items():
+        if fields[name].size < size:
+            raise ValueError(f"build_program(): {name} holds "
+                             f"{fields[name].size} < {size} entries")
+
+
+def build_program(**fields):
+    """Run synth.c's program build on ``fields``, every ``BuildArgs``
+    field by name: the ``numpy.random.Generator`` to draw from as
+    ``bitgen``, C-contiguous numpy arrays of the C field's type for the
+    other pointers, numbers for the rest.  The arrays are checked
+    against the sizes the build writes.
+
+    Returns False, touching nothing, when the kernel library or its
+    program build is unavailable, so the caller runs its Python builder
+    instead.  Otherwise returns the number of slots the program needs.
+    A number above ``slot_capacity`` means the slot arrays were too
+    small and the arrays are incomplete: build again from a freshly
+    seeded Generator with room for at least that many.
+    """
+    lib = _load()
+    if lib is None or not hasattr(lib, "repro_build_program"):
+        return False
+    _build_check(fields)
+    bit_generator = fields["bitgen"].bit_generator
+    args = _BuildArgs(**{
+        name: value.ctypes.data if isinstance(value, np.ndarray) else value
+        for name, value in fields.items() if name != "bitgen"
+    }, bitgen=bit_generator.ctypes.bit_generator.value)
+    with bit_generator.lock:
+        return lib.repro_build_program(ctypes.byref(args))

@@ -30,6 +30,7 @@ tuned to the paper's benchmark fingerprints live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -111,11 +112,14 @@ class WorkloadProfile:
     redundancy_exponent: float = 2.0   # power-law skew of key popularity
 
     def __post_init__(self):
-        if self.block_len_mean < 2:
-            raise ValueError("blocks need room for at least branch + 1 op")
+        if not 2 <= self.block_len_mean < math.inf:
+            raise ValueError("block_len_mean must be finite and leave "
+                             "room for at least branch + 1 op")
         weights = self._weights()
-        if min(weights.values()) < 0 or sum(weights.values()) <= 0:
-            raise ValueError("instruction-mix weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights.values()) \
+                or sum(weights.values()) <= 0:
+            raise ValueError("instruction-mix weights must be finite and "
+                             "non-negative")
         for frac in (self.loop_fraction, self.call_fraction,
                      self.streaming_fraction, self.pointer_fraction,
                      self.redundancy_fraction, self.nested_call_fraction,
@@ -126,14 +130,26 @@ class WorkloadProfile:
             raise ValueError("stack + hot fractions exceed 1")
         if not 0.0 < self.dep_lookback_p <= 1.0:
             raise ValueError("dep_lookback_p must lie in (0, 1]")
+        # The build's samplers: numpy checks these only in Python, so the
+        # C build must never see them, and min(beta, nan) would differ.
+        if not (0 < self.bias_alpha < math.inf
+                and 0 < self.bias_beta < math.inf):
+            raise ValueError("bias_alpha and bias_beta must be finite and "
+                             "positive")
+        if not 0.0 <= self.loop_bias_cap <= 1.0:
+            raise ValueError("loop_bias_cap must lie in [0, 1]")
+        if not 0 <= self.redundancy_exponent < math.inf:
+            raise ValueError("redundancy_exponent must be finite and "
+                             "non-negative")
         # The emitters index and divide by these; reject what would
-        # crash the Python loop or read out of bounds in the C one.
-        for knob in ("loop_span", "n_functions", "function_blocks",
-                     "max_call_depth", "data_footprint", "stack_bytes",
-                     "hot_bytes", "n_arenas", "n_streams", "stream_region",
-                     "n_redundant_keys"):
-            if getattr(self, knob) < 0:
-                raise ValueError(f"{knob} must be non-negative")
+        # crash the Python loop or read out of bounds in the C one, which
+        # takes them as int64.
+        for knob in ("n_blocks", "loop_span", "n_functions",
+                     "function_blocks", "max_call_depth", "data_footprint",
+                     "stack_bytes", "hot_bytes", "n_arenas", "n_streams",
+                     "stream_region", "n_redundant_keys", "region_bytes"):
+            if not 0 <= getattr(self, knob) < 1 << 63:
+                raise ValueError(f"{knob} must be a non-negative int64")
         if self.n_blocks < 1:
             raise ValueError("the main program needs at least one block")
         if self.n_functions and self.function_blocks < 1:
@@ -163,6 +179,9 @@ _CONDITIONAL = int(BranchKind.CONDITIONAL)
 _CALL = int(BranchKind.CALL)
 _RETURN = int(BranchKind.RETURN)
 _N_OTHERS = 5                  # non-dominant successors per main block
+#: The per-slot program arrays.
+_SLOTS = ("slot_op", "slot_mode", "slot_key", "slot_stream_start",
+          "hot_cursor")
 
 
 def _mix_cdf(profile: WorkloadProfile) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,6 +197,13 @@ def _mix_cdf(profile: WorkloadProfile) -> Tuple[np.ndarray, np.ndarray]:
     cdf = (probs / probs.sum()).cumsum()
     cdf /= cdf[-1]
     return ops, cdf
+
+
+def _slot_capacity(blocks: int, lam: float) -> int:
+    """Room for the slots of ``blocks`` blocks of ``max(1, Poisson(lam))``
+    slots each: their mean and eight standard deviations over it.  The
+    native build reports a program that needs more, and is re-run."""
+    return int(blocks * (lam + 1) + 8 * math.sqrt(blocks * lam)) + 16
 
 
 def _integers_below(rng: np.random.Generator):
@@ -235,10 +261,66 @@ class SyntheticProgram:
     slot: its op class, its mode (0 working set, 1 stream, 2 pointer
     chase), its redundancy key or ``NO_VALUE``, its stream pick and its
     ``hot_cursor`` into the hot heap, which :meth:`emit` advances.
+
+    The build runs in the compiled kernel library when it loads and in
+    :meth:`_build_python` otherwise; the two are bit-identical.
     """
 
     def __init__(self, profile: WorkloadProfile):
         self.profile = profile
+        if not self._build_native():
+            self._build_python()
+
+    def _build_native(self) -> bool:
+        """Build the program in synth.c; False if it is absent."""
+        profile = self.profile
+        ops, cdf = _mix_cdf(profile)
+        n = profile.n_blocks
+        blocks = n + profile.n_functions * profile.function_blocks
+        lam = profile.block_len_mean - 1
+        capacity = _slot_capacity(blocks, lam)
+        while True:
+            arrays = {name: np.empty(blocks, np.int64) for name in (
+                "block_pc", "block_end_pc", "block_kind", "block_dominant")}
+            arrays.update(
+                block_bias=np.empty(blocks, np.float64),
+                block_others=np.empty(_N_OTHERS * blocks, np.int64),
+                slot_start=np.empty(blocks + 1, np.int64),
+                **{name: np.empty(capacity, np.int64) for name in _SLOTS})
+            slots = native.build_program(
+                bitgen=np.random.default_rng(profile.seed),
+                n_ops=len(ops), ops=ops, cdf=cdf, lam=lam,
+                hot_words=max(1, profile.hot_bytes // _WORD),
+                streaming=profile.streaming_fraction,
+                pointer=profile.streaming_fraction + profile.pointer_fraction,
+                redundancy=profile.redundancy_fraction,
+                n_keys=profile.n_redundant_keys,
+                exponent=profile.redundancy_exponent,
+                n_main=n, loop_span=profile.loop_span,
+                call_fraction=profile.call_fraction,
+                loop_fraction=profile.loop_fraction,
+                loop_bias_cap=profile.loop_bias_cap,
+                bias_alpha=profile.bias_alpha, bias_beta=profile.bias_beta,
+                n_functions=profile.n_functions,
+                function_blocks=profile.function_blocks,
+                nested_call_fraction=profile.nested_call_fraction,
+                code_base=_CODE_BASE, slot_capacity=capacity, **arrays)
+            if slots is False:
+                return False
+            if slots <= capacity:
+                break
+            capacity = max(slots, 2 * capacity)
+        for name in _SLOTS:
+            arrays[name] = arrays[name][:slots]
+        for name, array in arrays.items():
+            setattr(self, name, array)
+        self.code_bytes = int(self.block_end_pc[-1]) + 4 - _CODE_BASE
+        self.n_main = n
+        return True
+
+    def _build_python(self) -> None:
+        """Build the program in Python: the reference for ``synth.c``."""
+        profile = self.profile
         rng = np.random.default_rng(profile.seed)
         random, poisson, beta = rng.random, rng.poisson, rng.beta
         integers = _integers_below(rng)

@@ -1,6 +1,7 @@
 """Tests for the statistical workload generator (repro.workloads.synthetic)."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.replication import replicated_suite
 from repro.cpu import BranchKind, OpClass, native
 from repro.workloads import SyntheticProgram, WorkloadProfile, generate_trace
+from repro.workloads import synthetic
 from repro.workloads.profiles import BENCHMARK_NAMES, default_length, profile
 from repro.workloads.synthetic import _integers_below, _mix_cdf
 from repro.workloads.trace import Trace
@@ -19,6 +21,17 @@ needs_native = pytest.mark.skipif(
     native._load() is None,
     reason="no C toolchain / native kernel build failed",
 )
+
+needs_build = pytest.mark.skipif(
+    not hasattr(native._load(), "repro_build_program"),
+    reason="kernel library built without numpy's sampler archive",
+)
+
+#: The twelve arrays of a program.
+PROGRAM_ARRAYS = ("block_pc", "block_end_pc", "block_kind",
+                  "block_dominant", "block_bias", "block_others",
+                  "slot_start", "slot_op", "slot_mode", "slot_key",
+                  "slot_stream_start", "hot_cursor")
 
 #: The ten arrays of a trace, in constructor order.
 TRACE_ARRAYS = ("pc", "op", "src1", "src2", "dst", "mem_addr",
@@ -69,6 +82,25 @@ class TestProfileValidation:
         dict(stack_bytes=-1),
         dict(hot_bytes=-1),
         dict(stream_region=-1),
+        dict(hot_bytes=1 << 63),
+        dict(n_blocks=1 << 63),
+        dict(block_len_mean=math.nan),
+        dict(block_len_mean=math.inf),
+        dict(ialu_weight=math.nan),
+        dict(load_weight=math.inf),
+        dict(bias_alpha=math.nan),
+        dict(bias_alpha=math.inf),
+        dict(bias_alpha=0.0),
+        dict(bias_alpha=-1.0),
+        dict(bias_beta=math.nan),
+        dict(bias_beta=0.0),
+        dict(bias_beta=-0.5),
+        dict(loop_bias_cap=math.nan),
+        dict(loop_bias_cap=1.5),
+        dict(loop_bias_cap=-0.1),
+        dict(redundancy_exponent=-1.0),
+        dict(redundancy_exponent=math.nan),
+        dict(redundancy_exponent=math.inf),
     ], ids=lambda knobs: ",".join(f"{k}={v}" for k, v in knobs.items()))
     def test_knobs_the_emitters_cannot_use(self, knobs):
         with pytest.raises(ValueError):
@@ -343,13 +375,17 @@ GOLDEN = {
 }
 
 
-PATHS = [pytest.param("native", marks=needs_native), "python"]
+PATHS = [pytest.param("native", marks=needs_native),
+         pytest.param("python-build", marks=needs_native), "python"]
 
 
 @pytest.fixture
 def path(request, monkeypatch):
-    """Run ``emit`` through synth.c or, with the kernel switched off as
-    ``REPRO_NATIVE=0`` does, through the Python loop."""
+    """Build and emit in synth.c; build in Python and emit in synth.c;
+    or, with the kernel switched off as ``REPRO_NATIVE=0`` does, build
+    and emit in Python."""
+    if request.param == "python-build":
+        monkeypatch.setattr(native, "build_program", lambda **_: False)
     if request.param == "python":
         monkeypatch.setattr(native, "_lib", False)
     return request.param
@@ -392,6 +428,90 @@ class TestGoldenBytes:
         for name, traces in suite.items():
             for r, trace in enumerate(traces):
                 assert trace.fingerprint() == GOLDEN[f"replicated/{name}#{r}"]
+
+
+def _python_program(profile: WorkloadProfile) -> SyntheticProgram:
+    with mock.patch.object(native, "_lib", False):
+        return SyntheticProgram(profile)
+
+
+def _assert_same_program(program, oracle):
+    for field in PROGRAM_ARRAYS:
+        x, y = getattr(program, field), getattr(oracle, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+    assert program.code_bytes == oracle.code_bytes
+    assert program.n_main == oracle.n_main
+
+
+@needs_build
+@given(seed=st.integers(1, 2 ** 32), knobs=st.fixed_dictionaries(dict(
+    n_blocks=st.integers(1, 60),
+    n_functions=st.integers(0, 6),
+    function_blocks=st.integers(1, 4),
+    block_len_mean=st.floats(2.0, 16.0),
+    loop_fraction=st.sampled_from([0.0, 0.35, 1.0]),
+    loop_span=st.integers(0, 12),
+    loop_bias_cap=st.sampled_from([0.0, 0.5, 0.75, 1.0]),
+    bias_alpha=st.sampled_from([0.3, 1.0, 2.5, 8.0]),
+    bias_beta=st.sampled_from([0.5, 1.0, 3.0]),
+    call_fraction=st.sampled_from([0.0, 0.04, 0.5, 1.0]),
+    nested_call_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+    hot_bytes=st.sampled_from([0, 7, 8, 96, 32 * 1024, 8 << 32, 8 << 40]),
+    streaming_fraction=st.sampled_from([0.0, 0.1, 1.0]),
+    pointer_fraction=st.sampled_from([0.0, 0.05, 1.0]),
+    redundancy_fraction=st.sampled_from([0.0, 0.25, 1.0]),
+    n_redundant_keys=st.sampled_from([0, 1, 2048]),
+    redundancy_exponent=st.sampled_from([0.0, 0.5, 2.0, 7.0]),
+    ialu_weight=st.sampled_from([0.0, 0.5]),
+    falu_weight=st.sampled_from([0.0, 0.3]),
+    idiv_weight=st.sampled_from([0.0, 0.002]),
+    load_weight=st.sampled_from([0.0, 0.25]),
+    store_weight=st.sampled_from([0.01, 0.1]),
+)))
+@settings(max_examples=40, deadline=None)
+@example(seed=3, knobs=dict(block_len_mean=14.5))       # PTRS Poisson
+@example(seed=5, knobs=dict(block_len_mean=2.0))        # empty bodies
+@example(seed=7, knobs=dict(bias_alpha=0.5, bias_beta=0.8))   # Johnk beta
+@example(seed=11, knobs=dict(hot_bytes=8 << 32))        # whole 32-bit word
+@example(seed=13, knobs=dict(hot_bytes=(8 << 32) + 8))  # 64-bit draws
+@example(seed=17, knobs=dict(hot_bytes=7))              # bound 1: no draw
+@example(seed=19, knobs=dict(n_functions=0, function_blocks=1, loop_span=0,
+                             call_fraction=1.0, loop_fraction=1.0))
+@example(seed=23, knobs=dict(n_redundant_keys=0, redundancy_fraction=1.0))
+@example(seed=29, knobs=dict(n_redundant_keys=(1 << 63) - 1,
+                             redundancy_exponent=0.0,
+                             redundancy_fraction=1.0))  # keys past 2**63
+def test_native_build_matches_python_builder(seed, knobs):
+    """Both builders draw the same program, all twelve arrays and the
+    code size, over the knob space and numpy's sampler branches the
+    thirteen profiles never reach."""
+    p = small_profile(name="parity", seed=seed, **knobs)
+    _assert_same_program(SyntheticProgram(p), _python_program(p))
+
+
+@needs_build
+def test_native_build_reruns_a_program_that_overflows(monkeypatch):
+    """A program with more slots than the arrays hold is reported, never
+    written past, and built again with room for it, whether it
+    overflows in the main program or in a function."""
+    p = small_profile(n_blocks=2, n_functions=6, function_blocks=4)
+    oracle = _python_program(p)
+    calls = []
+
+    def build_program(**fields):
+        slots = real(**fields)
+        calls.append((fields["slot_capacity"], slots))
+        return slots
+
+    real = native.build_program
+    monkeypatch.setattr(native, "build_program", build_program)
+    monkeypatch.setattr(synthetic, "_slot_capacity", lambda *_: 1)
+    _assert_same_program(SyntheticProgram(p), oracle)
+    total, main = int(oracle.slot_start[-1]), int(oracle.slot_start[2])
+    assert calls[-1] == (calls[-1][0], total) and calls[-1][0] >= total
+    assert all(capacity < slots <= total for capacity, slots in calls[:-1])
+    # Overflows reported inside the main program and inside a function.
+    assert {slots <= main for _, slots in calls[:-1]} == {True, False}
 
 
 @needs_native
@@ -541,6 +661,51 @@ class TestNativeEntryChecks:
             self._emit(program)
 
 
+@needs_build
+class TestBuildEntryChecks:
+    """synth.c's build gets only arrays it can write within bounds and
+    sampler parameters numpy's Python layer would accept."""
+
+    @pytest.fixture
+    def fields(self):
+        """The arguments ``SyntheticProgram`` passes ``build_program``."""
+        calls = []
+
+        def build_program(**fields):
+            calls.append(fields)
+            return False
+
+        with mock.patch.object(native, "build_program", build_program):
+            SyntheticProgram(small_profile())
+        return calls[0]
+
+    def test_accepts_what_the_builder_allocates(self, fields):
+        slots = native.build_program(**fields)
+        assert 0 < slots <= fields["slot_capacity"]
+
+    def test_wrong_dtype(self, fields):
+        fields["block_bias"] = fields["block_bias"].astype(np.float32)
+        with pytest.raises(TypeError, match="block_bias"):
+            native.build_program(**fields)
+
+    def test_not_a_generator(self, fields):
+        fields["bitgen"] = fields["bitgen"].bit_generator
+        with pytest.raises(TypeError, match="Generator"):
+            native.build_program(**fields)
+
+    def test_capacity_past_the_slot_arrays(self, fields):
+        fields["slot_capacity"] = fields["slot_op"].size + 1
+        with pytest.raises(ValueError, match="slot_op"):
+            native.build_program(**fields)
+
+    @pytest.mark.parametrize("knob", ["bias_alpha", "bias_beta", "lam",
+                                      "exponent"])
+    def test_sampler_parameters_numpy_rejects(self, fields, knob):
+        fields[knob] = -1.0
+        with pytest.raises(ValueError, match="sampler"):
+            native.build_program(**fields)
+
+
 class TestInlinedDraws:
     """The build skips numpy's per-call overhead by doing what
     ``Generator.choice`` and ``Generator.integers`` do; if a numpy
@@ -586,3 +751,50 @@ class TestInlinedDraws:
                 assert [low + integers(high - low) for _ in range(4)] == \
                     numpy.integers(low, high, size=4).tolist()
         assert ours.random() == numpy.random()
+
+
+class TestLibraryBuild:
+    """The program build links numpy's sampler archive; without it the
+    library still builds and emits, and either way the artifact name
+    follows the archive's and the header's bytes."""
+
+    @needs_build
+    def test_library_without_samplers_still_emits(self, tmp_path,
+                                                  monkeypatch):
+        compiler = native._toolchain()
+        full = native._recipe(compiler)[0]
+        monkeypatch.setattr(native, "_samplers", lambda: None)
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setattr(native, "_lib", None)
+        lib = native._load()
+        assert lib is not None and not hasattr(lib, "repro_build_program")
+        assert native._recipe(compiler)[0] != full
+        assert [path.name for path in tmp_path.glob("*.so")] == \
+            [native._recipe(compiler)[0]]
+        assert native.build_program() is False
+        emitted = []
+
+        def synthesize(**fields):
+            emitted.append(real(**fields))
+            return emitted[-1]
+
+        real = native.synthesize
+        monkeypatch.setattr(native, "synthesize", synthesize)
+        trace = SyntheticProgram(profile("gcc")).emit(17, name="gcc")
+        assert emitted == [True]
+        assert trace.fingerprint() == GOLDEN["gcc/len17"]
+
+    def test_sampler_bytes_enter_the_artifact_name(self, tmp_path,
+                                                   monkeypatch):
+        header, archive = tmp_path / "bitgen.h", tmp_path / "libnpyrandom.a"
+        header.write_bytes(b"typedef struct bitgen bitgen_t;\n")
+        archive.write_bytes(b"!<arch>\n")
+        monkeypatch.setattr(native, "_samplers", lambda: (header, archive))
+        names = [native._recipe("cc")[0]]
+        archive.write_bytes(b"!<arch>\n\n")
+        names.append(native._recipe("cc")[0])
+        header.write_bytes(b"typedef struct bitgen bitgen_t; \n")
+        names.append(native._recipe("cc")[0])
+        monkeypatch.setattr(native, "_samplers", lambda: None)
+        names.append(native._recipe("cc")[0])
+        assert len(set(names)) == 4
