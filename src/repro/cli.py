@@ -94,7 +94,8 @@ def _add_exec_args(parser):
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="on-disk simulation result cache; reruns and related "
+        help="on-disk simulation result cache (one append-only "
+             "segment many runs can share); reruns and related "
              "analyses reuse measurements instead of re-simulating",
     )
     parser.add_argument(
@@ -287,11 +288,12 @@ def _apply_run_dir(args):
     """Expand ``--run-dir DIR`` into the individual artifact flags.
 
     Fills every artifact path the offline ``repro verify`` contract
-    expects — ``journal.jsonl``, ``manifest.json``, ``metrics.jsonl``,
-    ``cache/`` and ``results.json`` under one directory — leaving any
-    flag the user set explicitly alone.  The run-dir's journal exists
-    to be resumed, so ``--resume`` is implied for it.  Returns the
-    results path (or ``None`` when no run dir was requested).
+    expects — ``journal.jsonl``, ``manifest.json``, ``metrics.jsonl``
+    and ``results.json`` under one directory — leaving any flag the
+    user set explicitly alone.  The journal is the run dir's only
+    result store (a shared ``--cache-dir`` stays opt-in), and it
+    exists to be resumed, so ``--resume`` is implied for it.  Returns
+    the results path (or ``None`` when no run dir was requested).
     """
     run_dir = getattr(args, "run_dir", None)
     if not run_dir:
@@ -307,8 +309,6 @@ def _apply_run_dir(args):
         args.manifest = str(base / "manifest.json")
     if args.metrics is None:
         args.metrics = str(base / "metrics.jsonl")
-    if args.cache_dir is None:
-        args.cache_dir = str(base / "cache")
     if getattr(args, "stream", None) is None:
         # The event log is cheap, crash-durable and what 'repro top'
         # reads, so a verifiable run dir always streams; --profile
@@ -994,13 +994,9 @@ def cmd_gc(args) -> int:
     from repro.guard.retention import gc_run_dir
 
     if not os.path.isdir(args.run_dir):
-        raise SystemExit(f"no such run directory: {args.run_dir}")
+        raise SystemExit(f"no such directory: {args.run_dir}")
     report = gc_run_dir(
         args.run_dir,
-        cache_budget_bytes=args.cache_budget_bytes,
-        cache_budget_entries=args.cache_budget_entries,
-        quarantine_budget_bytes=args.quarantine_budget_bytes,
-        quarantine_budget_entries=args.quarantine_budget_entries,
         spool_budget_results=args.spool_budget_results,
         compact=args.compact_journal,
         dry_run=args.dry_run,
@@ -1010,16 +1006,15 @@ def cmd_gc(args) -> int:
         return 0
     verb = "would remove" if args.dry_run else "removed"
     print(f"{args.run_dir}: gc {verb}:")
-    print(f"  cache: {report.cache_evicted} entries "
-          f"({report.cache_evicted_bytes} bytes), "
-          f"{report.cache_pinned_kept} pinned kept")
-    print(f"  quarantine: {report.quarantine_pruned} files "
-          f"({report.quarantine_pruned_bytes} bytes)")
     print(f"  spool: {report.spool_results_removed} consumed results "
           f"({report.spool_results_bytes} bytes), "
           f"{report.spool_tmp_removed} orphaned temp files")
     print(f"  journal: {report.journal_lines_dropped} lines dropped "
           f"({report.journal_bytes_freed} bytes freed)")
+    for path, reasons in sorted(report.dropped.items()):
+        breakdown = ", ".join(f"{reason}: {count}"
+                              for reason, count in sorted(reasons.items()))
+        print(f"    {path}: {breakdown}")
     return 0
 
 
@@ -1035,10 +1030,13 @@ def cmd_cache_stats(args) -> int:
     if args.json:
         print(json.dumps(stats.to_dict(), indent=2, sort_keys=True))
         return 0
-    print(f"{stats.path}: {stats.entries} entries, "
-          f"{stats.bytes} bytes; quarantine: "
-          f"{stats.quarantine_entries} files, "
-          f"{stats.quarantine_bytes} bytes")
+    dropped = ", ".join(f"{reason}: {count}"
+                        for reason, count in sorted(stats.dropped.items()))
+    print(f"{stats.path}: {stats.entries} valid of {stats.lines} "
+          f"segment lines, {stats.bytes} bytes"
+          + (f"; dropped ({dropped})" if dropped else "")
+          + (f"; {stats.legacy_entries} legacy *.pkl files ignored"
+             if stats.legacy_entries else ""))
     return 0
 
 
@@ -1070,7 +1068,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--run-dir", default=None, metavar="DIR",
         help="write every artifact of a verifiable run under DIR "
-             "(journal, manifest, metrics, cache, sealed results); "
+             "(journal, manifest, metrics, event log, sealed "
+             "results); "
              "check it later with 'repro verify DIR'",
     )
     p.set_defaults(func=cmd_screen)
@@ -1287,38 +1286,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "gc",
-        help="garbage-collect a run directory's stores under "
-             "explicit budgets (journal-referenced and in-flight "
-             "keys are never evicted)",
+        help="garbage-collect a run or cache directory's stores: "
+             "remove journal-covered spool results, and compact the "
+             "journal and cache segment on request",
     )
-    p.add_argument("run_dir", metavar="RUN_DIR",
-                   help="directory written by '--run-dir' (cache/, "
-                        "journal.jsonl, spool/ as present)")
-    p.add_argument("--cache-budget-bytes", type=int, default=None,
-                   metavar="N",
-                   help="evict LRU cache entries until at most N "
-                        "bytes remain (default: no byte budget)")
-    p.add_argument("--cache-budget-entries", type=int, default=None,
-                   metavar="N",
-                   help="evict LRU cache entries until at most N "
-                        "remain (default: no entry budget)")
-    p.add_argument("--quarantine-budget-bytes", type=int, default=None,
-                   metavar="N",
-                   help="prune quarantined files, oldest first, to at "
-                        "most N bytes")
-    p.add_argument("--quarantine-budget-entries", type=int,
-                   default=None, metavar="N",
-                   help="prune quarantined files, oldest first, to at "
-                        "most N files")
+    p.add_argument("run_dir", metavar="DIR",
+                   help="directory written by '--run-dir' "
+                        "(journal.jsonl, cache/, spool/ as present), "
+                        "or a '--cache-dir' (segment.jsonl)")
     p.add_argument("--spool-budget-results", type=int, default=None,
                    metavar="N",
                    help="remove journal-covered spool results, oldest "
-                        "first, to at most N files (default with any "
-                        "other flag absent: remove all consumed)")
+                        "first, to at most N files (default: remove "
+                        "all consumed)")
     p.add_argument("--compact-journal", action="store_true",
-                   help="also rewrite the journal keeping one line "
-                        "per key (atomic; damaged lines dropped and "
-                        "counted)")
+                   help="also rewrite journal.jsonl and the "
+                        "cache segment keeping the last valid "
+                        "line per key (atomic; invalid and duplicate "
+                        "lines dropped and counted per reason)")
     p.add_argument("--dry-run", action="store_true",
                    help="report what would be removed without "
                         "deleting anything")
@@ -1333,7 +1318,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="action", required=True)
     pcs = csub.add_parser(
         "stats",
-        help="entries, bytes and quarantine load of a cache directory",
+        help="valid and dropped segment lines of a cache directory",
     )
     pcs.add_argument("cache_dir", metavar="CACHE_DIR",
                      help="a --cache-dir directory (or RUN_DIR/cache)")

@@ -7,23 +7,32 @@ results safe to memoise by a content hash of the inputs —
 :func:`task_key` computes it, :class:`ResultCache` stores the stats.
 
 The cache has two layers: an in-memory dict (always on) and an
-optional on-disk directory of pickled stats, one file per key, written
-atomically so concurrent runs sharing a cache directory never read a
-torn entry.  Enhancement analyses, iterative refinement and repeated
-benchmark sessions all hit the same keys, so the second time a
-configuration is measured it costs a dictionary lookup or one small
-file read instead of a full pipeline simulation.
+optional on-disk **segment**, ``<path>/segment.jsonl``: one
+append-only file in the :mod:`repro.exec.journal` line format,
+written by the journal's flock'd, roll-back-on-fault append.  On
+first use every line is checked by the journal's loader and the
+valid ones are indexed by offset; a line is unpickled when its key is
+first looked up, so opening a large shared segment costs a scan, not
+a copy of every run's statistics.  Enhancement analyses,
+iterative refinement and repeated benchmark sessions all hit the same
+keys, so the second time a configuration is measured it costs a
+dictionary lookup instead of a full pipeline simulation.
 
-On-disk entries are **sealed** (:mod:`repro.guard.seal`): each file
-carries a header naming its kind, schema version, the
-``SIMULATOR_VERSION`` it was measured under, and a content checksum.
-A loader that finds anything wrong — corruption, truncation, a bare
-legacy pickle, an entry written under a different simulator version
-(possible despite key salting via hand edits or migrated directories)
-— **quarantines** the file under ``<cache>/quarantine/`` with the
-failure reason in its name, counts it per reason, and reports a miss.
-Nothing is silently deleted and, more importantly, nothing invalid is
-ever trusted.
+Every line carries its payload checksum and the ``SIMULATOR_VERSION``
+it was measured under.  A damaged line — torn, malformed, checksum
+mismatch, unpicklable — is dropped, counted per reason and reported
+as a miss: nothing invalid is ever trusted.  A line measured under
+another simulator version is normal traffic in a shared segment (its
+key was salted with that version, so it is never looked up): it is
+skipped without being counted.  ``repro gc --compact-journal DIR``
+rewrites the segment without either kind.  Many runs may share one
+cache directory; a concurrent run's appends become visible at the
+next open (not on a miss), which at worst re-simulates a cell, never
+returns a wrong one.
+
+One-file-per-key caches (``<key>.pkl`` entries written by earlier
+versions) are not read: a directory holding them draws one
+:class:`RuntimeWarning` per open and the entries are ignored.
 """
 
 from __future__ import annotations
@@ -33,30 +42,79 @@ import hashlib
 import json
 import math
 import os
-import pickle
+import warnings
 import weakref
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.cpu import SIMULATOR_VERSION
 from repro.cpu.stats import CoreStats
-from repro.guard import faults, retention
-from repro.guard.errors import SealError, StatsInvalid
-from repro.guard.seal import check as check_seal, seal as make_seal
 
-#: Format version of one sealed cache entry (the ``schema`` field of
-#: its seal header).  v1 was the bare pickle written before sealing
-#: existed; bare pickles are now quarantined as ``unsealed``.
-CACHE_ENTRY_SCHEMA = 2
+from .journal import Journal, _check_line, _judge_lines, _parse_line
 
-#: Seal ``kind`` tag for result-cache entries.
-CACHE_ENTRY_KIND = "result-cache"
+#: File name of the on-disk segment inside a cache directory.
+SEGMENT_NAME = "segment.jsonl"
 
-#: Default cap on the quarantine directory, in entries.  Repeated
-#: corruption (a flaky disk, a byte-flipping NFS client) must not
-#: grow ``<cache>/quarantine/`` without bound; the newest evidence is
-#: kept, the oldest pruned, every prune counted.  ``None`` disables.
-QUARANTINE_BUDGET_ENTRIES = 256
+
+class _Unread:
+    """Where a loaded segment line sits, until its first :meth:`get
+    <_Segment.get>` unpickles it."""
+
+    __slots__ = ("start", "length")
+
+    def __init__(self, start: int, length: int):
+        self.start = start
+        self.length = length
+
+
+class _Segment(Journal):
+    """A cache directory's segment: a journal whose lines of other
+    simulator versions are inert rather than damage, and whose lines
+    are unpickled on first :meth:`get` — a shared segment holds every
+    run's cells, and a run needs only its own.
+
+    Loading checks every line (envelope, version, checksum) and
+    indexes the valid ones by offset in the file as it was opened;
+    the handle stays open, so a later rewrite by compaction cannot
+    move a line under the index.
+    """
+
+    def _load(self) -> None:
+        self._reader = open(self.path, "rb")
+        data = self._reader.read()
+        for _lineno, start, raw, key, _blob, reason in _judge_lines(
+                data, self.version, _check_line):
+            if reason is None:
+                self._entries[key] = _Unread(data.find(raw, start),
+                                             len(raw))
+            elif reason != "version-drift":
+                self._drop(reason)
+        self._warn_dropped()
+
+    def _repair_hint(self) -> str:
+        return (f"run 'repro gc --compact-journal {self.path.parent}' "
+                "to drop them")
+
+    def get(self, key: str):
+        stats = self._entries.get(key)
+        if type(stats) is _Unread:
+            line = os.pread(self._reader.fileno(), stats.length,
+                            stats.start)
+            found, stats, reason = _parse_line(line, self.version)
+            if reason is None and found == key:
+                self._entries[key] = stats
+            else:
+                del self._entries[key]
+                self._drop(reason or "malformed")
+                self._warn_dropped()
+                stats = None
+        return stats
+
+    def close(self) -> None:
+        reader = getattr(self, "_reader", None)
+        if reader is not None:
+            reader.close()
+        super().close()
 
 
 def canonicalize(value):
@@ -201,38 +259,25 @@ class ResultCache:
     Parameters
     ----------
     path:
-        Directory for the on-disk layer (created if missing).  ``None``
-        keeps the cache purely in-memory — still useful within one
-        process (e.g. iterative refinement revisiting configurations).
+        Directory for the on-disk segment (created if missing).
+        ``None`` keeps the cache purely in-memory — still useful
+        within one process (e.g. iterative refinement revisiting
+        configurations).
     version:
-        The simulator version entries must have been measured under
-        (default :data:`~repro.cpu.SIMULATOR_VERSION`).  Task keys
-        already salt the version, but the key is only the file *name*;
-        the seal inside the file is what proves the *content* matches
-        — a renamed, hand-edited or migrated entry fails here.
-    budget_bytes / budget_entries:
-        Disk budget for the on-disk layer (``None`` = unbounded).
-        After every put, least-recently-used entries are evicted
-        until the directory fits — except keys this process has
-        touched (:attr:`pinned`), which are never evicted: an
-        in-flight run's working set outranks the budget.
-    quarantine_entries:
-        Cap on the quarantine directory
-        (:data:`QUARANTINE_BUDGET_ENTRIES` by default; ``None``
-        disables).  Oldest quarantined files are pruned first and
-        counted in :attr:`quarantine_pruned`.
+        The simulator version segment lines must have been measured
+        under (default :data:`~repro.cpu.SIMULATOR_VERSION`).  Task
+        keys already salt the version; the line's own ``sim`` field
+        is what proves the *content* matches, so a line of another
+        version is never returned (and, being normal in a shared
+        segment, never counted as damage).
 
     Attributes
     ----------
     hits / misses:
         Lookup counters, for instrumentation and tests.
-    corrupt:
-        Invalid on-disk entries encountered (each is quarantined and
-        treated as a miss); the total across all reasons.
-    quarantined:
-        Per-reason breakdown of :attr:`corrupt` (``checksum``,
-        ``truncated``, ``unsealed``, ``version-drift``, ...), the
-        reason slugs of :mod:`repro.guard.errors`.
+    legacy_entries:
+        One-file ``*.pkl`` entries of the earlier format found in
+        ``path`` at open; they are never read.
     put_failures:
         Failed :meth:`put` calls (disk full, read-only directory).
         The execution engine increments this when a write raises, and
@@ -242,187 +287,106 @@ class ResultCache:
     """
 
     def __init__(self, path: Optional[Union[str, os.PathLike]] = None,
-                 *, version: str = SIMULATOR_VERSION,
-                 budget_bytes: Optional[int] = None,
-                 budget_entries: Optional[int] = None,
-                 quarantine_entries: Optional[int] =
-                 QUARANTINE_BUDGET_ENTRIES):
+                 *, version: str = SIMULATOR_VERSION):
         self.path = Path(path) if path is not None else None
-        if self.path is not None:
-            self.path.mkdir(parents=True, exist_ok=True)
         self.version = str(version)
-        self.budget_bytes = budget_bytes
-        self.budget_entries = budget_entries
-        self.quarantine_entries = quarantine_entries
-        self._memory: dict = {}
-        #: Keys this process has touched (get/put) — never evicted.
-        self.pinned: Set[str] = set()
         self.hits = 0
         self.misses = 0
-        self.corrupt = 0
         self.put_failures = 0
-        self.evicted = 0
-        self.quarantine_pruned = 0
-        self.quarantined: Dict[str, int] = {}
+        self._memory: Dict[str, CoreStats] = {}
+        self._segment: Optional[Journal] = None
+        legacy = []
+        if self.path is not None:
+            self.path.mkdir(parents=True, exist_ok=True)
+            legacy = [entry.name
+                      for entry in sorted(self.path.glob("*.pkl"))]
+        self.legacy_entries = len(legacy)
+        if legacy:
+            warnings.warn(
+                f"result cache {self.path}: ignoring {len(legacy)} "
+                "one-file entr(y/ies) of the earlier format "
+                f"({legacy[0]}, ...); results now live in "
+                f"{SEGMENT_NAME}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    def _load(self) -> None:
+        """Open the segment — once, on first use.  Its index becomes
+        the in-memory layer, so no cell is held twice."""
+        if self.path is not None and self._segment is None:
+            self._segment = _Segment(self.path / SEGMENT_NAME,
+                                     version=self.version)
+            self._memory = self._segment._entries
+
+    @property
+    def corrupt(self) -> int:
+        """Damaged segment lines dropped (total across reasons),
+        counted when the segment is read — an unpicklable payload
+        when its key is first looked up; lines of other simulator
+        versions are not damage and are not counted."""
+        return self._segment.corrupt if self._segment is not None else 0
+
+    @property
+    def dropped(self) -> Dict[str, int]:
+        """Per-reason breakdown of :attr:`corrupt` (``checksum``,
+        ``torn``, ``unpicklable``, ...), the journal's reason
+        slugs."""
+        return dict(self._segment.dropped) \
+            if self._segment is not None else {}
 
     def counters(self) -> dict:
         """The bookkeeping counters as a plain mapping.
 
-        Keys (``hits``, ``misses``, ``corrupt``, ``put_failures``,
-        ``quarantined``, ``evicted``, ``quarantine_pruned``) are
+        Keys (``corrupt``, ``hits``, ``misses``, ``put_failures``) are
         stable — this is the shape the metrics registry
         (:mod:`repro.obs.metrics`) surfaces under ``cache.*``.
-        ``quarantined`` equals ``corrupt`` (it is the same total,
-        kept under the name the quarantine directory uses); the
-        per-reason breakdown lives in :attr:`quarantined`.
         """
         return {
             "corrupt": self.corrupt,
-            "evicted": self.evicted,
             "hits": self.hits,
             "misses": self.misses,
             "put_failures": self.put_failures,
-            "quarantine_pruned": self.quarantine_pruned,
-            "quarantined": sum(self.quarantined.values()),
         }
 
-    def _file(self, key: str) -> Path:
-        return self.path / f"{key}.pkl"
-
-    def _quarantine(self, file: Path, key: str, reason: str) -> None:
-        """Move a bad entry aside, named after its failure reason.
-
-        ``<cache>/quarantine/<key>.<reason>.pkl`` — out of the lookup
-        path (so it can never be trusted again) but preserved for
-        diagnosis (``repro verify`` lists quarantined entries by
-        reason).  If even the move fails the entry is deleted: an
-        invalid file must never remain where ``get`` would retry it
-        forever.
-        """
-        self.corrupt += 1
-        self.quarantined[reason] = self.quarantined.get(reason, 0) + 1
-        try:
-            directory = self.path / "quarantine"
-            directory.mkdir(exist_ok=True)
-            os.replace(file, directory / f"{key}.{reason}.pkl")
-        except OSError:
-            file.unlink(missing_ok=True)
-            return
-        if self.quarantine_entries is not None:
-            pruned = retention.gc_quarantine(
-                directory, budget_entries=self.quarantine_entries,
-            )
-            self.quarantine_pruned += pruned.quarantine_pruned
-
-    def _load_disk(self, key: str) -> Optional[CoreStats]:
-        """Validate and load one on-disk entry (shared by ``get`` and
-        ``__contains__`` so both agree on what counts as present).
-
-        An entry that fails its seal check (torn, truncated, legacy
-        unsealed, simulator-version drift), fails to unpickle, or
-        carries numerically broken statistics is quarantined with its
-        reason, counted, and reported as absent.
-        """
-        if self.path is None:
-            return None
-        file = self._file(key)
-        try:
-            blob = file.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None
-        try:
-            payload = check_seal(
-                blob, kind=CACHE_ENTRY_KIND, schema=CACHE_ENTRY_SCHEMA,
-                simulator_version=self.version,
-            )
-        except SealError as exc:
-            self._quarantine(file, key, exc.reason)
-            return None
-        try:
-            stats = pickle.loads(payload)
-        except Exception:
-            self._quarantine(file, key, "unpicklable")
-            return None
-        validate = getattr(stats, "validate", None)
-        if callable(validate):
-            try:
-                validate()
-            except StatsInvalid:
-                self._quarantine(file, key, "invalid-stats")
-                return None
-        self._memory[key] = stats
-        self.pinned.add(key)
-        # Refresh the entry's recency so budget eviction is true LRU:
-        # "old" means unused, not merely written long ago.
-        try:
-            os.utime(file)
-        except OSError:
-            pass
-        return stats
+    def _lookup(self, key: str) -> Optional[CoreStats]:
+        self._load()
+        if self._segment is None:
+            return self._memory.get(key)
+        return self._segment.get(key)
 
     def get(self, key: str) -> Optional[CoreStats]:
         """The cached stats for ``key``, or ``None`` on a miss."""
-        if key in self._memory:
+        stats = self._lookup(key)
+        if stats is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            self.pinned.add(key)
-            return self._memory[key]
-        stats = self._load_disk(key)
-        if stats is not None:
-            self.hits += 1
-            return stats
-        self.misses += 1
-        return None
+        return stats
 
     def put(self, key: str, stats: CoreStats) -> None:
-        """Store ``stats`` under ``key`` in both layers (sealed on disk).
+        """Store ``stats`` under ``key`` (idempotent per key).
 
-        The on-disk write goes through the sanctioned atomic-publish
-        seam (:func:`repro.guard.faults.publish_bytes`): under an
-        I/O fault — injected or real — the entry name is never
-        visible torn, and the ``OSError`` propagates so the engine's
-        ``put_failures`` accounting (the "cache writes are down"
-        switch) can degrade loudly.  A successful put then enforces
-        the disk budget, evicting LRU entries not pinned by this
-        process.
+        On disk this is :meth:`Journal.record
+        <repro.exec.journal.Journal.record>` on the segment: one
+        flushed line, appended under an exclusive ``flock`` through
+        the fault seam and rolled back on any ``OSError``.  A key the
+        cache already holds appends nothing.  A persistent fault
+        propagates so the engine's ``put_failures`` accounting (the
+        "cache writes are down" switch) can degrade loudly.
         """
-        self._memory[key] = stats
-        self.pinned.add(key)
-        if self.path is not None:
-            blob = make_seal(
-                pickle.dumps(stats, pickle.HIGHEST_PROTOCOL),
-                kind=CACHE_ENTRY_KIND, schema=CACHE_ENTRY_SCHEMA,
-                simulator_version=self.version,
-            )
-            faults.publish_bytes(self._file(key), blob)
-            self._enforce_budget()
-
-    def _enforce_budget(self) -> None:
-        """Evict LRU unpinned entries until the budget is met."""
-        if self.budget_bytes is None and self.budget_entries is None:
-            return
-        report = retention.gc_cache(
-            self.path, budget_bytes=self.budget_bytes,
-            budget_entries=self.budget_entries, pinned=self.pinned,
-        )
-        self.evicted += report.cache_evicted
+        self._load()
+        if self._segment is None:
+            self._memory[key] = stats
+        else:
+            self._segment.record(key, stats)
 
     def __contains__(self, key: str) -> bool:
-        """Membership that agrees with :meth:`get`.
-
-        An on-disk file only counts if it actually loads: a torn entry
-        (which ``get`` would delete and miss on) must not answer
-        ``True`` here, or callers would skip work they still need to
-        do.
-        """
-        if key in self._memory:
-            return True
-        return self._load_disk(key) is not None
+        """Membership that agrees with :meth:`get`: a segment line
+        whose payload does not load is not held."""
+        return self._lookup(key) is not None
 
     def __len__(self) -> int:
-        """Number of distinct entries across both layers."""
-        keys = set(self._memory)
-        if self.path is not None:
-            keys.update(f.stem for f in sorted(self.path.glob("*.pkl")))
-        return len(keys)
+        """Number of distinct keys held."""
+        self._load()
+        return len(self._memory)

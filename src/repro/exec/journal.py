@@ -1,11 +1,11 @@
 """Append-only checkpoint journal for interrupted simulation grids.
 
-A :class:`~repro.exec.cache.ResultCache` already makes reruns cheap,
-but it is an *optional* performance feature keyed for global reuse.
-The journal is the *durability* feature: one file per screen that
-records every completed cell as it finishes, so a run killed at cell
-79 of 88 — Ctrl-C, OOM, power loss — resumes from cell 80 instead of
-cell 1, even when no cache directory was configured.
+The journal records every completed cell of one screen as it
+finishes, so a run killed at cell 79 of 88 — Ctrl-C, OOM, power
+loss — resumes from cell 80 instead of cell 1.  A run directory's
+``journal.jsonl`` is its only result store; a shared
+:class:`~repro.exec.cache.ResultCache` directory holds one more file
+in the same format (its segment), written and read by this module.
 
 Format: one JSON line per completed cell::
 
@@ -73,11 +73,11 @@ __all__ = [
 _FORMAT_VERSION = 2
 
 
-def _parse_line(raw: bytes, version: Optional[str]):
-    """Validate one journal line.
+def _check_line(raw: bytes, version: Optional[str]):
+    """Validate one journal line's envelope and payload checksum.
 
-    Returns ``(key, stats, None)`` on success or
-    ``(None, None, reason)`` with a stable reason slug on failure.
+    Returns ``(key, blob, None)`` with the pickled payload on success
+    or ``(None, None, reason)`` with a stable reason slug on failure.
     """
     try:
         entry = json.loads(raw.decode("utf-8"))
@@ -97,6 +97,18 @@ def _parse_line(raw: bytes, version: Optional[str]):
     if not isinstance(key, str) \
             or hashlib.sha256(blob).hexdigest() != entry.get("sha"):
         return None, None, "checksum"
+    return key, blob, None
+
+
+def _parse_line(raw: bytes, version: Optional[str]):
+    """Validate one journal line and unpickle its payload.
+
+    Returns ``(key, stats, None)`` on success or
+    ``(None, None, reason)`` with a stable reason slug on failure.
+    """
+    key, blob, reason = _check_line(raw, version)
+    if reason is not None:
+        return None, None, reason
     try:
         stats = pickle.loads(blob)
     except Exception:
@@ -104,9 +116,19 @@ def _parse_line(raw: bytes, version: Optional[str]):
     return key, stats, None
 
 
-def _iter_lines(data: bytes):
-    """Yield ``(lineno, raw, terminated, start_offset)`` per physical
-    line (1-based line numbers, blank lines skipped)."""
+def _judge_lines(data: bytes, version: Optional[str],
+                 parse=_parse_line):
+    """Judge every non-blank physical line of a journal-format file.
+
+    Yields ``(lineno, start, raw, key, value, reason)``: the 1-based
+    line number, the line's byte offset, its stripped bytes, then the
+    verdict of ``parse`` (:func:`_parse_line`, or :func:`_check_line`
+    to leave payloads pickled) — except that an invalid line with no
+    terminating newline is ``torn`` (the signature of a write
+    interrupted mid-record, not of damage).  This is the one loop
+    every reader of the format shares: the loaders,
+    :func:`scan_journal` and :mod:`repro.guard.retention`.
+    """
     pos, lineno = 0, 0
     size = len(data)
     while pos < size:
@@ -118,7 +140,10 @@ def _iter_lines(data: bytes):
         lineno += 1
         stripped = raw.strip()
         if stripped:
-            yield lineno, stripped, terminated, pos
+            key, value, reason = parse(stripped, version)
+            if reason is not None and not terminated:
+                reason = "torn"
+            yield lineno, pos, stripped, key, value, reason
         pos = next_pos
 
 
@@ -174,18 +199,19 @@ class Journal:
     # -- reading ----------------------------------------------------
 
     def _load(self) -> None:
-        data = self.path.read_bytes()
-        for _lineno, raw, terminated, _start in _iter_lines(data):
-            key, stats, reason = _parse_line(raw, self.version)
+        for _lineno, _start, _raw, key, stats, reason in _judge_lines(
+                self.path.read_bytes(), self.version):
             if reason is None:
                 self._entries[key] = stats
-                continue
-            if not terminated:
-                # An unterminated final line is the signature of a
-                # write interrupted mid-record, not of damage.
-                reason = "torn"
-            self.corrupt += 1
-            self.dropped[reason] = self.dropped.get(reason, 0) + 1
+            else:
+                self._drop(reason)
+        self._warn_dropped()
+
+    def _drop(self, reason: str) -> None:
+        self.corrupt += 1
+        self.dropped[reason] = self.dropped.get(reason, 0) + 1
+
+    def _warn_dropped(self) -> None:
         if self.corrupt:
             breakdown = ", ".join(
                 f"{reason}: {count}"
@@ -193,12 +219,14 @@ class Journal:
             )
             warnings.warn(
                 f"journal {self.path}: dropped {self.corrupt} invalid "
-                f"line(s) ({breakdown}); run "
-                f"'repro journal repair {self.path}' to inspect and "
-                "truncate a torn tail",
+                f"line(s) ({breakdown}); {self._repair_hint()}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
+
+    def _repair_hint(self) -> str:
+        return (f"run 'repro journal repair {self.path}' to inspect "
+                "and truncate a torn tail")
 
     def get(self, key: str):
         """The recorded stats for ``key``, or ``None``."""
@@ -253,13 +281,19 @@ class Journal:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             # Unbuffered binary append: no hidden buffer can hold a
             # partial line across a failed write, so rollback (an
-            # ftruncate to the pre-record size) is exact.
-            self._handle = open(self.path, "ab", buffering=0)
+            # ftruncate to the pre-record size) is exact.  Readable,
+            # so the last byte can be checked below.
+            self._handle = open(self.path, "a+b", buffering=0)
         fd = self._handle.fileno()
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         try:
             start = os.fstat(fd).st_size
+            if start and os.pread(fd, 1, start - 1) != b"\n":
+                # An unterminated final line (a crash mid-write, or
+                # damage): end it, so this record is a line of its
+                # own instead of merging into the dropped fragment.
+                data = b"\n" + data
             for attempt in range(self._WRITE_ATTEMPTS):
                 try:
                     faults.vfs_write(self._handle, data)
@@ -372,14 +406,13 @@ def scan_journal(path: Union[str, os.PathLike], *,
     invalid = []
     torn_tail = False
     keep_bytes = len(data)
-    for lineno, raw, terminated, start in _iter_lines(data):
+    for lineno, start, _raw, _key, _stats, reason in _judge_lines(
+            data, version):
         total += 1
-        _key, _stats, reason = _parse_line(raw, version)
         if reason is None:
             valid += 1
             continue
-        if not terminated:
-            reason = "torn"
+        if reason == "torn":
             torn_tail = True
             keep_bytes = start
         invalid.append((lineno, reason))

@@ -491,7 +491,7 @@ def publish_text(path: Union[str, os.PathLike], text: str, *,
 
 def _publish_once(path: Path, blob: bytes, *, fsync: bool) -> None:
     # The temp marker ends the name (directory scans glob on final
-    # suffixes like *.task / *.pkl, which an in-progress write must
+    # suffixes like *.task / *.result, which an in-progress write must
     # never satisfy) and embeds the writer's pid so spool GC can tell
     # an orphaned temp file from one still being written.
     fd, tmp = tempfile.mkstemp(

@@ -1,51 +1,56 @@
-"""Disk budgets and retention GC for the durable artifact stores.
+"""Retention GC for the durable artifact stores.
 
-The cache, journal, spool and quarantine directories are all
-append-mostly: a long-lived experiment service (ROADMAP item 2) that
-shares them across runs grows them without bound.  This module is the
+Results live in append-only files of the journal line format
+(:mod:`repro.exec.journal`): a run directory's ``journal.jsonl`` and
+a result-cache directory's ``segment.jsonl``.  A distributed run also
+leaves sealed result files in its spool.  All of them grow without
+bound under a long-lived experiment service.  This module is the
 reclamation layer — the *only* code in the tree allowed to delete a
-valid artifact, and it does so under three strict rules:
+valid artifact — and it keeps two rules:
 
-* **Pinned keys are never evicted.**  A key referenced by an
-  in-flight run (the engine pins every key it touches), by a journal
-  (ground truth for resume and verification), or by a live spool
-  ticket/lease is off-limits regardless of budget pressure.
-* **Eviction is LRU, oldest first.**  Recency is the entry file's
-  mtime; :class:`~repro.exec.cache.ResultCache` refreshes it on every
-  hit, so "old" means "not used by any recent run", not "written
-  long ago".
-* **Everything is reported.**  :class:`GCReport` counts entries and
-  bytes per target; ``repro gc --dry-run`` prints the same report
-  without deleting anything.
+* **A valid cell is never lost.**  Compaction validates every line
+  with the journal's own loader, at the simulator version the file's
+  reader loads it at (a run's journal: the version its manifest
+  records), and keeps the last valid line per key, so that load
+  answers the same before and after.  A spool result
+  is removed only once the run's journal validly holds its key, and
+  never while the key is still in flight.
+* **Everything is reported.**  :class:`GCReport` counts dropped lines
+  per reason and per file, freed bytes and removed spool files;
+  ``repro gc --dry-run`` prints the same report without deleting
+  anything.
 
 Deletions route through plain ``unlink`` (removal needs no atomic
-publish); the one rewrite — journal compaction — publishes the
-compacted file through :func:`repro.guard.faults.publish_bytes`, so
-a crash mid-compaction leaves the original journal untouched.
+publish); the one rewrite — compaction — publishes the compacted file
+through :func:`repro.guard.faults.publish_bytes`, so a crash
+mid-compaction leaves the original file untouched.  The rewrite
+replaces the file by rename: a process still appending to the old
+file loses those later lines (their cells re-simulate when next
+needed; nothing wrong is ever read), so compact stores no run is
+writing to.
 
-Surfaced as ``repro gc`` and ``repro cache stats``; the engine and
-the distributed broker call :func:`gc_spool` /
-``ResultCache`` budgets inline so long-lived stores stay bounded
-without an operator cron job.
+Surfaced as ``repro gc`` and ``repro cache stats``; the distributed
+broker calls :func:`gc_spool` inline so a long-lived spool stays
+bounded without an operator cron job.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
+from repro.cpu import SIMULATOR_VERSION
+
 from . import faults
+from .errors import SealError
 
 __all__ = [
     "CacheStats",
     "GCReport",
     "cache_stats",
     "compact_journal",
-    "gc_cache",
-    "gc_quarantine",
     "gc_run_dir",
     "gc_spool",
     "journal_keys",
@@ -73,37 +78,45 @@ def _dir_entries(directory: Path, pattern: str) \
 
 @dataclass(frozen=True)
 class CacheStats:
-    """What one cache directory holds (``repro cache stats``)."""
+    """What one cache directory holds (``repro cache stats``):
+    ``entries`` valid segment lines out of ``lines``, the segment's
+    size, its invalid lines per reason, and the legacy ``*.pkl``
+    files the cache ignores."""
 
     path: Path
     entries: int
+    lines: int
     bytes: int
-    quarantine_entries: int
-    quarantine_bytes: int
+    dropped: Dict[str, int]
+    legacy_entries: int
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "path": str(self.path),
             "entries": self.entries,
+            "lines": self.lines,
             "bytes": self.bytes,
-            "quarantine_entries": self.quarantine_entries,
-            "quarantine_bytes": self.quarantine_bytes,
+            "dropped": dict(self.dropped),
+            "legacy_entries": self.legacy_entries,
         }
 
 
 def cache_stats(cache_dir: Union[str, os.PathLike]) -> CacheStats:
-    """Inventory a cache directory (entries, bytes, quarantine)."""
+    """Inventory a cache directory: a :func:`~repro.exec.journal.
+    scan_journal` of its segment, plus the count of ignored legacy
+    one-file entries."""
+    from repro.exec.cache import SEGMENT_NAME
+    from repro.exec.journal import scan_journal
+
     cache_dir = Path(cache_dir)
-    entries = _dir_entries(cache_dir, "*.pkl")
-    quarantine = _dir_entries(cache_dir / "quarantine", "*") \
-        if (cache_dir / "quarantine").is_dir() else []
-    return CacheStats(
-        path=cache_dir,
-        entries=len(entries),
-        bytes=sum(size for _p, size, _m in entries),
-        quarantine_entries=len(quarantine),
-        quarantine_bytes=sum(size for _p, size, _m in quarantine),
-    )
+    segment = cache_dir / SEGMENT_NAME
+    legacy = len(sorted(cache_dir.glob("*.pkl"))) \
+        if cache_dir.is_dir() else 0
+    if not segment.exists():
+        return CacheStats(cache_dir, 0, 0, 0, {}, legacy)
+    scan = scan_journal(segment)
+    return CacheStats(cache_dir, scan.valid, scan.total,
+                      segment.stat().st_size, scan.reasons(), legacy)
 
 
 # -- the report -----------------------------------------------------
@@ -111,44 +124,33 @@ def cache_stats(cache_dir: Union[str, os.PathLike]) -> CacheStats:
 
 @dataclass
 class GCReport:
-    """What one GC pass removed (or would remove, under dry-run)."""
+    """What one GC pass removed (or would remove, under dry-run).
+
+    ``dropped`` maps each compacted file to its per-reason counts:
+    the loader's drop slugs plus ``duplicate`` for a valid line a
+    later valid line of the same key supersedes.
+    """
 
     dry_run: bool = False
-    cache_evicted: int = 0
-    cache_evicted_bytes: int = 0
-    cache_pinned_kept: int = 0
-    quarantine_pruned: int = 0
-    quarantine_pruned_bytes: int = 0
     spool_results_removed: int = 0
     spool_results_bytes: int = 0
     spool_tmp_removed: int = 0
     journal_lines_dropped: int = 0
     journal_bytes_freed: int = 0
-    details: List[str] = field(default_factory=list)
+    dropped: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     def merge(self, other: "GCReport") -> "GCReport":
-        for name in ("cache_evicted", "cache_evicted_bytes",
-                     "cache_pinned_kept", "quarantine_pruned",
-                     "quarantine_pruned_bytes", "spool_results_removed",
-                     "spool_results_bytes", "spool_tmp_removed",
-                     "journal_lines_dropped", "journal_bytes_freed"):
+        for name in ("spool_results_removed", "spool_results_bytes",
+                     "spool_tmp_removed", "journal_lines_dropped",
+                     "journal_bytes_freed"):
             setattr(self, name,
                     getattr(self, name) + getattr(other, name))
-        self.details.extend(other.details)
+        self.dropped.update(other.dropped)
         return self
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "dry_run": self.dry_run,
-            "cache": {
-                "evicted": self.cache_evicted,
-                "evicted_bytes": self.cache_evicted_bytes,
-                "pinned_kept": self.cache_pinned_kept,
-            },
-            "quarantine": {
-                "pruned": self.quarantine_pruned,
-                "pruned_bytes": self.quarantine_pruned_bytes,
-            },
             "spool": {
                 "results_removed": self.spool_results_removed,
                 "results_bytes": self.spool_results_bytes,
@@ -157,36 +159,30 @@ class GCReport:
             "journal": {
                 "lines_dropped": self.journal_lines_dropped,
                 "bytes_freed": self.journal_bytes_freed,
+                "dropped": {path: dict(reasons) for path, reasons
+                            in sorted(self.dropped.items())},
             },
         }
 
 
-# -- pinning sources ------------------------------------------------
+# -- spool GC -------------------------------------------------------
 
 
-def journal_keys(path: Union[str, os.PathLike]) -> Set[str]:
-    """Every task key a journal file references.
+def journal_keys(path: Union[str, os.PathLike], *,
+                 version: Optional[str] = SIMULATOR_VERSION) -> Set[str]:
+    """The keys a journal validly holds — the cells a resume (or
+    ``repro verify``) could restore from it.  A line that fails
+    validation names a key the journal cannot restore, so it does not
+    count; a missing file holds none.  ``version`` is the simulator
+    version lines must carry (``None``: any)."""
+    from repro.exec.journal import _judge_lines
 
-    Pins liberally: any line that *names* a key counts, even when the
-    line would fail a full checksum validation — a damaged line is
-    still evidence that the key matters to someone.
-    """
-    keys: Set[str] = set()
     try:
         data = Path(path).read_bytes()
     except OSError:
-        return keys
-    for raw in data.splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            entry = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(entry, dict) and isinstance(entry.get("key"), str):
-            keys.add(entry["key"])
-    return keys
+        return set()
+    return {key for *_, key, _stats, reason in _judge_lines(data, version)
+            if reason is None}
 
 
 def spool_inflight_keys(spool_root: Union[str, os.PathLike]) \
@@ -201,93 +197,6 @@ def spool_inflight_keys(spool_root: Union[str, os.PathLike]) \
             keys.update(p.name.rsplit(".", 1)[0]
                         for p in sorted(directory.glob(pattern)))
     return keys
-
-
-# -- cache eviction -------------------------------------------------
-
-
-def gc_cache(cache_dir: Union[str, os.PathLike], *,
-             budget_bytes: Optional[int] = None,
-             budget_entries: Optional[int] = None,
-             pinned: Iterable[str] = (),
-             dry_run: bool = False) -> GCReport:
-    """Evict LRU cache entries until the directory fits its budget.
-
-    Pinned keys are never evicted, even when that leaves the
-    directory over budget — correctness of in-flight runs outranks
-    the budget (the property the test suite proves).  Entries are
-    visited oldest-first by mtime (hits refresh it, so this is LRU).
-    """
-    cache_dir = Path(cache_dir)
-    report = GCReport(dry_run=dry_run)
-    if budget_bytes is None and budget_entries is None:
-        return report
-    pinned = set(pinned)
-    entries = _dir_entries(cache_dir, "*.pkl")
-    total_bytes = sum(size for _p, size, _m in entries)
-    total_entries = len(entries)
-    for path, size, _mtime in entries:
-        over_bytes = (budget_bytes is not None
-                      and total_bytes > budget_bytes)
-        over_entries = (budget_entries is not None
-                        and total_entries > budget_entries)
-        if not over_bytes and not over_entries:
-            break
-        if path.stem in pinned:
-            report.cache_pinned_kept += 1
-            continue
-        if not dry_run:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        report.cache_evicted += 1
-        report.cache_evicted_bytes += size
-        total_bytes -= size
-        total_entries -= 1
-    return report
-
-
-def gc_quarantine(directory: Union[str, os.PathLike], *,
-                  budget_bytes: Optional[int] = None,
-                  budget_entries: Optional[int] = None,
-                  dry_run: bool = False) -> GCReport:
-    """Prune a quarantine directory to its budget, oldest first.
-
-    Quarantined files are evidence, not data — nothing pins them, but
-    pruning only happens under an explicit budget, and the newest
-    files (the most recent damage, the most likely to be under
-    investigation) are kept.
-    """
-    directory = Path(directory)
-    report = GCReport(dry_run=dry_run)
-    if budget_bytes is None and budget_entries is None:
-        return report
-    if not directory.is_dir():
-        return report
-    entries = _dir_entries(directory, "*")
-    total_bytes = sum(size for _p, size, _m in entries)
-    total_entries = len(entries)
-    for path, size, _mtime in entries:
-        over_bytes = (budget_bytes is not None
-                      and total_bytes > budget_bytes)
-        over_entries = (budget_entries is not None
-                        and total_entries > budget_entries)
-        if not over_bytes and not over_entries:
-            break
-        if not dry_run:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        report.quarantine_pruned += 1
-        report.quarantine_pruned_bytes += size
-        total_bytes -= size
-        total_entries -= 1
-    return report
-
-
-# -- spool GC -------------------------------------------------------
 
 
 def _pid_alive(pid: int) -> bool:
@@ -360,23 +269,29 @@ def gc_spool(spool_root: Union[str, os.PathLike], *,
     return report
 
 
-# -- journal compaction ---------------------------------------------
+# -- compaction -----------------------------------------------------
 
 
 def compact_journal(path: Union[str, os.PathLike], *,
+                    version: Optional[str] = SIMULATOR_VERSION,
                     dry_run: bool = False) -> GCReport:
-    """Rewrite a journal keeping one line per key (the last).
+    """Rewrite a journal-format file keeping the last valid line per
+    key.
 
-    Duplicate keys arise from interleaved writers and re-harvested
-    cells; the loader's dict semantics already mean "last wins", so
-    compaction preserves exactly what a resume would see.  Kept lines
-    are copied **byte-for-byte** (never re-encoded) so checksums and
-    bit-exact journal/cache agreement survive.  Damaged lines are
-    dropped and counted — compaction is an explicit, reported
-    destruction of residue, unlike ``repair`` which only truncates a
-    torn tail.  The rewrite publishes atomically: a crash leaves the
-    original journal in place.
+    Every line is judged by the journal's loader against the
+    simulator ``version`` its reader requires (``None``: any version
+    is valid); an invalid one (torn, malformed, checksum, version
+    drift, ...) is dropped and counted under the loader's reason, and
+    a valid line a later valid line of the same key supersedes is
+    dropped as ``duplicate``.  Since the loader also lets the last
+    valid line win, compaction preserves exactly what a load at
+    ``version`` would see.  Kept lines are copied **byte-for-byte**
+    (never re-encoded), in the order their keys first appear.  The
+    rewrite publishes atomically: a crash leaves the original file in
+    place.
     """
+    from repro.exec.journal import _judge_lines
+
     path = Path(path)
     report = GCReport(dry_run=dry_run)
     try:
@@ -384,79 +299,75 @@ def compact_journal(path: Union[str, os.PathLike], *,
     except OSError:
         return report
     kept: Dict[str, bytes] = {}
-    order: List[str] = []
-    dropped = 0
-    for raw in data.splitlines(keepends=True):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if not raw.endswith(b"\n"):
-            dropped += 1        # torn tail: residue, not a record
-            continue
-        try:
-            entry = json.loads(stripped.decode("utf-8"))
-            key = entry["key"]
-        except (ValueError, UnicodeDecodeError, KeyError, TypeError):
-            dropped += 1
-            continue
-        if not isinstance(key, str):
-            dropped += 1
-            continue
-        if key in kept:
-            dropped += 1        # superseded duplicate
-        else:
-            order.append(key)
-        kept[key] = raw
-    compacted = b"".join(kept[key] for key in order)
-    report.journal_lines_dropped = dropped
+    reasons: Dict[str, int] = {}
+    for *_, raw, key, _stats, reason in _judge_lines(data, version):
+        if reason is None:
+            if key in kept:
+                reason = "duplicate"    # the earlier line, superseded
+            kept[key] = raw + b"\n"
+        if reason is not None:
+            reasons[reason] = reasons.get(reason, 0) + 1
+    compacted = b"".join(kept.values())
+    report.journal_lines_dropped = sum(reasons.values())
     report.journal_bytes_freed = len(data) - len(compacted)
-    if dropped and not dry_run:
-        faults.publish_bytes(path, compacted, retries=2)
+    if reasons:
+        report.dropped[str(path)] = reasons
+        if not dry_run:
+            faults.publish_bytes(path, compacted, retries=2)
     return report
 
 
 # -- the run-dir orchestrator ---------------------------------------
 
 
+def _recorded_version(manifest: Path) -> Optional[str]:
+    """The simulator version a run dir's sealed manifest records, or
+    ``None`` when there is no intact manifest to ask."""
+    from repro.obs.manifest import load_manifest
+
+    try:
+        version = load_manifest(manifest).get("run", {}) \
+            .get("simulator_version")
+    except (OSError, SealError, AttributeError):
+        return None
+    return str(version) if version else None
+
+
 def gc_run_dir(run_dir: Union[str, os.PathLike], *,
-               cache_budget_bytes: Optional[int] = None,
-               cache_budget_entries: Optional[int] = None,
-               quarantine_budget_bytes: Optional[int] = None,
-               quarantine_budget_entries: Optional[int] = None,
                spool_budget_results: Optional[int] = None,
                compact: bool = False,
                dry_run: bool = False) -> GCReport:
     """One GC pass over a run directory's stores (``repro gc``).
 
-    Pins every key the run's journal references and every key its
-    spool has in flight before touching the cache; spool results are
-    only consumed once the journal covers them.
+    The journal is judged at the simulator version the run's manifest
+    records — the version ``repro verify`` loads it at — or at any
+    version when there is no intact manifest, so a run recorded under
+    an earlier simulator keeps its cells.  Spool results are consumed
+    only for keys the journal validly holds: a damaged line cannot
+    restore its cell, so the spool keeps that result.  ``compact``
+    rewrites ``journal.jsonl`` with :func:`compact_journal`, and the
+    cache segment — ``cache/segment.jsonl``, or ``segment.jsonl``
+    when ``run_dir`` is itself a ``--cache-dir`` — at the current
+    simulator version, since a cache only serves the current one.
     """
+    from repro.exec.cache import SEGMENT_NAME
+
     run_dir = Path(run_dir)
     journal = run_dir / "journal.jsonl"
-    cache_dir = run_dir / "cache"
     spool = run_dir / "spool"
-    pinned = journal_keys(journal)
-    if spool.is_dir():
-        pinned |= spool_inflight_keys(spool)
+    version = _recorded_version(run_dir / "manifest.json")
     report = GCReport(dry_run=dry_run)
-    if cache_dir.is_dir():
-        report.merge(gc_cache(
-            cache_dir, budget_bytes=cache_budget_bytes,
-            budget_entries=cache_budget_entries, pinned=pinned,
-            dry_run=dry_run,
-        ))
-        report.merge(gc_quarantine(
-            cache_dir / "quarantine",
-            budget_bytes=quarantine_budget_bytes,
-            budget_entries=quarantine_budget_entries,
-            dry_run=dry_run,
-        ))
     if spool.is_dir():
         report.merge(gc_spool(
-            spool, consumed=journal_keys(journal),
+            spool, consumed=journal_keys(journal, version=version),
             budget_results=spool_budget_results, dry_run=dry_run,
         ))
-    if compact and journal.exists():
-        report.merge(compact_journal(journal, dry_run=dry_run))
+    if compact:
+        stores = ((journal, version),
+                  (run_dir / "cache" / SEGMENT_NAME, SIMULATOR_VERSION),
+                  (run_dir / SEGMENT_NAME, SIMULATOR_VERSION))
+        for store, store_version in stores:
+            if store.exists():
+                report.merge(compact_journal(
+                    store, version=store_version, dry_run=dry_run))
     return report

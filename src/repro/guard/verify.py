@@ -8,8 +8,8 @@ with the statistics they claim to derive from?":
   digest);
 * the **journal** is the ground truth of raw results: every completed
   cell's :class:`~repro.cpu.stats.CoreStats`, checksummed per line;
-* the **result cache** (when present) must agree bit-exact with the
-  journal on every shared cell;
+* the **result cache** (when present) must hold only valid segment
+  lines and agree bit-exact with the journal on every shared cell;
 * the **results document** (``results.json``, sealed) holds what the
   screen *reported* — responses, per-benchmark effect tables, the
   Table 9 ranking.
@@ -249,7 +249,8 @@ def verify_run(run_dir: Union[str, os.PathLike], *,
 
     The directory layout is what ``repro screen --run-dir`` writes:
     ``manifest.json``, ``journal.jsonl``, ``results.json`` and
-    (optionally) ``cache/`` and a distributed ``spool/``; the keyword
+    (optionally) a ``cache/`` the run was pointed at with
+    ``--cache-dir`` and a distributed ``spool/``; the keyword
     overrides point at artifacts living elsewhere.  Returns a
     :class:`VerifyReport`; its ``status`` property implements the
     0/1/2 exit-code contract.
@@ -334,11 +335,21 @@ def verify_run(run_dir: Union[str, os.PathLike], *,
     else:
         report.add("journal", True,
                    f"{len(journal)} entries, all checksums valid")
-    # 4. Cache (optional): every entry must be intact and agree
-    #    bit-exact with the journal.  Runs even when the journal is
-    #    incomplete so a report names *all* damaged artifacts.
+    # 4. Cache (optional): every segment line must be intact and
+    #    agree bit-exact with the journal.  Runs even when the journal
+    #    is incomplete so a report names *all* damaged artifacts.
+    #    One-file ``*.pkl`` entries of the earlier cache format are
+    #    ignored by the cache, so they are a note, not evidence.
     if cache_dir.exists():
-        cache = ResultCache(cache_dir, version=sim_version)
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("ignore", RuntimeWarning)
+            cache = ResultCache(cache_dir, version=sim_version)
+            len(cache)  # reads the segment, under the same filter
+        if cache.legacy_entries:
+            report.add("cache-legacy", True,
+                       f"note: {cache_dir} holds {cache.legacy_entries} "
+                       "legacy one-file entr(y/ies), ignored by the "
+                       "cache")
         compared = mismatched = 0
         for key in keys:
             entry = cache.get(key)
@@ -357,11 +368,11 @@ def verify_run(run_dir: Union[str, os.PathLike], *,
         if cache.corrupt:
             breakdown = ", ".join(
                 f"{reason}: {count}"
-                for reason, count in sorted(cache.quarantined.items())
+                for reason, count in sorted(cache.dropped.items())
             )
             report.add("cache", False,
-                       f"{cache_dir}: {cache.corrupt} corrupt "
-                       f"entr(y/ies) quarantined ({breakdown})")
+                       f"{cache_dir}: dropped {cache.corrupt} invalid "
+                       f"segment line(s) ({breakdown})")
         elif not mismatched:
             report.add("cache", True,
                        f"{compared} shared entries agree with the "

@@ -1,9 +1,10 @@
 """Gate-bite tests for the REP1xx/REP2xx protocol rules.
 
 Each test plants exactly one protocol violation in a fixture copy of
-the *real* protocol code (``dist/spool.py``, ``exec/cache.py``,
-``exec/journal.py``, ``dist/worker.py``) and asserts the lint names
-it — correct rule ID, correct file, correct line.  This is the
+the *real* protocol code (``dist/spool.py``, ``guard/verify.py``,
+``exec/cache.py``, ``exec/journal.py``, ``dist/worker.py``) and
+asserts the lint names it — correct rule ID, correct file, correct
+line.  This is the
 mutation-style acceptance check from the PR issue: the rules must
 bite on the exact code they were written to defend, not only on toy
 snippets.  Each mutation's sibling assertion — that the *unmutated*
@@ -42,21 +43,18 @@ def _rules(findings):
 
 
 class TestArtifactIntegrityGateBites:
-    def test_rep105_direct_cache_entry_write(self):
-        """Dropping cache.put's seam publish for a direct write
-        publishes torn entries; REP105 must name the write."""
-        old = (
-            "            faults.publish_bytes(self._file(key), blob)\n"
-        )
-        new = (
-            "            self._file(key).write_bytes(blob)\n"
-        )
-        source, mutated, line = _mutate("exec/cache.py", old, new)
-        assert "REP105" not in _rules(_lint(source, "exec/cache.py"))
-        hits = [f for f in _lint(mutated, "exec/cache.py")
+    def test_rep105_direct_results_write(self):
+        """Dropping write_results' seam publish for a direct write
+        publishes a torn results document; REP105 must name the
+        write."""
+        old = "    faults.publish_bytes(path, blob, retries=2)\n"
+        new = "    path.write_bytes(blob)\n"
+        source, mutated, line = _mutate("guard/verify.py", old, new)
+        assert "REP105" not in _rules(_lint(source, "guard/verify.py"))
+        hits = [f for f in _lint(mutated, "guard/verify.py")
                 if f.rule == "REP105"]
         assert hits, "REP105 missed the in-place sealed write"
-        assert hits[0].path == "exec/cache.py"
+        assert hits[0].path == "guard/verify.py"
         assert hits[0].line == line
 
     def test_rep105_spool_write_atomic_gutted(self):

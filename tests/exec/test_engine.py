@@ -11,6 +11,7 @@ The engine's contract has three legs, each covered here:
 """
 
 import multiprocessing
+import warnings
 
 import pytest
 
@@ -154,23 +155,24 @@ class TestCache:
     def test_foreign_version_entry_rejected_on_get(self, tmp_path,
                                                    traces):
         """An entry *written* under another SIMULATOR_VERSION is
-        rejected by its seal even when it sits under the right file
-        name (hand-migrated directories, edited files)."""
+        rejected by its line's own ``sim`` field even when it sits
+        under the right key (hand-migrated directories, edited
+        files).  In a shared segment such lines are normal traffic
+        after a version bump, so they are skipped without a warning
+        and are not counted as damage."""
         task = SimTask(config=MachineConfig(), trace=traces["gzip"])
         key = task_key(task)
         stats = simulate(MachineConfig(), traces["gzip"], warmup=True)
         ResultCache(tmp_path / "cache", version="v-old").put(key, stats)
         cache = ResultCache(tmp_path / "cache", version="v-new")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get(key) is None
+        assert cache.dropped == {}
+        assert cache.counters()["corrupt"] == 0
+        # Never trusted: the retry is still a miss.
         assert cache.get(key) is None
-        assert cache.quarantined == {"version-drift": 1}
-        assert cache.counters()["quarantined"] == 1
-        quarantine = tmp_path / "cache" / "quarantine"
-        assert [f.name for f in quarantine.iterdir()] == \
-            [f"{key}.version-drift.pkl"]
-        # Quarantined means gone for good: the retry is still a miss
-        # and does not double-count.
-        assert cache.get(key) is None
-        assert cache.counters()["quarantined"] == 1
+        assert cache.counters()["misses"] == 2
 
     def test_memory_only_cache(self, traces, monkeypatch):
         tasks = grid_tasks([MachineConfig()], traces)

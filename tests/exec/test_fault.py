@@ -349,18 +349,24 @@ class TestPoolFaults:
         assert cycles(grid) == clean
 
 
+#: A segment line cut short by a crash mid-append.
+TORN_LINE = b'{"v": 2, "key": "deadbeef", "sha": "'
+
+
 class TestCacheFaults:
     def test_contains_rejects_torn_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        (tmp_path / "cache" / "deadbeef.pkl").write_bytes(b"torn!")
-        assert "deadbeef" not in cache
+        (tmp_path / "cache" / "segment.jsonl").write_bytes(TORN_LINE)
+        with pytest.warns(RuntimeWarning, match="torn: 1"):
+            assert "deadbeef" not in cache
         assert cache.corrupt == 1
-        assert not (tmp_path / "cache" / "deadbeef.pkl").exists()
+        assert cache.dropped == {"torn": 1}
 
     def test_get_counts_corrupt_entries(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        (tmp_path / "cache" / "deadbeef.pkl").write_bytes(b"torn!")
-        assert cache.get("deadbeef") is None
+        (tmp_path / "cache" / "segment.jsonl").write_bytes(TORN_LINE)
+        with pytest.warns(RuntimeWarning, match="torn: 1"):
+            assert cache.get("deadbeef") is None
         assert cache.corrupt == 1
         assert cache.misses == 1
 

@@ -185,6 +185,23 @@ class TestExperimentResume:
         assert ranking.sums == clean_ranking.sums
 
 
+class TestTornTailAppend:
+    def test_record_after_a_torn_tail_gets_its_own_line(self,
+                                                        tmp_path):
+        # A crash mid-append left an unterminated fragment; the next
+        # record must not merge into it.
+        path = tmp_path / "grid.journal"
+        path.write_bytes(b'{"v": 2, "key": "lost", "sha": "')
+        with pytest.warns(RuntimeWarning, match="torn: 1"):
+            journal = Journal(path)
+        journal.record("kept", {"n": 1})
+        journal.close()
+        with pytest.warns(RuntimeWarning, match="malformed: 1"):
+            reloaded = Journal(path)
+        assert reloaded.get("kept") == {"n": 1}
+        assert reloaded.corrupt == 1
+
+
 class TestInterleavedWriters:
     """Concurrent appenders must never tear each other's lines.
 

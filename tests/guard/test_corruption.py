@@ -1,10 +1,10 @@
 """Mutation-style corruption suite.
 
 Flips bytes (and truncates, and appends) in every durable artifact —
-cache entries, journal lines, trace archives, run manifests — and
-asserts that each loader *detects* the damage, *names* it with a
-stable reason slug, and *quarantines* rather than trusts it.  No
-mutation may ever load successfully as if nothing happened.
+cache segment lines, journal lines, trace archives, run manifests —
+and asserts that each loader *detects* the damage, *names* it with a
+stable reason slug, and drops or refuses it rather than trusting it.
+No mutation may ever load successfully as if nothing happened.
 """
 
 import json
@@ -45,7 +45,8 @@ def flip(path, offset):
 
 
 class TestCacheEntryMutations:
-    #: Offsets spanning the magic, the header and the pickle payload.
+    #: Offsets spanning the line's envelope, key, checksum, payload
+    #: and terminating newline.
     OFFSETS = [0, 5, 30, 80, 200, -40, -1]
 
     @pytest.mark.parametrize("offset", OFFSETS)
@@ -53,35 +54,44 @@ class TestCacheEntryMutations:
                                                 offset):
         cache = ResultCache(tmp_path / "cache")
         cache.put("k" * 64, stats)
-        entry = tmp_path / "cache" / ("k" * 64 + ".pkl")
-        flip(entry, offset)
+        segment = tmp_path / "cache" / "segment.jsonl"
+        flip(segment, offset)
         fresh = ResultCache(tmp_path / "cache")
-        assert fresh.get("k" * 64) is None
+        with pytest.warns(RuntimeWarning, match="dropped 1"):
+            assert fresh.get("k" * 64) is None
         assert fresh.corrupt == 1
-        (reason, count), = fresh.quarantined.items()
+        (reason, count), = fresh.dropped.items()
         assert count == 1 and reason in KNOWN_REASONS
-        assert not entry.exists()
-        quarantined = list((tmp_path / "cache" / "quarantine").iterdir())
-        assert [f.name for f in quarantined] == \
-            [f"{'k' * 64}.{reason}.pkl"]
+        # Never trusted: the re-simulated cell is appended afresh and
+        # the next open serves it, with the damage still counted.
+        fresh.put("k" * 64, stats)
+        with pytest.warns(RuntimeWarning, match="dropped 1"):
+            healed = ResultCache(tmp_path / "cache")
+            assert healed.get("k" * 64) == stats
 
     def test_truncation(self, tmp_path, stats):
         cache = ResultCache(tmp_path / "cache")
         cache.put("k" * 64, stats)
-        entry = tmp_path / "cache" / ("k" * 64 + ".pkl")
-        entry.write_bytes(entry.read_bytes()[:-30])
+        segment = tmp_path / "cache" / "segment.jsonl"
+        segment.write_bytes(segment.read_bytes()[:-30])
         fresh = ResultCache(tmp_path / "cache")
-        assert fresh.get("k" * 64) is None
-        assert fresh.quarantined == {"truncated": 1}
+        with pytest.warns(RuntimeWarning, match="torn"):
+            assert fresh.get("k" * 64) is None
+        assert fresh.dropped == {"torn": 1}
 
     def test_legacy_bare_pickle(self, tmp_path, stats):
         import pickle
 
-        cache = ResultCache(tmp_path / "cache")
+        (tmp_path / "cache").mkdir()
         entry = tmp_path / "cache" / ("k" * 64 + ".pkl")
         entry.write_bytes(pickle.dumps(stats))
-        assert cache.get("k" * 64) is None
-        assert cache.quarantined == {"unsealed": 1}
+        with pytest.warns(RuntimeWarning, match="earlier format") \
+                as warned:
+            cache = ResultCache(tmp_path / "cache")
+            assert cache.get("k" * 64) is None
+        assert len(warned) == 1
+        assert cache.legacy_entries == 1
+        assert cache.dropped == {}
 
 
 class TestJournalMutations:

@@ -5,12 +5,14 @@ Three end-to-end scenarios against the full 88-configuration
 Plackett–Burman screen, each proving one leg of the degradation
 contract through the real CLI:
 
-* **transient fault window** (``rename:0:3``): the first cache put
-  exhausts its single attempt and flips the cache's "writes are
-  down" switch — degrade loudly — while the sealed ``results.json``
-  publish rides out the remainder of the window on its retry budget.
-  The run exits 0 in one go, byte-identical to a quiet screen, and
-  ``repro verify`` passes with the cache empty.
+* **transient fault window** (``enospc:10:3,rename:0:2``): the
+  write window covers exactly the three append attempts of the first
+  cache put (a ``--cache-dir`` segment), which rolls back and flips
+  the cache's "writes are down" switch — degrade loudly — while the
+  journal append right after it lands; the rename window fails the
+  first two attempts of the sealed ``results.json`` publish, which
+  rides it out on its retry budget.  The run exits 0 in one go, byte-identical to a quiet
+  screen, and ``repro verify`` passes with the cache segment empty.
 * **persistent outage** (``enospc:0:always``): the disk never comes
   back, the journal's retry budget exhausts and the run fails
   *loudly and atomically* — no torn artifact, no temp residue, an
@@ -38,11 +40,14 @@ from repro.cli import main
 #: The paper's 88-run foldover design over one benchmark: 88 cells.
 WORKLOAD = ["-b", "gzip", "-n", "400"]
 
-#: Write/rename windows sized under every retry budget (journal: 3
-#: attempts, sealed publishes: retries=2 -> 3 attempts) except the
-#: cache's single attempt — so the cache degrades, everything else
-#: rides it out, and the run completes in one go.
-TRANSIENT_SPEC = "rename:0:3"
+#: A serial run-dir screen's first ten writes are event-log lines;
+#: write 10 is the first cache append.  The write window spans that
+#: put's three attempts (the journal's retry budget, which the
+#: cache's segment append shares), so the cache degrades and the
+#: journal append at write 13 lands.  Renames 0 and 1 are the first
+#: two attempts of the results.json publish, which has three
+#: (retries=2), so it survives them.  The run completes in one go.
+TRANSIENT_SPEC = "enospc:10:3,rename:0:2"
 
 #: The disk never recovers: the run must die loudly, not wedge.
 OUTAGE_SPEC = "enospc:0:always"
@@ -84,7 +89,8 @@ def faulted_run(tmp_path_factory):
     """One screen straight through a transient fault window."""
     run_dir = tmp_path_factory.mktemp("diskfault-transient")
     proc = subprocess.run(
-        _screen(run_dir), env=_env(TRANSIENT_SPEC), timeout=300,
+        _screen(run_dir, "--cache-dir", str(run_dir / "cache")),
+        env=_env(TRANSIENT_SPEC), timeout=300,
         capture_output=True, text=True,
     )
     return {"run_dir": run_dir, "rc": proc.returncode,
@@ -151,12 +157,14 @@ class TestTransientWindow:
         assert faulted_run["rc"] == 0
 
     def test_cache_degraded_loudly(self, faulted_run, reference_run):
-        # The window swallowed the first cache put; the switch
-        # stopped the rest.  The reference persisted all 88 cells.
+        # The window swallowed the first cache put (rolled back to
+        # zero bytes); the switch stopped the rest.  The journal
+        # persisted all 88 cells.
+        run_dir = faulted_run["run_dir"]
         assert "cache writes failing" in faulted_run["stderr"]
-        assert list((faulted_run["run_dir"] / "cache").glob("*.pkl")) \
-            == []
-        assert len(list((reference_run / "cache").glob("*.pkl"))) == 88
+        assert (run_dir / "cache" / "segment.jsonl").read_bytes() == b""
+        assert len((run_dir / "journal.jsonl").read_bytes()
+                   .splitlines()) == 88
 
     def test_put_failures_surfaced_in_metrics(self, faulted_run,
                                               capsys):

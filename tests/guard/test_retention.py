@@ -1,28 +1,28 @@
 """Unit and property tests for the retention GC layer.
 
-The safety claim this file pins (the issue's acceptance property):
-**``repro gc`` under any budget never evicts a pinned key** — not one
-referenced by an in-flight run, not one a journal names, no matter
-how tight the budget or how the mtimes are arranged.  Everything else
-(LRU order, budget arithmetic, orphan temp cleanup, compaction
-byte-identity) is conventional unit coverage.
+The safety claim this file pins: **``repro gc`` never loses a valid
+cell** — compaction keeps the last valid line of every key, so a
+journal (or cache segment) loads the same before and after, and spool
+results are only removed once the journal validly holds their key.
+Everything else (drop counting per reason, orphan temp cleanup,
+compaction byte-identity) is conventional unit coverage.
 """
 
-import json
 import os
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.guard import retention
+from repro.exec import Journal, ResultCache
 from repro.guard.retention import (
     GCReport,
     cache_stats,
     compact_journal,
-    gc_cache,
-    gc_quarantine,
     gc_run_dir,
     gc_spool,
     journal_keys,
@@ -32,7 +32,7 @@ from repro.guard.retention import (
 
 def _entry(directory, name, payload=b"x", *, age=0.0,
            suffix=".pkl"):
-    """Write one cache-style entry, backdated ``age`` seconds."""
+    """Write one file, backdated ``age`` seconds."""
     path = directory / f"{name}{suffix}"
     path.write_bytes(payload)
     if age:
@@ -41,119 +41,95 @@ def _entry(directory, name, payload=b"x", *, age=0.0,
     return path
 
 
+def _line(key, n=0):
+    """One valid journal line for ``key``, written by
+    :meth:`Journal.record` (the payload ``{"n": n}`` tells apart
+    lines of the same key)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "line.jsonl"
+        journal = Journal(path)
+        journal.record(key, {"n": n})
+        journal.close()
+        return path.read_bytes()
+
+
+def _doctored(line):
+    """``line`` with its recorded checksum no longer matching."""
+    return line.replace(b'"sha": "', b'"sha": "f')
+
+
+def _loaded(path):
+    """``{key: payload}`` as a fresh load sees the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        journal = Journal(path)
+    return {key: journal.get(key) for key in journal.keys()}
+
+
 class TestCacheStats:
     def test_inventory(self, tmp_path):
-        _entry(tmp_path, "a", b"12345")
-        _entry(tmp_path, "b", b"123")
-        (tmp_path / "quarantine").mkdir()
-        _entry(tmp_path / "quarantine", "bad", b"12", suffix=".torn")
+        cache = ResultCache(tmp_path)
+        cache.put("a", {"n": 1})
+        cache.put("b", {"n": 2})
+        segment = tmp_path / "segment.jsonl"
+        with open(segment, "ab") as handle:
+            handle.write(_doctored(_line("c")))
+        _entry(tmp_path, "legacy", b"12")
         stats = cache_stats(tmp_path)
         assert stats.entries == 2
-        assert stats.bytes == 8
-        assert stats.quarantine_entries == 1
-        assert stats.quarantine_bytes == 2
+        assert stats.lines == 3
+        assert stats.bytes == segment.stat().st_size
+        assert stats.dropped == {"checksum": 1}
+        assert stats.legacy_entries == 1
         assert stats.to_dict()["entries"] == 2
 
     def test_empty_directory(self, tmp_path):
         stats = cache_stats(tmp_path / "nowhere")
         assert stats.entries == 0
-        assert stats.quarantine_entries == 0
+        assert stats.dropped == {}
 
 
-class TestGcCache:
-    def test_no_budget_is_a_no_op(self, tmp_path):
-        _entry(tmp_path, "a")
-        report = gc_cache(tmp_path)
-        assert report.cache_evicted == 0
-        assert (tmp_path / "a.pkl").exists()
+class TestCompactionNeverLosesAValidCell:
+    """The safety property, driven by hypothesis: whatever mix of
+    valid, duplicate, doctored and torn lines a file holds,
+    compaction leaves exactly what a load saw."""
 
-    def test_oldest_evicted_first(self, tmp_path):
-        _entry(tmp_path, "old", age=300)
-        _entry(tmp_path, "mid", age=200)
-        _entry(tmp_path, "new", age=100)
-        report = gc_cache(tmp_path, budget_entries=1)
-        assert report.cache_evicted == 2
-        assert not (tmp_path / "old.pkl").exists()
-        assert not (tmp_path / "mid.pkl").exists()
-        assert (tmp_path / "new.pkl").exists()
-
-    def test_byte_budget(self, tmp_path):
-        _entry(tmp_path, "old", b"x" * 100, age=300)
-        _entry(tmp_path, "new", b"x" * 100, age=100)
-        report = gc_cache(tmp_path, budget_bytes=150)
-        assert report.cache_evicted == 1
-        assert report.cache_evicted_bytes == 100
-        assert (tmp_path / "new.pkl").exists()
-
-    def test_pinned_skipped_even_over_budget(self, tmp_path):
-        _entry(tmp_path, "pinned", age=300)
-        report = gc_cache(tmp_path, budget_entries=0,
-                          pinned={"pinned"})
-        assert report.cache_evicted == 0
-        assert report.cache_pinned_kept == 1
-        assert (tmp_path / "pinned.pkl").exists()
-
-    def test_dry_run_deletes_nothing(self, tmp_path):
-        _entry(tmp_path, "a", age=100)
-        report = gc_cache(tmp_path, budget_entries=0, dry_run=True)
-        assert report.dry_run
-        assert report.cache_evicted == 1
-        assert (tmp_path / "a.pkl").exists()
-
-
-class TestPinnedNeverEvictedProperty:
-    """The acceptance property, driven by hypothesis."""
-
-    @given(
-        ages=st.lists(st.integers(0, 10_000), min_size=1,
-                      max_size=12, unique=True),
-        pinned_mask=st.lists(st.booleans(), min_size=12, max_size=12),
-        budget_entries=st.one_of(st.none(), st.integers(0, 12)),
-        budget_bytes=st.one_of(st.none(), st.integers(0, 400)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_gc_never_touches_pinned_keys(self, tmp_path_factory,
-                                          ages, pinned_mask,
-                                          budget_entries,
-                                          budget_bytes):
-        tmp_path = tmp_path_factory.mktemp("gc-prop")
-        pinned = set()
-        for n, age in enumerate(ages):
-            name = f"key{n}"
-            _entry(tmp_path, name, b"x" * 40, age=age)
-            if pinned_mask[n]:
-                pinned.add(name)
-        gc_cache(tmp_path, budget_bytes=budget_bytes,
-                 budget_entries=budget_entries, pinned=pinned)
-        survivors = {p.stem for p in tmp_path.glob("*.pkl")}
-        assert pinned <= survivors, \
-            "gc evicted a pinned in-flight/journal-referenced key"
-
-
-class TestGcQuarantine:
-    def test_oldest_pruned_first(self, tmp_path):
-        _entry(tmp_path, "old", age=300, suffix=".torn")
-        _entry(tmp_path, "new", age=100, suffix=".torn")
-        report = gc_quarantine(tmp_path, budget_entries=1)
-        assert report.quarantine_pruned == 1
-        assert (tmp_path / "new.torn").exists()
-        assert not (tmp_path / "old.torn").exists()
-
-    def test_missing_directory(self, tmp_path):
-        report = gc_quarantine(tmp_path / "gone", budget_entries=1)
-        assert report.quarantine_pruned == 0
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["k0", "k1", "k2", "k3"]),
+                  st.sampled_from(["valid", "doctored", "garbage"])),
+        min_size=1, max_size=10,
+    ), torn=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_compaction_keeps_every_valid_key(self, tmp_path_factory,
+                                              ops, torn):
+        path = tmp_path_factory.mktemp("compact-prop") / "j.jsonl"
+        lines = {
+            "valid": lambda key: _line(key, 1),
+            "doctored": lambda key: _doctored(_line(key, 2)),
+            "garbage": lambda key: b"not a journal line\n",
+        }
+        data = b"".join(lines[kind](key) for key, kind in ops)
+        if torn:
+            data += _line("k9")[:-20]
+        path.write_bytes(data)
+        before = _loaded(path)
+        report = compact_journal(path)
+        assert _loaded(path) == before
+        text = path.read_bytes()
+        assert len(text.splitlines()) == len(before)
+        assert report.journal_lines_dropped \
+            == len(ops) + torn - len(before)
 
 
 class TestPinningSources:
-    def test_journal_keys_liberal(self, tmp_path):
+    def test_journal_keys_valid_only(self, tmp_path):
         journal = tmp_path / "journal.jsonl"
         journal.write_bytes(
-            json.dumps({"key": "good", "sha": "..."}).encode() + b"\n"
-            + b"not json at all\n"
-            + json.dumps({"key": "damaged-but-named"}).encode() + b"\n"
-            + json.dumps({"no_key": 1}).encode() + b"\n"
+            _line("good") + b"not json at all\n"
+            + _doctored(_line("damaged-but-named"))
+            + _line("torn")[:-20]
         )
-        assert journal_keys(journal) == {"good", "damaged-but-named"}
+        assert journal_keys(journal) == {"good"}
 
     def test_journal_keys_missing_file(self, tmp_path):
         assert journal_keys(tmp_path / "gone.jsonl") == set()
@@ -217,7 +193,7 @@ class TestGcSpool:
 
 class TestCompactJournal:
     def _line(self, key, n=0):
-        return json.dumps({"key": key, "n": n}).encode() + b"\n"
+        return _line(key, n)
 
     def test_duplicates_keep_last_raw_bytes(self, tmp_path):
         journal = tmp_path / "j.jsonl"
@@ -257,77 +233,113 @@ class TestCompactJournal:
         assert report.journal_lines_dropped == 1
         assert journal.read_bytes() == payload
 
+    def test_damaged_duplicate_never_replaces_a_valid_line(self,
+                                                           tmp_path):
+        # A doctored copy of k1's line follows the valid one: the
+        # loader keeps the valid line, and so must compaction.
+        journal = tmp_path / "j.jsonl"
+        Journal(journal).record("k1", {"n": 1})
+        valid = journal.read_bytes()
+        with open(journal, "ab") as handle:
+            handle.write(_doctored(valid))
+        report = compact_journal(journal)
+        assert journal.read_bytes() == valid
+        assert Journal(journal).get("k1") == {"n": 1}
+        assert report.dropped == {str(journal): {"checksum": 1}}
+
+    def test_version_drift_lines_are_dropped(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        Journal(journal, version="another-simulator").record("old", 1)
+        with pytest.warns(RuntimeWarning, match="version-drift"):
+            Journal(journal).record("new", 2)
+        report = compact_journal(journal)
+        assert report.dropped == {str(journal): {"version-drift": 1}}
+        assert _loaded(journal) == {"new": 2}
+        assert len(journal.read_bytes().splitlines()) == 1
+
+    def test_drops_counted_per_reason(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        journal.write_bytes(
+            self._line("a", 1) + b"garbage line\n" + self._line("a", 2)
+            + _doctored(self._line("b")) + self._line("c")[:-9])
+        report = compact_journal(journal)
+        assert report.dropped == {str(journal): {
+            "duplicate": 1, "malformed": 1, "checksum": 1, "torn": 1}}
+        assert report.journal_lines_dropped == 4
+        assert journal.read_bytes() == self._line("a", 2)
+
 
 class TestGcRunDir:
-    def test_journal_pins_cache_and_consumes_spool(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        _entry(cache, "journaled", age=500)
-        _entry(cache, "stray", age=400)
-        journal = tmp_path / "journal.jsonl"
-        journal.write_bytes(
-            json.dumps({"key": "journaled"}).encode() + b"\n")
+    def _spool_result(self, tmp_path, key):
         spool = tmp_path / "spool"
-        (spool / "results").mkdir(parents=True)
-        (spool / "pending").mkdir()
-        _entry(spool / "results", "journaled", age=10,
-               suffix=".result")
-        report = gc_run_dir(tmp_path, cache_budget_entries=0)
-        # The journal-referenced key survives the tightest budget...
-        assert (cache / "journaled.pkl").exists()
-        assert not (cache / "stray.pkl").exists()
-        assert report.cache_pinned_kept == 1
-        # ...while its (journal-covered) spool result is consumed.
+        (spool / "results").mkdir(parents=True, exist_ok=True)
+        (spool / "pending").mkdir(exist_ok=True)
+        return _entry(spool / "results", key, age=10, suffix=".result")
+
+    def test_journal_consumes_spool(self, tmp_path):
+        Journal(tmp_path / "journal.jsonl").record("journaled", 1)
+        consumed = self._spool_result(tmp_path, "journaled")
+        unharvested = self._spool_result(tmp_path, "elsewhere")
+        report = gc_run_dir(tmp_path)
+        # The journal holds the key, so its spool result is consumed;
+        # a result the journal does not cover stays.
         assert report.spool_results_removed == 1
+        assert not consumed.exists()
+        assert unharvested.exists()
+
+    def test_damaged_journal_line_consumes_nothing(self, tmp_path):
+        # k1's only journal line fails its checksum: the journal
+        # cannot restore k1, so the spool result is its only copy.
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(_doctored(_line("k1")))
+        result = self._spool_result(tmp_path, "k1")
+        report = gc_run_dir(tmp_path)
+        assert _loaded(journal) == {}
+        assert report.spool_results_removed == 0
+        assert result.exists()
+
+    def test_compaction_covers_journal_and_cache_segment(self,
+                                                         tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_bytes(_line("a") + _line("a"))
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("b", 1)
+        segment = tmp_path / "cache" / "segment.jsonl"
+        with open(segment, "ab") as handle:
+            handle.write(_doctored(_line("b")))
+        report = gc_run_dir(tmp_path, compact=True)
+        assert report.dropped == {
+            str(journal): {"duplicate": 1},
+            str(segment): {"checksum": 1},
+        }
+        assert report.journal_lines_dropped == 2
+        assert ResultCache(tmp_path / "cache").get("b") == 1
+        assert len(segment.read_bytes().splitlines()) == 1
+
+    def test_cache_dir_given_directly_is_compacted(self, tmp_path):
+        # 'repro gc DIR' where DIR is a --cache-dir: its own segment
+        # is compacted, lines of other simulator versions included.
+        ResultCache(tmp_path, version="another-simulator").put("old", 0)
+        cache = ResultCache(tmp_path)
+        cache.put("b", 1)
+        cache.put("c", 2)
+        segment = tmp_path / "segment.jsonl"
+        with open(segment, "ab") as handle:
+            handle.write(_doctored(_line("b")))
+        report = gc_run_dir(tmp_path, compact=True)
+        assert report.dropped == {
+            str(segment): {"version-drift": 1, "checksum": 1}}
+        fresh = ResultCache(tmp_path)
+        assert (fresh.get("b"), fresh.get("c"), len(fresh)) == (1, 2, 2)
+        assert fresh.corrupt == 0
 
     def test_report_dict_shape(self):
         doc = GCReport().to_dict()
-        assert set(doc) == {"dry_run", "cache", "quarantine",
-                            "spool", "journal"}
+        assert set(doc) == {"dry_run", "spool", "journal"}
 
     def test_merge_accumulates(self):
-        a = GCReport(cache_evicted=1, spool_tmp_removed=2)
-        b = GCReport(cache_evicted=3)
+        a = GCReport(journal_lines_dropped=1, spool_tmp_removed=2)
+        b = GCReport(journal_lines_dropped=3)
         a.merge(b)
-        assert a.cache_evicted == 4
+        assert a.journal_lines_dropped == 4
         assert a.spool_tmp_removed == 2
-
-
-class TestResultCacheBudgetIntegration:
-    """The inline (engine-side) budget path of ResultCache."""
-
-    def test_put_evicts_unpinned_lru_entries(self, tmp_path):
-        from repro.exec.cache import ResultCache
-        from repro.cpu import MachineConfig, simulate
-        from repro.workloads import benchmark_trace
-
-        stats = simulate(MachineConfig(),
-                         benchmark_trace("gzip", 200))
-        cache = ResultCache(tmp_path, budget_entries=2)
-        cache.put("k1", stats)
-        cache.put("k2", stats)
-        cache.put("k3", stats)
-        # All three keys were put by *this* process, so all are
-        # pinned: the budget must not break the in-flight run.
-        assert cache.evicted == 0
-        assert len(list(tmp_path.glob("*.pkl"))) == 3
-        # A fresh process (fresh pin set) sees the same directory
-        # over budget and may evict the LRU entries it never touched.
-        stale = ResultCache(tmp_path, budget_entries=2,
-                            version=cache.version)
-        stale.put("k4", stats)
-        assert stale.evicted > 0
-        assert (tmp_path / "k4.pkl").exists()
-
-    def test_quarantine_budget_prunes_oldest(self, tmp_path):
-        from repro.exec.cache import ResultCache
-
-        cache = ResultCache(tmp_path, quarantine_entries=2)
-        for n in range(4):
-            # Corrupt entries: raw junk under the final name.
-            _entry(tmp_path, f"bad{n}", b"not a seal", age=400 - n)
-            assert cache.get(f"bad{n}") is None  # quarantines it
-        quarantine = tmp_path / "quarantine"
-        assert cache.quarantine_pruned == 2
-        assert len(list(quarantine.iterdir())) == 2
-        assert cache.counters()["quarantine_pruned"] == 2

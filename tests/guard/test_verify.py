@@ -21,10 +21,12 @@ BENCH, LENGTH = "gzip", 600
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
-    """One finished, verifiable screen run (88 x 1 cells)."""
+    """One finished, verifiable screen run (88 x 1 cells), with a
+    result cache pointed into its run dir."""
     directory = tmp_path_factory.mktemp("runs") / "screen"
     status = main(["screen", "-b", BENCH, "-n", str(LENGTH),
-                   "--run-dir", str(directory)])
+                   "--run-dir", str(directory),
+                   "--cache-dir", str(directory / "cache")])
     assert status == 0
     return directory
 
@@ -37,11 +39,52 @@ def copy(run_dir, tmp_path):
     return target
 
 
+def damage_segment_line(run_dir, index, edit):
+    """Apply ``edit`` to line ``index`` of the run's cache segment."""
+    segment = run_dir / "cache" / "segment.jsonl"
+    lines = segment.read_bytes().splitlines(keepends=True)
+    lines[index] = edit(lines[index])
+    segment.write_bytes(b"".join(lines))
+
+
+def flip_byte(line):
+    blob = bytearray(line)
+    blob[-30] ^= 0xFF
+    return bytes(blob)
+
+
+class TestGcKeepsAVerifiedRun:
+    def test_run_recorded_under_an_earlier_simulator(self, copy,
+                                                     monkeypatch):
+        # The simulator has moved on since the run was recorded.
+        # verify loads the journal at the manifest's version, so
+        # compaction must judge it there too: every cell survives.
+        import repro.cpu
+        import repro.guard.retention as retention
+
+        monkeypatch.setattr(repro.cpu, "SIMULATOR_VERSION", "next")
+        monkeypatch.setattr(retention, "SIMULATOR_VERSION", "next")
+        journal = (copy / "journal.jsonl").read_bytes()
+        report = retention.gc_run_dir(copy, compact=True)
+        assert (copy / "journal.jsonl").read_bytes() == journal
+        assert str(copy / "journal.jsonl") not in report.dropped
+        assert verify_run(copy).status == 0
+
+
 class TestRunDirLayout:
     def test_all_artifacts_written(self, run_dir):
         for name in ("manifest.json", "journal.jsonl", "metrics.jsonl",
                      "results.json", "cache"):
             assert (run_dir / name).exists(), name
+
+    def test_bare_run_dir_writes_no_cache(self, tmp_path):
+        # The journal is a run dir's only result store.
+        directory = tmp_path / "bare"
+        assert main(["screen", "-b", BENCH, "-n", str(LENGTH),
+                     "--run-dir", str(directory)]) == 0
+        assert (directory / "journal.jsonl").exists()
+        assert not (directory / "cache").exists()
+        assert verify_run(directory).status == 0
 
     def test_results_document_is_sealed(self, run_dir):
         payload = guard_check(
@@ -97,21 +140,17 @@ class TestViolations:
 
     def test_corrupt_cache_entry_names_the_directory(self, copy,
                                                      capsys):
-        entry = sorted((copy / "cache").glob("*.pkl"))[0]
-        blob = bytearray(entry.read_bytes())
-        blob[-3] ^= 0xFF
-        entry.write_bytes(bytes(blob))
+        damage_segment_line(copy, 0, flip_byte)
         assert main(["verify", str(copy)]) == 1
         out = capsys.readouterr().out
-        assert "cache" in out and "quarantined" in out
+        assert "cache" in out and "dropped 1 invalid" in out
 
     def test_both_corruptions_both_named(self, copy, capsys):
         journal = copy / "journal.jsonl"
         lines = journal.read_bytes().splitlines(keepends=True)
         lines[0] = lines[0].replace(b'"sha": "', b'"sha": "f')
         journal.write_bytes(b"".join(lines))
-        entry = sorted((copy / "cache").glob("*.pkl"))[1]
-        entry.write_bytes(entry.read_bytes()[:-10])
+        damage_segment_line(copy, 1, lambda line: line[:-10] + b"\n")
         assert main(["verify", str(copy)]) == 1
         out = capsys.readouterr().out
         assert "journal.jsonl" in out
@@ -233,8 +272,7 @@ class TestInconclusive:
 
     def test_violation_outranks_missing_evidence(self, copy):
         (copy / "results.json").unlink()
-        entry = sorted((copy / "cache").glob("*.pkl"))[0]
-        entry.write_bytes(b"junk")
+        damage_segment_line(copy, 0, lambda line: b"junk\n")
         report = verify_run(copy)
         assert report.status == 1
 

@@ -156,9 +156,7 @@ class TestCacheCounters:
     def test_cache_counters_method(self):
         cache = ResultCache()
         assert cache.counters() == {
-            "corrupt": 0, "evicted": 0, "hits": 0, "misses": 0,
-            "put_failures": 0, "quarantine_pruned": 0,
-            "quarantined": 0,
+            "corrupt": 0, "hits": 0, "misses": 0, "put_failures": 0,
         }
 
     def test_cache_counters_surface_in_registry(self, traces):

@@ -17,6 +17,8 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exec import Journal
+from repro.exec.cache import SEGMENT_NAME
 
 #: Small but real: 88 configurations x 2 benchmarks.
 WORKLOAD = ["-b", "gzip,mcf", "-n", "500"]
@@ -27,24 +29,26 @@ def reference_run(tmp_path_factory):
     """The sealed oracle: a reference-core screen under --run-dir."""
     run_dir = tmp_path_factory.mktemp("screen-reference")
     assert main(["screen", *WORKLOAD, "--core", "reference",
-                 "--run-dir", str(run_dir)]) == 0
+                 "--run-dir", str(run_dir),
+                 "--cache-dir", str(run_dir / "cache")]) == 0
     return run_dir
 
 
 @pytest.fixture(scope="module")
 def batched_run(tmp_path_factory):
-    """The run under test: batched core, jobs=2, cache + journal +
-    trace + manifest armed via --run-dir, then a second pass over the
-    same run directory with a re-execution audit over the restored
-    cells."""
+    """The run under test: batched core, jobs=2, journal + trace +
+    manifest armed via --run-dir and a cache in it via --cache-dir,
+    then a second pass over the same run directory with a
+    re-execution audit over the restored cells."""
     run_dir = tmp_path_factory.mktemp("screen-batched")
     trace = run_dir / "events.trace.json"
+    cache = ["--cache-dir", str(run_dir / "cache")]
     assert main(["screen", *WORKLOAD, "--core", "batched",
                  "--jobs", "2", "--trace", str(trace),
-                 "--run-dir", str(run_dir)]) == 0
+                 "--run-dir", str(run_dir), *cache]) == 0
     assert main(["screen", *WORKLOAD, "--core", "batched",
                  "--jobs", "2", "--audit", "0.25",
-                 "--run-dir", str(run_dir)]) == 0
+                 "--run-dir", str(run_dir), *cache]) == 0
     return run_dir
 
 
@@ -89,9 +93,9 @@ class TestBitIdenticalResults:
         reference oracle's entries must never be confused with the
         batched core's (equal *content* is the theorem being tested,
         not an excuse to share storage)."""
-        ref_keys = {f.name for f in
-                    (reference_run / "cache").glob("*.pkl")}
-        bat_keys = {f.name for f in
-                    (batched_run / "cache").glob("*.pkl")}
+        ref_keys = set(Journal(reference_run / "cache" / SEGMENT_NAME)
+                       .keys())
+        bat_keys = set(Journal(batched_run / "cache" / SEGMENT_NAME)
+                       .keys())
         assert ref_keys and bat_keys
         assert not ref_keys & bat_keys
