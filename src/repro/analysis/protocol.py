@@ -653,8 +653,9 @@ class WallClockLeaseMath(ProtocolChecker):
 class BlockingUnderFlock(ProtocolChecker):
     """REP202: blocking calls inside an exclusive ``flock`` window.
 
-    The journal's append lock (``exec/journal.py``) is held by every
-    writer sharing a run directory — broker, workers, resumed runs.
+    The sealed-line append lock (``guard/lines.py``) is held by every
+    journal, cache-segment and event-lane writer sharing a run
+    directory — broker, workers, resumed runs.
     The window is write+flush, microseconds.  One ``time.sleep`` or
     subprocess wait inside it serializes every concurrent writer
     behind the sleeper, and a worker killed by the fault injector

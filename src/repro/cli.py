@@ -978,11 +978,11 @@ def cmd_journal_repair(args) -> int:
               "byte(s) removed")
     else:
         print("  no torn tail")
-    for lineno, reason in repair.dropped:
+    for lineno, reason in scan.damage:
         print(f"  line {lineno}: {reason} (left in place; a resume "
               "will drop it)")
-    if repair.dropped:
-        print(f"  {len(repair.dropped)} damaged line(s) remain; "
+    if scan.damage:
+        print(f"  {len(scan.damage)} damaged line(s) remain; "
               "their cells will re-simulate on resume")
     return 0
 

@@ -32,7 +32,6 @@ from .fault import (
 from .journal import (
     Journal,
     JournalRepair,
-    JournalScan,
     repair_journal,
     scan_journal,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "GridResult",
     "Journal",
     "JournalRepair",
-    "JournalScan",
     "ResultCache",
     "RetryPolicy",
     "SimTask",

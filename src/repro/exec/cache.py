@@ -9,14 +9,14 @@ results safe to memoise by a content hash of the inputs —
 The cache has two layers: an in-memory dict (always on) and an
 optional on-disk **segment**, ``<path>/segment.jsonl``: one
 append-only file in the :mod:`repro.exec.journal` line format,
-written by the journal's flock'd, roll-back-on-fault append.  On
-first use every line is checked by the journal's loader and the
-valid ones are indexed by offset; a line is unpickled when its key is
-first looked up, so opening a large shared segment costs a scan, not
-a copy of every run's statistics.  Enhancement analyses,
-iterative refinement and repeated benchmark sessions all hit the same
-keys, so the second time a configuration is measured it costs a
-dictionary lookup instead of a full pipeline simulation.
+appended by the journal's record (a :mod:`repro.guard.lines`
+appender).  On first use every line is checked by the journal's
+codec and the valid ones are indexed by offset; a line is unpickled
+when its key is first looked up, so opening a large shared segment
+costs a scan, not a copy of every run's statistics.  Enhancement
+analyses, iterative refinement and repeated benchmark sessions all
+hit the same keys, so the second time a configuration is measured it
+costs a dictionary lookup instead of a full pipeline simulation.
 
 Every line carries its payload checksum and the ``SIMULATOR_VERSION``
 it was measured under.  A damaged line — torn, malformed, checksum
@@ -44,13 +44,15 @@ import math
 import os
 import warnings
 import weakref
+from functools import partial
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.cpu import SIMULATOR_VERSION
 from repro.cpu.stats import CoreStats
+from repro.guard import lines
 
-from .journal import Journal, _check_line, _judge_lines, _parse_line
+from .journal import Journal, _check_line, _parse_line
 
 #: File name of the on-disk segment inside a cache directory.
 SEGMENT_NAME = "segment.jsonl"
@@ -82,12 +84,13 @@ class _Segment(Journal):
     def _load(self) -> None:
         self._reader = open(self.path, "rb")
         data = self._reader.read()
-        for _lineno, start, raw, key, _blob, reason in _judge_lines(
-                data, self.version, _check_line):
-            if reason is None:
-                self._entries[key] = _Unread(data.find(raw, start),
-                                             len(raw))
-            elif reason != "version-drift":
+        scan, rows = lines.scan(
+            self.path, partial(_check_line, version=self.version),
+            data=data)
+        for _lineno, start, raw, (key, _blob) in rows:
+            self._entries[key] = _Unread(data.find(raw, start), len(raw))
+        for _lineno, reason in scan.invalid:
+            if reason != "version-drift":
                 self._drop(reason)
         self._warn_dropped()
 
@@ -100,9 +103,9 @@ class _Segment(Journal):
         if type(stats) is _Unread:
             line = os.pread(self._reader.fileno(), stats.length,
                             stats.start)
-            found, stats, reason = _parse_line(line, self.version)
-            if reason is None and found == key:
-                self._entries[key] = stats
+            entry, reason = _parse_line(line, self.version)
+            if reason is None and entry[0] == key:
+                stats = self._entries[key] = entry[1]
             else:
                 del self._entries[key]
                 self._drop(reason or "malformed")

@@ -15,6 +15,9 @@ makes that trust checkable at four layers:
   self-describing header (kind, schema, simulator version, payload
   checksum); loaders quarantine anything that fails :func:`check`
   with a named reason instead of trusting or silently deleting it.
+* **Sealed-line files** (:mod:`repro.guard.lines`): the journal, the
+  cache segment and the event lanes share one walker, one flock'd
+  appender with rollback, and one torn-tail rule.
 * **Sampled re-execution audits** (:mod:`repro.guard.audit`):
   ``run_grid(audit=...)`` deterministically re-runs a fraction of
   cache/journal hits and compares bit-exact, raising

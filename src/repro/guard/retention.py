@@ -175,14 +175,13 @@ def journal_keys(path: Union[str, os.PathLike], *,
     validation names a key the journal cannot restore, so it does not
     count; a missing file holds none.  ``version`` is the simulator
     version lines must carry (``None``: any)."""
-    from repro.exec.journal import _judge_lines
+    from repro.exec.journal import _scan
 
     try:
-        data = Path(path).read_bytes()
+        rows = _scan(path, version)[1]
     except OSError:
         return set()
-    return {key for *_, key, _stats, reason in _judge_lines(data, version)
-            if reason is None}
+    return {key for *_, (key, _stats) in rows}
 
 
 def spool_inflight_keys(spool_root: Union[str, os.PathLike]) \
@@ -290,7 +289,7 @@ def compact_journal(path: Union[str, os.PathLike], *,
     rewrite publishes atomically: a crash leaves the original file in
     place.
     """
-    from repro.exec.journal import _judge_lines
+    from repro.exec.journal import _scan
 
     path = Path(path)
     report = GCReport(dry_run=dry_run)
@@ -298,15 +297,13 @@ def compact_journal(path: Union[str, os.PathLike], *,
         data = path.read_bytes()
     except OSError:
         return report
+    scan, rows = _scan(path, version, data=data)
+    reasons = scan.reasons()
     kept: Dict[str, bytes] = {}
-    reasons: Dict[str, int] = {}
-    for *_, raw, key, _stats, reason in _judge_lines(data, version):
-        if reason is None:
-            if key in kept:
-                reason = "duplicate"    # the earlier line, superseded
-            kept[key] = raw + b"\n"
-        if reason is not None:
-            reasons[reason] = reasons.get(reason, 0) + 1
+    for *_, raw, (key, _stats) in rows:
+        if key in kept:     # the earlier line, superseded
+            reasons["duplicate"] = reasons.get("duplicate", 0) + 1
+        kept[key] = raw + b"\n"
     compacted = b"".join(kept.values())
     report.journal_lines_dropped = sum(reasons.values())
     report.journal_bytes_freed = len(data) - len(compacted)

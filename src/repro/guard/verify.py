@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from . import faults
 from .errors import SealError, SealMissing
+from .lines import breakdown
 from .seal import check as check_seal, seal as make_seal
 
 __all__ = [
@@ -325,13 +326,9 @@ def verify_run(run_dir: Union[str, os.PathLike], *,
         warnings_module.simplefilter("ignore", RuntimeWarning)
         journal = Journal(journal_path, version=sim_version)
     if journal.corrupt:
-        breakdown = ", ".join(
-            f"{reason}: {count}"
-            for reason, count in sorted(journal.dropped.items())
-        )
         report.add("journal", False,
                    f"{journal_path}: dropped {journal.corrupt} "
-                   f"invalid line(s) ({breakdown})")
+                   f"invalid line(s) ({breakdown(journal.dropped)})")
     else:
         report.add("journal", True,
                    f"{len(journal)} entries, all checksums valid")
@@ -366,13 +363,9 @@ def verify_run(run_dir: Union[str, os.PathLike], *,
                     f"on {', '.join(diff)}",
                 )
         if cache.corrupt:
-            breakdown = ", ".join(
-                f"{reason}: {count}"
-                for reason, count in sorted(cache.dropped.items())
-            )
             report.add("cache", False,
                        f"{cache_dir}: dropped {cache.corrupt} invalid "
-                       f"segment line(s) ({breakdown})")
+                       f"segment line(s) ({breakdown(cache.dropped)})")
         elif not mismatched:
             report.add("cache", True,
                        f"{compared} shared entries agree with the "

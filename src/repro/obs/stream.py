@@ -8,21 +8,18 @@ leaves no telemetry at all.  This module is the incremental half: an
 as the run executes, so the on-disk stream is always at most one torn
 line behind reality.
 
-Format: one JSON object per line, journal-style (the discipline of
-:mod:`repro.exec.journal`)::
+Format: one JSON object per line::
 
     {"v": 2, "lane": "main", "seq": 3, "kind": "span-open",
      "name": "grid", "cat": "grid", "t": 12345.678901, "sid": 1,
      "attrs": {"tasks": 176}, "sha": "<sha-256 of the canonical
      record without this field>"}
 
-* **Append + flush per record** — a crash can only ever tear the
-  final line, and a torn tail is a *crash signature*, not damage:
-  readers skip it silently (:func:`scan_stream` reports it apart from
-  mid-file corruption, which is named per line with the journal's
-  reason slugs).  Writers repair a torn tail on reopen, so a
-  restarted broker appending to the same lane never glues a new
-  record onto a dead one's residue.
+A lane is a sealed-line file (:mod:`repro.guard.lines`): the shared
+appender, walker and tail rule make a torn tail a crash signature,
+reported apart from mid-file damage.  This module is the lane's codec
+and its failure policy: one attempt per record.
+
 * **One lane per writer** — the engine/broker process writes
   ``stream/main.events.jsonl`` under the run directory; every dist
   worker writes ``stream/<worker-id>.events.jsonl`` under the spool.
@@ -65,16 +62,12 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None
-
-from repro.guard import faults
+from repro.guard import lines
+from repro.guard.lines import LineScan
 
 from . import clock
 
@@ -199,67 +192,41 @@ class EventWriter:
     ----------
     path:
         The lane file (``*.events.jsonl``).  Created (with parents)
-        on first emit; an existing file has its torn tail repaired —
-        truncated back to the last complete line — before this
-        generation's ``stream-open`` is appended.
+        on first emit; the tail rule mends a crashed generation's
+        residue before this generation's ``stream-open`` is appended.
     lane:
         Lane name carried on every record (``"main"`` for the
         engine/broker process, the worker id for dist workers).
     version:
         Simulator version recorded in the ``stream-open`` anchor;
         defaults to :data:`~repro.cpu.SIMULATOR_VERSION`.
-    sync:
-        Fsync after every record (off by default, like the journal:
-        flush-per-line already survives process death).
     """
 
     def __init__(self, path: Union[str, os.PathLike], *, lane: str,
-                 version: Optional[str] = None, sync: bool = False):
+                 version: Optional[str] = None):
         self.path = Path(path)
         self.lane = str(lane)
         self.version = version
-        self.sync = sync
-        self._handle = None
+        self._handle: Optional[lines.Appender] = None
         self._seq = 0
         self._next_sid = 0
         self._sids: Dict[int, int] = {}
         self._gauges: Dict[str, object] = {}
         self._disabled = False
-        self._warned = False
 
     # -- plumbing ---------------------------------------------------
 
     def _disable(self, exc: BaseException) -> None:
         self._disabled = True
-        if not self._warned:
-            self._warned = True
-            warnings.warn(
-                f"event stream {self.path} failed "
-                f"({type(exc).__name__}: {exc}); disabling the lane — "
-                "the run continues without live telemetry",
-                RuntimeWarning, stacklevel=4,
-            )
-
-    def _repair_tail(self) -> None:
-        """Truncate an unterminated final line left by a crashed
-        previous generation, so this one never appends onto residue."""
-        try:
-            size = self.path.stat().st_size
-        except FileNotFoundError:
-            return
-        if size == 0:
-            return
-        data = self.path.read_bytes()
-        if data.endswith(b"\n"):
-            return
-        keep = data.rfind(b"\n") + 1
-        with open(self.path, "r+b") as handle:
-            handle.truncate(keep)
+        warnings.warn(
+            f"event stream {self.path} failed "
+            f"({type(exc).__name__}: {exc}); disabling the lane — "
+            "the run continues without live telemetry",
+            RuntimeWarning, stacklevel=4,
+        )
 
     def _open(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._repair_tail()
-        self._handle = open(self.path, "a", encoding="utf-8")
+        self._handle = lines.Appender(self.path, _parse_line, attempts=1)
         if self.version is None:
             from repro.cpu import SIMULATOR_VERSION
 
@@ -282,6 +249,8 @@ class EventWriter:
         try:
             if self._handle is None:
                 self._open()
+                if self._disabled:      # the stream-open failed
+                    return
             head = {"attrs": attrs, "kind": kind, "lane": self.lane,
                     "seq": self._seq}
             if name:
@@ -289,25 +258,10 @@ class EventWriter:
             if category:
                 head["cat"] = category
             line = _sealed_line(head, clock.monotonic(), sid)
-            # Append under an exclusive flock, the journal discipline:
-            # interleaved writers (never expected on one lane, but
-            # never fatal either) cannot tear each other's lines.
-            if fcntl is not None:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_EX)
-            try:
-                # Through the fault seam: an injected (or real)
-                # ENOSPC/EIO/torn write surfaces here and the except
-                # below disables the lane — degrade loudly, never
-                # abort the run.  A torn final line is exactly the
-                # crash signature the next generation's tail repair
-                # (and scan_stream) already tolerates.
-                faults.vfs_write(self._handle, line)
-                self._handle.flush()
-                if self.sync:
-                    faults.vfs_fsync(self._handle.fileno())
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
+            # An injected (or real) ENOSPC/EIO/torn write is rolled
+            # back by the appender and lands in the except below:
+            # degrade loudly, never abort the run.
+            self._handle.append(line.encode("utf-8"))
             self._seq += 1
         except Exception as exc:  # observational sink: any failure disables the lane instead of aborting the run
             self._disable(exc)
@@ -423,28 +377,13 @@ class EventRecord:
 
 
 @dataclass(frozen=True)
-class StreamScan:
-    """What a walk over one lane file found.
+class StreamScan(LineScan):
+    """The :class:`~repro.guard.lines.LineScan` of one lane file
+    (damage slugs: ``malformed``, ``checksum``, ``schema-drift``),
+    plus the lane's name and its valid records."""
 
-    ``invalid`` mirrors the journal contract: ``(lineno, reason)``
-    per damaged line with the shared slugs (``malformed``,
-    ``checksum``, ``schema-drift``); a torn final line is reported as
-    ``torn`` and flagged in :attr:`torn_tail` — the crash signature,
-    tolerated by every reader.
-    """
-
-    path: Path
     lane: str
     records: Tuple[EventRecord, ...]
-    invalid: Tuple[Tuple[int, str], ...]
-    torn_tail: bool
-
-    @property
-    def damage(self) -> Tuple[Tuple[int, str], ...]:
-        """Mid-file damage only: every invalid line except the torn
-        tail.  This is what ``repro verify`` treats as a violation."""
-        return tuple((lineno, reason) for lineno, reason in self.invalid
-                     if reason != "torn")
 
     def generations(self) -> List[Tuple[EventRecord, ...]]:
         """Records split into writer generations at each
@@ -500,50 +439,16 @@ def _valid_counter(record: EventRecord) -> bool:
 
 
 def scan_stream(path: Union[str, os.PathLike]) -> StreamScan:
-    """Classify every line of one lane file.
-
-    Torn-tail tolerant: an unterminated, unparseable final line is
-    the footprint of a crash mid-write and is skipped (reported as
-    ``torn``); any other invalid line is named with its reason so the
-    damage is never silent.
-    """
-    path = Path(path)
-    data = path.read_bytes()
-    records: List[EventRecord] = []
-    invalid: List[Tuple[int, str]] = []
-    torn_tail = False
-    pos, lineno = 0, 0
-    size = len(data)
-    while pos < size:
-        newline = data.find(b"\n", pos)
-        if newline < 0:
-            raw, next_pos, terminated = data[pos:], size, False
-        else:
-            raw, next_pos, terminated = \
-                data[pos:newline], newline + 1, True
-        pos = next_pos
-        lineno += 1
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        record, reason = _parse_line(stripped)
-        if reason is None:
-            records.append(EventRecord(
-                lane=record.lane, seq=record.seq, kind=record.kind,
-                t=record.t, name=record.name,
-                category=record.category, sid=record.sid,
-                attrs=record.attrs, lineno=lineno,
-            ))
-            continue
-        if not terminated:
-            reason = "torn"
-            torn_tail = True
-        invalid.append((lineno, reason))
-    lane = records[0].lane if records else path.name[
-        :-len(LANE_SUFFIX)] if path.name.endswith(LANE_SUFFIX) \
-        else path.stem
-    return StreamScan(path, lane, tuple(records), tuple(invalid),
-                      torn_tail)
+    """Classify every line of one lane file with the shared walker:
+    a torn tail is skipped (reported as ``torn``), and any other
+    invalid line is named with its reason, never silently dropped."""
+    framing, rows = lines.scan(path, _parse_line)
+    records = tuple(replace(record, lineno=lineno)
+                    for lineno, _start, _raw, record in rows)
+    name = framing.path.name
+    lane = records[0].lane if records else name[:-len(LANE_SUFFIX)] \
+        if name.endswith(LANE_SUFFIX) else framing.path.stem
+    return StreamScan(**vars(framing), lane=lane, records=records)
 
 
 def find_stream_lanes(root: Union[str, os.PathLike]) -> List[Path]:

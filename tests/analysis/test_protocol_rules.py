@@ -2,7 +2,7 @@
 
 Each test plants exactly one protocol violation in a fixture copy of
 the *real* protocol code (``dist/spool.py``, ``guard/verify.py``,
-``exec/cache.py``, ``exec/journal.py``, ``dist/worker.py``) and
+``exec/cache.py``, ``guard/lines.py``, ``dist/worker.py``) and
 asserts the lint names it — correct rule ID, correct file, correct
 line.  This is the
 mutation-style acceptance check from the PR issue: the rules must
@@ -137,20 +137,21 @@ class TestConcurrencyGateBites:
         assert any(f.line == line for f in hits)
 
     def test_rep202_sleep_under_journal_flock(self):
-        """A sleep inside the journal's exclusive flock window stalls
-        every concurrent writer; REP202 must name the sleep."""
+        """A sleep inside the journal's exclusive flock window (the
+        shared sealed-line appender) stalls every concurrent writer;
+        REP202 must name the sleep."""
         old = (
-            "                    faults.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, line)\n"
         )
         new = (
-            "                    faults.vfs_write(self._handle, data)\n"
+            "                    faults.vfs_write(self._handle, line)\n"
             "                    time.sleep(0.01)\n"
         )
-        source, mutated, line = _mutate("exec/journal.py", old, new)
+        source, mutated, line = _mutate("guard/lines.py", old, new)
         assert "REP202" not in _rules(
-            _lint(source, "exec/journal.py"))
+            _lint(source, "guard/lines.py"))
         mutated = "import time\n" + mutated
-        hits = [f for f in _lint(mutated, "exec/journal.py")
+        hits = [f for f in _lint(mutated, "guard/lines.py")
                 if f.rule == "REP202"]
         assert hits, "REP202 missed the sleep under flock"
         assert hits[0].line == line + 2  # import + write line above

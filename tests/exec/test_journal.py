@@ -6,6 +6,8 @@ from a journal re-simulates only the missing cells and yields results
 bit-identical to an uninterrupted run.
 """
 
+import warnings
+
 import pytest
 
 from repro.core import PBExperiment, rank_parameters_from_result
@@ -189,17 +191,37 @@ class TestTornTailAppend:
     def test_record_after_a_torn_tail_gets_its_own_line(self,
                                                         tmp_path):
         # A crash mid-append left an unterminated fragment; the next
-        # record must not merge into it.
+        # record must not merge into it, and the tail rule removes
+        # the residue rather than leaving it as mid-file damage.
         path = tmp_path / "grid.journal"
         path.write_bytes(b'{"v": 2, "key": "lost", "sha": "')
         with pytest.warns(RuntimeWarning, match="torn: 1"):
             journal = Journal(path)
         journal.record("kept", {"n": 1})
         journal.close()
-        with pytest.warns(RuntimeWarning, match="malformed: 1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             reloaded = Journal(path)
         assert reloaded.get("kept") == {"n": 1}
-        assert reloaded.corrupt == 1
+        assert reloaded.corrupt == 0
+
+    def test_record_over_a_torn_tail_reloads_clean(self, tmp_path):
+        path = tmp_path / "grid.journal"
+        with Journal(path) as journal:
+            journal.record("first", {"n": 0})
+        intact = path.read_bytes()
+        with Journal(tmp_path / "other.journal") as other:
+            other.record("lost", {"n": 1})
+        lost = (tmp_path / "other.journal").read_bytes()
+        path.write_bytes(intact + lost[: len(lost) // 2])
+        with pytest.warns(RuntimeWarning, match="torn: 1"):
+            journal = Journal(path)
+        journal.record("second", {"n": 2})
+        journal.close()
+        reloaded = Journal(path)
+        assert reloaded.corrupt == 0
+        assert sorted(reloaded.keys()) == ["first", "second"]
+        assert path.read_bytes().startswith(intact)
 
 
 class TestInterleavedWriters:
@@ -207,24 +229,37 @@ class TestInterleavedWriters:
 
     The distributed broker and a straggling worker — or two resumed
     runs racing on one run directory — may append to the same journal
-    file simultaneously.  ``Journal.record`` serialises the write
-    with an exclusive ``flock``; this test runs real concurrent
-    processes against one file and then proves every line parses.
+    file simultaneously.  Every sealed-line file (a journal, a cache
+    segment, an event lane) appends through one appender that
+    serialises the write with an exclusive ``flock``; this test runs
+    real concurrent processes against one file, with each codec, and
+    then proves every line parses.
     """
 
-    WRITER = (
-        "import sys\n"
-        "from repro.exec import Journal\n"
-        "tag, count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
-        "with Journal(path) as journal:\n"
-        "    for n in range(count):\n"
-        "        journal.record(\n"
-        "            f'{tag}-{n:04d}',\n"
-        "            {'tag': tag, 'n': n, 'pad': 'x' * 512},\n"
-        "        )\n"
-    )
+    WRITERS = {
+        "journal": (
+            "import sys\n"
+            "from repro.exec import Journal\n"
+            "tag, count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
+            "with Journal(path) as journal:\n"
+            "    for n in range(count):\n"
+            "        journal.record(\n"
+            "            f'{tag}-{n:04d}',\n"
+            "            {'tag': tag, 'n': n, 'pad': 'x' * 512},\n"
+            "        )\n"
+        ),
+        "lane": (
+            "import sys\n"
+            "from repro.obs.stream import EventWriter\n"
+            "tag, count, path = sys.argv[1], int(sys.argv[2]), sys.argv[3]\n"
+            "with EventWriter(path, lane=tag, version='v') as writer:\n"
+            "    for n in range(count):\n"
+            "        writer.mark(f'{tag}-{n:04d}', n=n, pad='x' * 512)\n"
+        ),
+    }
 
-    def test_concurrent_appends_never_tear(self, tmp_path):
+    @pytest.mark.parametrize("codec", sorted(WRITERS))
+    def test_concurrent_appends_never_tear(self, tmp_path, codec):
         import os
         import subprocess
         import sys
@@ -232,8 +267,9 @@ class TestInterleavedWriters:
 
         import repro
         from repro.exec import scan_journal
+        from repro.obs.stream import scan_stream
 
-        path = tmp_path / "shared.journal"
+        path = tmp_path / "shared.jsonl"
         env = dict(os.environ)
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
@@ -244,7 +280,7 @@ class TestInterleavedWriters:
         count = 200
         procs = [
             subprocess.Popen(
-                [sys.executable, "-c", self.WRITER,
+                [sys.executable, "-c", self.WRITERS[codec],
                  tag, str(count), str(path)],
                 env=env,
             )
@@ -252,15 +288,27 @@ class TestInterleavedWriters:
         ]
         assert [proc.wait(timeout=120) for proc in procs] == [0, 0, 0]
 
-        scan = scan_journal(path)
-        assert scan.total == len(tags) * count
+        if codec == "journal":
+            scan = scan_journal(path)
+            assert scan.total == len(tags) * count
+        else:
+            scan = scan_stream(path)
+            # Each writer's generation adds its stream-open and -close.
+            assert scan.total == len(tags) * (count + 2)
         assert scan.valid == scan.total
         assert scan.invalid == ()
         assert not scan.torn_tail
 
-        journal = Journal(path)
-        assert len(journal) == len(tags) * count
-        assert journal.corrupt == 0
-        for tag in tags:
-            for n in range(count):
-                assert journal.get(f"{tag}-{n:04d}")["n"] == n
+        if codec == "journal":
+            journal = Journal(path)
+            assert len(journal) == len(tags) * count
+            assert journal.corrupt == 0
+            for tag in tags:
+                for n in range(count):
+                    assert journal.get(f"{tag}-{n:04d}")["n"] == n
+        else:
+            for tag in tags:
+                marks = [record.attrs["n"] for record in scan.records
+                         if record.lane == tag
+                         and record.kind == "instant"]
+                assert marks == list(range(count))

@@ -63,11 +63,17 @@ class TestCacheEntryMutations:
         (reason, count), = fresh.dropped.items()
         assert count == 1 and reason in KNOWN_REASONS
         # Never trusted: the re-simulated cell is appended afresh and
-        # the next open serves it, with the damage still counted.
+        # the next open serves it, with mid-file damage still counted.
+        # A flipped final newline leaves a torn tail instead, which
+        # the put's tail rule removes like any crash residue.
         fresh.put("k" * 64, stats)
-        with pytest.warns(RuntimeWarning, match="dropped 1"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             healed = ResultCache(tmp_path / "cache")
             assert healed.get("k" * 64) == stats
+        assert healed.corrupt == (reason != "torn")
+        assert sum("dropped 1" in str(w.message) for w in caught) \
+            == healed.corrupt
 
     def test_truncation(self, tmp_path, stats):
         cache = ResultCache(tmp_path / "cache")

@@ -93,6 +93,15 @@ class TestInjectedErofs:
         # with a hole in it would be worse than no lane at all.
         writer.emit("task-start", "run")
         assert path.read_bytes() == b""
+        # A torn write is rolled back like a journal record: the lane
+        # keeps its complete lines and holds no fragment.
+        torn = EventWriter(path, lane="main")
+        torn.mark("before")
+        intact = path.read_bytes()
+        with injected(FaultInjector([Fault("torn", 0, ALWAYS)])):
+            with pytest.warns(RuntimeWarning, match="disabling the lane"):
+                torn.mark("after")
+        assert path.read_bytes() == intact
 
     def test_spool_publish_fails_atomically(self, tmp_path):
         spool = Spool(tmp_path)

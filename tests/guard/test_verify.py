@@ -127,6 +127,22 @@ class TestCleanVerify:
                      "--run-dir", str(copy)]) == 0
         assert verify_run(copy).status == 0
 
+    def test_crash_mid_append_then_resume_verifies(self, copy):
+        # A crash cut the last journal line in half; the resumed
+        # screen re-records that cell over the torn tail, and the
+        # residue must not survive as mid-file damage.
+        journal = copy / "journal.jsonl"
+        data = journal.read_bytes()
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        journal.write_bytes(data[:last + (len(data) - last) // 2])
+        with pytest.warns(RuntimeWarning, match="torn: 1"):
+            assert main(["screen", "-b", BENCH, "-n", str(LENGTH),
+                         "--run-dir", str(copy), "--resume"]) == 0
+        report = verify_run(copy)
+        assert [c.describe() for c in report.checks
+                if c.ok is not True] == []
+        assert report.status == 0
+
 
 class TestViolations:
     def test_corrupt_journal_line_names_the_file(self, copy, capsys):
