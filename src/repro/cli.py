@@ -156,12 +156,6 @@ def _add_exec_args(parser):
              "dead and its leases reclaimed (default %(default)s)",
     )
     parser.add_argument(
-        "--dist-chaos-exit-after", type=int, default=None, metavar="N",
-        help="chaos-test hook: hard-crash the broker after N "
-             "harvested results (the spool survives; a restarted "
-             "broker resumes from it)",
-    )
-    parser.add_argument(
         "--dist-spool-budget", type=int, default=None, metavar="N",
         help="after the run, garbage-collect consumed sealed results "
              "from the spool down to at most N files (default: keep "
@@ -169,39 +163,55 @@ def _add_exec_args(parser):
     )
 
 
-class _ExecOptions:
-    """The engine-facing keyword set parsed from CLI flags."""
-
-    def __init__(self, jobs, cache, retry, timeout, on_error, journal,
-                 audit=None, dist=None):
-        self.jobs = jobs
-        self.cache = cache
-        self.retry = retry
-        self.timeout = timeout
-        self.on_error = on_error
-        self.journal = journal
-        self.audit = audit
-        self.dist = dist
-
-    def run_kwargs(self, telemetry=None):
-        return dict(
-            jobs=self.jobs, cache=self.cache, retry=self.retry,
-            timeout=self.timeout, on_error=self.on_error,
-            journal=self.journal, telemetry=telemetry,
-            audit=self.audit, dist=self.dist,
-        )
+def _flag_error(flag: str, exc: ValueError) -> SystemExit:
+    """A flag value the library rejected, as argparse's own usage
+    error: the message (naming ``flag``) on stderr, exit status 2."""
+    message = f"{flag}: {exc}"
+    print(f"repro: error: {message}", file=sys.stderr)
+    error = SystemExit(message)
+    error.code = 2
+    return error
 
 
-def _exec_options(args):
-    """Engine options for run()/run_grid() from parsed CLI args."""
+def _checked(flag: str, build, **values):
+    """``build(**values)``, a ``ValueError`` becoming a usage error
+    that names ``flag``."""
+    try:
+        return build(**values)
+    except ValueError as exc:
+        raise _flag_error(flag, exc) from None
+
+
+def _exec_options(args) -> dict:
+    """Engine options (:class:`repro.exec.ExecOptions` fields) from
+    parsed CLI args, validated before any cell runs."""
     import os
 
-    from repro.exec import Journal, ResultCache, RetryPolicy
+    from repro.exec import ExecOptions, Journal, ResultCache, RetryPolicy
 
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.retry < 1:
-        raise SystemExit(f"--retry must be >= 1, got {args.retry}")
+    _checked("--jobs", ExecOptions, jobs=args.jobs)
+    _checked("--task-timeout", ExecOptions, timeout=args.task_timeout)
+    # One attempt is the engine's fail-fast default, not a policy.
+    retry = None if args.retry == 1 else _checked(
+        "--retry", RetryPolicy, max_attempts=args.retry)
+    audit = None
+    if args.audit is not None:
+        from repro.guard import AuditPolicy
+
+        audit = _checked("--audit", AuditPolicy, fraction=args.audit,
+                         seed=args.audit_seed)
+    dist = None
+    if getattr(args, "dist", None):
+        from repro.dist import DistOptions
+
+        dist = _checked(
+            "--dist", DistOptions,
+            spool=args.dist,
+            attach_grace=args.dist_attach_grace,
+            heartbeat_grace=args.dist_heartbeat_grace,
+            spool_budget_results=getattr(
+                args, "dist_spool_budget", None),
+        )
     try:
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
     except OSError as exc:
@@ -222,35 +232,10 @@ def _exec_options(args):
                   f"{args.journal}", file=sys.stderr)
     elif args.resume:
         raise SystemExit("--resume needs --journal FILE")
-    retry = RetryPolicy(max_attempts=args.retry) if args.retry > 1 \
-        else None
-    audit = None
-    if args.audit is not None:
-        if not 0.0 <= args.audit <= 1.0:
-            raise SystemExit(
-                f"--audit must be in [0, 1], got {args.audit}"
-            )
-        from repro.guard import AuditPolicy
-
-        audit = AuditPolicy(fraction=args.audit, seed=args.audit_seed)
-    dist = None
-    if getattr(args, "dist", None):
-        from repro.dist import DistOptions
-
-        try:
-            dist = DistOptions(
-                spool=args.dist,
-                attach_grace=args.dist_attach_grace,
-                heartbeat_grace=args.dist_heartbeat_grace,
-                chaos_exit_after=args.dist_chaos_exit_after,
-                spool_budget_results=getattr(
-                    args, "dist_spool_budget", None),
-            )
-        except ValueError as exc:
-            raise SystemExit(f"bad --dist options: {exc}")
-    return _ExecOptions(
-        args.jobs, cache, retry, args.task_timeout, args.on_error,
-        journal, audit, dist,
+    return dict(
+        jobs=args.jobs, cache=cache, retry=retry,
+        timeout=args.task_timeout, on_error=args.on_error,
+        journal=journal, audit=audit, dist=dist,
     )
 
 
@@ -514,7 +499,7 @@ def cmd_screen(args) -> int:
     try:
         result = PBExperiment(traces, core=args.core,
                               progress=progress) \
-            .run(**options.run_kwargs(telemetry=obs.telemetry))
+            .run(telemetry=obs.telemetry, **options)
     except KeyboardInterrupt:
         obs.finish(status="interrupted")
         _interrupt_summary(args, progress)
@@ -579,7 +564,7 @@ def cmd_classify(args) -> int:
         try:
             result = PBExperiment(traces, core=args.core,
                                   progress=progress) \
-                .run(**options.run_kwargs(telemetry=obs.telemetry))
+                .run(telemetry=obs.telemetry, **options)
         except KeyboardInterrupt:
             obs.finish(status="interrupted")
             _interrupt_summary(args, progress)
@@ -613,14 +598,13 @@ def cmd_enhance(args) -> int:
     options = _exec_options(args)
     obs = _Obs(args, "enhance")
     progress = _CellProgress()
-    run_kwargs = options.run_kwargs(telemetry=obs.telemetry)
     print(f"running 2 x 88 configurations x {len(traces)} benchmarks ...",
           file=sys.stderr)
     try:
         with obs.phase("enhance-before"):
             before = PBExperiment(traces, core=args.core,
                                   progress=progress) \
-                .run(**run_kwargs)
+                .run(telemetry=obs.telemetry, **options)
         if args.kind == "precompute":
             with obs.phase("precompute-tables",
                            entries=args.table_entries):
@@ -634,13 +618,13 @@ def cmd_enhance(args) -> int:
                 after = PBExperiment(
                     traces, precompute_tables=tables,
                     core=args.core, progress=progress,
-                ).run(**run_kwargs)
+                ).run(telemetry=obs.telemetry, **options)
         else:
             with obs.phase("enhance-after"):
                 after = PBExperiment(
                     traces, prefetch_lines=args.lines,
                     core=args.core, progress=progress,
-                ).run(**run_kwargs)
+                ).run(telemetry=obs.telemetry, **options)
     except KeyboardInterrupt:
         obs.finish(status="interrupted")
         _interrupt_summary(args, progress)

@@ -91,13 +91,8 @@ def analyze_enhancement(
     precompute_tables: Optional[Mapping[str, Set[int]]] = None,
     parameter_names=None,
     progress=None,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout=None,
-    on_error: str = "raise",
-    journal=None,
     telemetry=None,
+    **options,
 ) -> Tuple[EnhancementAnalysis, PBExperimentResult, PBExperimentResult]:
     """Run the full §4.3 study: PB before and after precomputation.
 
@@ -106,17 +101,14 @@ def analyze_enhancement(
     mapping); by default the tables are built from each trace's
     redundancy profile with ``table_entries`` entries, as in the paper.
 
-    ``jobs``/``cache`` go to both underlying experiment runs via
-    :func:`repro.exec.run_grid`.  With a persistent cache, the "before"
-    half of the study shares keys with any previous base-machine screen
-    of the same traces and is not re-simulated.
-
-    ``retry``/``timeout``/``on_error``/``journal`` are forwarded to
-    both runs as well; a single journal file checkpoints the whole
-    2 x 88-run study, because entries are content-keyed (the "before"
-    and "after" grids never collide).  Note that rank comparison
-    requires complete effect tables, so a benchmark with skipped cells
-    drops out of both rankings.
+    ``options`` (:class:`repro.exec.ExecOptions`) go untouched to both
+    experiment runs.  With a persistent cache, the "before" half of
+    the study shares keys with any previous base-machine screen of the
+    same traces and is not re-simulated; a single journal file
+    checkpoints the whole 2 x 88-run study, because entries are
+    content-keyed (the "before" and "after" grids never collide).
+    Rank comparison requires complete effect tables, so a benchmark
+    with skipped cells drops out of both rankings.
 
     ``telemetry`` wraps the halves in ``enhance-before`` /
     ``enhance-after`` phase spans (plus ``precompute-tables`` around
@@ -134,15 +126,11 @@ def analyze_enhancement(
     kwargs = {}
     if parameter_names is not None:
         kwargs["parameter_names"] = parameter_names
-    exec_kwargs = dict(
-        jobs=jobs, cache=cache, retry=retry, timeout=timeout,
-        on_error=on_error, journal=journal, telemetry=telemetry,
-    )
     with phase_of(telemetry, "enhance-before"):
         before = PBExperiment(
             traces, base_config=base_config, progress=progress,
             **kwargs
-        ).run(**exec_kwargs)
+        ).run(telemetry=telemetry, **options)
     with phase_of(telemetry, "enhance-after"):
         after = PBExperiment(
             traces,
@@ -150,7 +138,7 @@ def analyze_enhancement(
             precompute_tables=precompute_tables,
             progress=progress,
             **kwargs,
-        ).run(**exec_kwargs)
+        ).run(telemetry=telemetry, **options)
     analysis = EnhancementAnalysis(
         rank_parameters_from_result(before),
         rank_parameters_from_result(after),

@@ -17,13 +17,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.cpu import MachineConfig, config_from_levels
 from repro.cpu.params import PARAMETER_NAMES
 from repro.doe import DesignMatrix, EffectTable, compute_effects, pb_design
-from repro.exec import (
-    FailureRecord,
-    ResultCache,
-    RetryPolicy,
-    grid_tasks,
-    run_grid,
-)
+from repro.exec import FailureRecord, grid_tasks, run_grid
 from repro.obs.telemetry import phase_of
 from repro.workloads import Trace
 
@@ -181,37 +175,20 @@ class PBExperiment:
             for levels in self.design.runs()
         ]
 
-    def run(
-        self,
-        *,
-        jobs: int = 1,
-        cache: Optional[ResultCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        timeout: Optional[float] = None,
-        on_error: str = "raise",
-        journal=None,
-        telemetry=None,
-        audit=None,
-        dist=None,
-    ) -> PBExperimentResult:
+    def run(self, *, telemetry=None, **options) -> PBExperimentResult:
         """Simulate every (row, benchmark) pair; return all results.
 
-        The grid goes through :func:`repro.exec.run_grid`: ``jobs >= 2``
-        fans the simulations out over a supervised worker pool and
-        ``cache`` reuses previously measured configurations.  Results
-        are ordered by design row regardless of completion order, so
+        ``options`` are the engine's (:class:`repro.exec.ExecOptions`:
+        jobs, cache, journal, fault tolerance, audit, distribution)
+        and go to :func:`repro.exec.run_grid` untouched.  Results are
+        ordered by design row regardless of completion order, so
         responses, effects and ranks are identical to a serial run.
         The response function is applied in the calling process, so it
-        may be any callable (closures included).
-
-        ``retry``/``timeout``/``on_error``/``journal`` are the
-        engine's fault-tolerance controls (see
-        :func:`repro.exec.run_grid`).  Under ``on_error="skip"`` a
-        permanently failed cell leaves ``None`` in its response column
-        and a :class:`CellFailure` in the result's ``failures``;
-        effects are computed only for benchmarks whose column is
-        complete.  With ``journal=`` an interrupted screen resumes
-        from its completed cells on the next run.
+        may be any callable (closures included).  Under
+        ``on_error="skip"`` a permanently failed cell leaves ``None``
+        in its response column and a :class:`CellFailure` in the
+        result's ``failures``; effects are computed only for
+        benchmarks whose column is complete.
 
         ``telemetry`` (a :class:`repro.obs.Telemetry`, optional) adds
         coarse phase spans — ``pb-design`` around task construction,
@@ -219,15 +196,6 @@ class PBExperiment:
         computation — and flows into :func:`repro.exec.run_grid` for
         the task-level lifecycle.  Strictly observational: results are
         bit-identical with it on or off.
-
-        ``audit`` (an :class:`~repro.guard.audit.AuditPolicy` or a
-        fraction) re-executes a deterministic sample of cache/journal
-        hits and compares bit-exact; see :func:`repro.exec.run_grid`.
-
-        ``dist`` (a :class:`repro.dist.DistOptions` or a spool
-        directory) runs the grid through the distributed
-        broker/worker runtime instead of a local pool; see
-        :func:`repro.exec.run_grid` and :mod:`repro.dist`.
         """
         with phase_of(telemetry, "pb-design",
                       rows=self.design.n_runs,
@@ -240,13 +208,11 @@ class PBExperiment:
                 core=self.core,
             )
         grid = run_grid(
-            tasks, jobs=jobs, cache=cache,
+            tasks,
             # run_grid invokes progress callbacks in the calling
             # process only; the bound method never travels to workers.
             progress=self.progress,  # repro: noqa[REP004] -- parent-side callback
-            retry=retry, timeout=timeout, on_error=on_error,
-            journal=journal, telemetry=telemetry, audit=audit,
-            dist=dist,
+            telemetry=telemetry, **options,
         )
         with phase_of(telemetry, "pb-analyze"):
             benches = list(self.traces)

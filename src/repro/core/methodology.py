@@ -64,22 +64,17 @@ def sensitivity_analysis(
     factors: Sequence[str],
     base_config: MachineConfig = MachineConfig(),
     *,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout=None,
-    on_error: str = "raise",
-    journal=None,
     telemetry=None,
+    **options,
 ) -> SensitivityStudy:
     """Full-factorial ANOVA (step 3) over a small set of factors.
 
     Each factor's low/high values are its Plackett-Burman values; the
     2^k design quantifies all their interactions (which the PB screen
     could not), per Table 1's "Full Multifactorial" row.  The 2^k x
-    benchmarks grid runs through :func:`repro.exec.run_grid`
-    (``jobs``/``cache``/``retry``/``timeout``/``on_error``/``journal``
-    as everywhere else).  ANOVA needs the complete 2^k column, so
+    benchmarks grid runs through :func:`repro.exec.run_grid`, which
+    takes ``options`` (:class:`repro.exec.ExecOptions`) untouched.
+    ANOVA needs the complete 2^k column, so
     under ``on_error="skip"`` a benchmark with a permanently failed
     cell is dropped from the study (all benchmarks failing raises).
     """
@@ -95,11 +90,8 @@ def sensitivity_analysis(
         for levels in design.runs()
     ]
     with phase_of(telemetry, "sensitivity", factors=len(factors)):
-        grid = run_grid(
-            grid_tasks(configs, traces), jobs=jobs, cache=cache,
-            retry=retry, timeout=timeout, on_error=on_error,
-            journal=journal, telemetry=telemetry,
-        )
+        grid = run_grid(grid_tasks(configs, traces),
+                        telemetry=telemetry, **options)
     benchmarks = list(traces)
     anovas: Dict[str, AnovaResult] = {}
     for j, bench in enumerate(benchmarks):
@@ -146,41 +138,30 @@ def recommended_workflow(
     base_config: MachineConfig = MachineConfig(),
     max_critical: int = 4,
     progress=None,
-    jobs: int = 1,
-    cache=None,
-    retry=None,
-    timeout=None,
-    on_error: str = "raise",
-    journal=None,
     telemetry=None,
+    **options,
 ) -> WorkflowResult:
     """Run the paper's full four-step parameter-selection workflow.
 
     ``max_critical`` caps how many of the PB-critical parameters enter
     the full-factorial step (2^k cost); the paper's own gap rule picks
-    the candidates, the cap keeps the factorial tractable.  The
-    fault-tolerance controls (``retry``/``timeout``/``on_error``/
-    ``journal``) apply to both the screen and the factorial; one
-    journal file checkpoints the whole workflow since entries are
-    content-keyed.
+    the candidates, the cap keeps the factorial tractable.  ``options``
+    (:class:`repro.exec.ExecOptions`) go untouched to both the screen
+    and the factorial; one journal file checkpoints the whole workflow
+    since entries are content-keyed.
     """
     experiment = PBExperiment(
         traces, base_config=base_config, progress=progress
     )
     ranking = rank_parameters_from_result(
-        experiment.run(
-            jobs=jobs, cache=cache, retry=retry, timeout=timeout,
-            on_error=on_error, journal=journal, telemetry=telemetry,
-        )
+        experiment.run(telemetry=telemetry, **options)
     )
     critical = ranking.significant_factors()[:max_critical]
     # Only real machine parameters can enter the factorial (a dummy
     # factor in the critical set would indicate a broken experiment).
     critical = [f for f in critical if _is_real_parameter(f)]
     sensitivity = sensitivity_analysis(
-        traces, critical, base_config, jobs=jobs, cache=cache,
-        retry=retry, timeout=timeout, on_error=on_error,
-        journal=journal, telemetry=telemetry,
+        traces, critical, base_config, telemetry=telemetry, **options
     )
     final_config = choose_final_values(ranking, sensitivity, base_config)
     return WorkflowResult(

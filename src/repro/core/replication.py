@@ -132,15 +132,15 @@ def run_replicated(
     base_config: MachineConfig = MachineConfig(),
     parameter_names=None,
     progress=None,
-    jobs: int = 1,
-    cache=None,
+    **options,
 ) -> ReplicatedResult:
     """Run the PB design once per replicate and infer per-factor stats.
 
     Each factor's R effect estimates are treated as an i.i.d. sample;
     the returned inference carries mean, standard error, t-statistic
     (against zero effect) and two-sided p-value with R-1 degrees of
-    freedom.  ``jobs``/``cache`` are forwarded to every replicate's
+    freedom.  ``options`` (:class:`repro.exec.ExecOptions`, plus
+    ``telemetry``) go untouched to every replicate's
     :meth:`PBExperiment.run` (replicate traces differ by seed, so only
     repeated *studies* hit the cache, not replicates of one study).
     """
@@ -164,7 +164,7 @@ def run_replicated(
             progress=progress,
             **kwargs,
         )
-        results.append(experiment.run(jobs=jobs, cache=cache))
+        results.append(experiment.run(**options))
 
     inference: Dict[str, Dict[str, FactorInference]] = {}
     factor_names = results[0].design.factor_names

@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cpu import MachineConfig
-from repro.exec import (
-    FailureRecord,
-    ResultCache,
-    RetryPolicy,
-    grid_tasks,
-    run_grid,
-)
+from repro.exec import FailureRecord, ResultCache, grid_tasks, run_grid
 from repro.obs.telemetry import phase_of
 from repro.workloads import Trace
 
@@ -102,23 +96,16 @@ def sweep(
     base_config: MachineConfig = MachineConfig(),
     *,
     linked: Optional[Mapping[object, Mapping[str, object]]] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    retry: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    on_error: str = "raise",
-    journal=None,
     telemetry=None,
+    **options,
 ) -> SweepResult:
     """Measure cycles across values of one ``MachineConfig`` field.
 
     ``linked`` optionally maps a swept value to extra field overrides
     applied together with it (e.g. shrinking the LSQ along with the
-    ROB to keep configurations legal).  ``jobs``/``cache`` go to
-    :func:`repro.exec.run_grid`: the grid of (value, benchmark) cells
-    runs on a worker pool and previously measured configurations are
-    reused from the cache.  ``retry``/``timeout``/``on_error``/
-    ``journal`` are the engine's fault-tolerance controls; under
+    ROB to keep configurations legal).  The grid of (value, benchmark)
+    cells goes to :func:`repro.exec.run_grid` with ``options``
+    (:class:`repro.exec.ExecOptions`) untouched; under
     ``on_error="skip"`` a failed cell becomes ``None`` in the result
     and the affected value drops out of ``best_value()``.
     ``telemetry`` adds a ``sweep`` phase span naming the swept field
@@ -134,11 +121,8 @@ def sweep(
         configs.append(base_config.evolve(**changes))
     with phase_of(telemetry, "sweep", field=field_name,
                   values=len(values)):
-        grid = run_grid(
-            grid_tasks(configs, traces), jobs=jobs, cache=cache,
-            retry=retry, timeout=timeout, on_error=on_error,
-            journal=journal, telemetry=telemetry,
-        )
+        grid = run_grid(grid_tasks(configs, traces),
+                        telemetry=telemetry, **options)
     cycles: Dict[str, List[Optional[int]]] = {b: [] for b in traces}
     index = 0
     for _ in configs:
@@ -186,13 +170,9 @@ def iterative_refinement(
     base_config: MachineConfig = MachineConfig(),
     *,
     max_rounds: int = 4,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    retry: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    on_error: str = "raise",
-    journal=None,
     telemetry=None,
+    **options,
 ) -> RefinementResult:
     """Fix each parameter at its best value, iterating to a fixed point.
 
@@ -207,8 +187,9 @@ def iterative_refinement(
     always runs against a result cache: the supplied ``cache``, or a
     process-local in-memory one when ``None``.
 
-    ``retry``/``timeout``/``on_error``/``journal`` go to every
-    underlying sweep; with ``on_error="skip"`` a value whose cell
+    The other ``options`` (:class:`repro.exec.ExecOptions`) go
+    untouched to every underlying sweep; with ``on_error="skip"`` a
+    value whose cell
     failed permanently simply cannot be chosen (see
     :meth:`SweepResult.best_value`), so one broken configuration
     cannot sink a whole refinement.  ``telemetry`` wraps each round in
@@ -229,9 +210,7 @@ def iterative_refinement(
             for field_name, values in sweeps.items():
                 outcome = sweep(
                     traces, field_name, values, config,
-                    jobs=jobs, cache=cache, retry=retry,
-                    timeout=timeout, on_error=on_error,
-                    journal=journal, telemetry=telemetry,
+                    cache=cache, telemetry=telemetry, **options,
                 )
                 chosen = outcome.best_value()
                 result.steps.append(

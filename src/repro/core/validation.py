@@ -14,7 +14,6 @@ from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.cpu import build_precompute_table
 from repro.workloads import (
     BENCHMARK_NAMES,
     Trace,
@@ -24,10 +23,10 @@ from repro.workloads import (
 
 from .classification import distance_matrix, group_benchmarks
 from .comparison import RankingComparison, compare_rankings
-from .enhancement import EnhancementAnalysis
-from .experiment import PBExperiment, PBExperimentResult
+from .enhancement import EnhancementAnalysis, analyze_enhancement
+from .experiment import PBExperimentResult
 from .paper_data import paper_table9_ranking, paper_table12_ranking
-from .parameter_selection import ParameterRanking, rank_parameters_from_result
+from .parameter_selection import ParameterRanking
 
 
 @dataclass
@@ -114,8 +113,7 @@ def replicate(
     scale: float = 5.0,
     table_entries: int = 128,
     progress=None,
-    jobs: int = 1,
-    cache=None,
+    **options,
 ) -> ReplicationOutcome:
     """Run the full replication pipeline.
 
@@ -127,28 +125,24 @@ def replicate(
         million).
     table_entries:
         Precomputation-table size for the §4.3 study.
+    options:
+        :class:`repro.exec.ExecOptions` fields (plus ``telemetry``),
+        passed untouched to :func:`analyze_enhancement`.
     """
     if traces is None:
         traces = {
             name: benchmark_trace(name, default_length(name, scale))
             for name in BENCHMARK_NAMES
         }
-    base = PBExperiment(traces, progress=progress).run(
-        jobs=jobs, cache=cache
+    analysis, base, enhanced = analyze_enhancement(
+        traces, table_entries=table_entries, progress=progress,
+        **options,
     )
-    tables = {
-        name: build_precompute_table(trace, table_entries)
-        for name, trace in traces.items()
-    }
-    enhanced = PBExperiment(
-        traces, precompute_tables=tables, progress=progress
-    ).run(jobs=jobs, cache=cache)
-    table9 = rank_parameters_from_result(base)
-    table12 = rank_parameters_from_result(enhanced)
+    table9, table12 = analysis.before, analysis.after
     return ReplicationOutcome(
         table9=table9,
         table12=table12,
-        enhancement=EnhancementAnalysis(table9, table12),
+        enhancement=analysis,
         base_experiment=base,
         enhanced_experiment=enhanced,
         table9_vs_paper=compare_rankings(table9, paper_table9_ranking()),

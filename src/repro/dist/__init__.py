@@ -16,7 +16,7 @@ The design constraints, in order:
    rename.  Any process — worker or broker — may die at any
    instruction and the spool remains a consistent, resumable ledger.
 2. **Results identical to single-host.**  The broker reuses the
-   engine's storage/retry callbacks, the simulator is deterministic,
+   engine's storage/retry bookkeeping, the simulator is deterministic,
    and dedup is content-keyed, so a chaos-ridden distributed screen
    seals byte-identical results to a quiet in-process one (the
    acceptance tests prove this).
@@ -28,6 +28,6 @@ See ``docs/distributed.md`` for the lease protocol, the failure
 matrix, and the exactly-once argument.
 """
 
-from .options import DistOptions, coerce_dist_options
+from .options import DistOptions
 
-__all__ = ["DistOptions", "coerce_dist_options"]
+__all__ = ["DistOptions"]

@@ -1,9 +1,10 @@
 """The experiment broker: publish, watch, reclaim, harvest.
 
 :func:`run_dist` is the distributed counterpart of the engine's fork
-pool, and deliberately speaks the *same* callback protocol
-(``store`` / ``task_failed`` / ``attempt_number`` / ``resolved``) so
-every grid guarantee — task-order determinism, retry accounting,
+pool, and deliberately speaks the *same* dispatch protocol — it takes
+the engine's grid and the pending cells, stores through
+``grid.store``, reports failed attempts to ``grid.failed`` and returns
+its leftovers — so every grid guarantee — task-order determinism, retry accounting,
 caching, journaling, audits, telemetry — is enforced by exactly one
 implementation, in the broker's process.  Workers compute; the broker
 decides.
@@ -43,7 +44,7 @@ reclaimed-but-alive worker and its replacement may both simulate a
 cell), but *results* are effectively exactly-once because (a) the
 simulator is deterministic, so duplicate executions seal
 byte-identical payloads under the same content key, and (b) the
-broker routes every harvest through the engine's ``resolved`` set and
+broker routes every harvest through the grid's ``resolved`` set and
 content-keyed cache/journal, which are idempotent per key.  A
 duplicate result is therefore indistinguishable from the first —
 there is nothing it could disagree with.
@@ -61,44 +62,34 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Set
 
-from repro.guard import retention
+from repro.guard import faults, retention
 from repro.guard.errors import SealError
 
-from .options import DistOptions
 from .spool import Spool
 
 __all__ = ["CHAOS_EXIT_CODE", "run_dist"]
 
-#: Exit status of a chaos-scripted broker crash (``chaos_exit_after``)
-#: — distinct from worker kills (87) so logs attribute each death.
+#: Exit status of a scripted broker crash (a ``crash`` fault on the
+#: ``harvest`` channel of ``REPRO_FAULT_SPEC``) — distinct from worker
+#: kills (87) so logs attribute each death.
 CHAOS_EXIT_CODE = 86
 
 
-def run_dist(
-    tasks: Sequence,
-    pending: List[int],
-    *,
-    options: DistOptions,
-    keys: List[Optional[str]],
-    version: str,
-    store: Callable,
-    task_failed: Callable,
-    attempt_number: Callable,
-    resolved: Set[int],
-    obs,
-    policy,
-) -> List[int]:
+def run_dist(grid, pending: List[int]) -> List[int]:
     """Drive ``pending`` cells through the spool; returns leftovers.
 
     The return value is empty on a completed distributed run; when
     the broker degrades (no worker attached within the grace) it is
     the still-unresolved indices, which ``run_grid`` finishes locally.
-    Invoked only through ``run_grid(dist=...)`` — the argument
-    protocol is the engine's internal callback set.
+    Invoked only through ``run_grid(dist=...)``: ``grid`` is the
+    engine's private per-run grid, the same one its pool and serial
+    paths take.
     """
-    spool = Spool(options.spool, version=version)
+    options, obs, resolved = grid.options.dist, grid.obs, grid.resolved
+    injector = faults.active()
+    spool = Spool(options.spool, version=grid.options.version)
     spool.ensure()
     spool.clear_drain()
     spool.write_manifest(n_tasks=len(pending))
@@ -107,7 +98,7 @@ def run_dist(
     #: into one ticket; every index is stored on harvest).
     by_key: Dict[str, List[int]] = {}
     for i in pending:
-        by_key.setdefault(keys[i], []).append(i)
+        by_key.setdefault(grid.key(i), []).append(i)
     primary = {key: indices[0] for key, indices in by_key.items()}
 
     start = time.monotonic()
@@ -148,7 +139,7 @@ def run_dist(
 
     def _publish(key: str) -> None:
         i = primary[key]
-        spool.publish_task(key, i, attempt_number(i), tasks[i])
+        spool.publish_task(key, i, grid.attempt(i), grid.tasks[i])
         obs.count("dist.published")
 
     def _reclaim(key: str, kind: str, why: str) -> None:
@@ -159,10 +150,10 @@ def run_dist(
                    else "dist.reclaimed.heartbeat")
         obs.count(counter)
         obs.event("lease-reclaim", "dist", index=i, reason=why)
-        if task_failed(i, kind, "",
+        if grid.failed(i, kind, "",
                        f"lease on task {i} reclaimed ({why})"):
-            republish_at[key] = time.monotonic() + policy.delay(
-                max(1, attempt_number(i)), token=key
+            republish_at[key] = time.monotonic() + grid.options.retry.delay(
+                max(1, grid.attempt(i)), token=key
             )
 
     def _harvest() -> None:
@@ -184,6 +175,12 @@ def run_dist(
                 continue  # duplicate from a reclaimed-but-alive worker
             lane = _lane(str(record.get("worker", "")))
             if record.get("ok"):
+                if injector is not None \
+                        and injector.poll("harvest") == "crash":
+                    # Scripted broker crash: no drain marker, no
+                    # cleanup — workers live on, and a restarted
+                    # broker must resume from the sealed spool alone.
+                    os._exit(CHAOS_EXIT_CODE)  # repro: noqa[REP204] -- scripted chaos crash; skipping atexit/finally is the point
                 republish_at.pop(key, None)
                 spool.unpublish(key)
                 spool.release(key)
@@ -194,14 +191,8 @@ def run_dist(
                 stats = record["stats"]
                 for i in by_key[key]:
                     if i not in resolved:
-                        store(i, stats)
+                        grid.store(i, stats)
                 harvested += 1
-                if options.chaos_exit_after is not None \
-                        and harvested >= options.chaos_exit_after:
-                    # Scripted broker crash: no drain marker, no
-                    # cleanup — workers live on, and a restarted
-                    # broker must resume from the sealed spool alone.
-                    os._exit(CHAOS_EXIT_CODE)  # repro: noqa[REP204] -- scripted chaos crash; skipping atexit/finally is the point
             else:
                 spool.remove_result(key)
                 spool.release(key)
@@ -209,10 +200,10 @@ def run_dist(
                           index=primary[key], outcome="error",
                           error=record.get("error_type", ""))
                 i = primary[key]
-                if task_failed(i, "error",
+                if grid.failed(i, "error",
                                str(record.get("error_type", "")),
                                str(record.get("message", ""))):
-                    # task_failed already applied the retry pause.
+                    # grid.failed already applied the retry pause.
                     republish_at[key] = time.monotonic()
 
     try:
@@ -313,7 +304,7 @@ def run_dist(
     finally:
         # Reached on completion, degradation, and any propagating
         # failure (GridError, AuditMismatch, Ctrl-C) — workers must
-        # not be left polling a dead grid.  The scripted chaos crash
+        # not be left polling a dead grid.  The scripted crash
         # (os._exit above) bypasses this on purpose.
         spool.drain()
         if options.spool_budget_results is not None:

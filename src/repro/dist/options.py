@@ -1,18 +1,18 @@
 """Tuning knobs for the distributed grid runtime.
 
-Kept import-light (no engine, no spool) so ``run_grid``'s lazy
-``dist=`` coercion costs nothing on single-host runs, and so the CLI
-can build options without loading the broker.
+Kept import-light (no engine, no spool) so
+:class:`repro.exec.ExecOptions` can turn a ``dist=`` spool path into
+options without loading the broker, and single-host runs never load
+it at all.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
-__all__ = ["DistOptions", "coerce_dist_options"]
+__all__ = ["DistOptions"]
 
 
 @dataclass(frozen=True)
@@ -22,12 +22,9 @@ class DistOptions:
     Parameters
     ----------
     spool:
-        The shared spool directory (created if absent).
-    lease_ttl:
-        Informational only on the broker side — workers write their
-        own TTL into each lease; the broker enforces whatever
-        deadline the lease carries.  Kept here so one options object
-        can describe a whole deployment.
+        The shared spool directory (created if absent).  Lease
+        deadlines are the workers' own (``repro worker --lease-ttl``);
+        the broker enforces whatever deadline each lease carries.
     heartbeat_grace:
         Seconds without a fresh beat before a worker is presumed dead
         and its leases are reclaimed.  Must comfortably exceed the
@@ -37,11 +34,6 @@ class DistOptions:
         before degrading to local execution.
     poll:
         Broker supervision loop period.
-    chaos_exit_after:
-        Test hook: hard-crash the broker (``os._exit``) after this
-        many harvested results, leaving the spool exactly as a real
-        broker death would.  ``None`` (always, outside chaos tests)
-        disables it.
     spool_budget_results:
         Retention budget for sealed result files left in the spool
         after the broker finishes.  When set, the broker's final
@@ -54,28 +46,17 @@ class DistOptions:
     """
 
     spool: Path
-    lease_ttl: float = 15.0
     heartbeat_grace: float = 2.5
     attach_grace: float = 10.0
     poll: float = 0.05
-    chaos_exit_after: Optional[int] = None
     spool_budget_results: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "spool", Path(self.spool))
-        for name in ("lease_ttl", "heartbeat_grace", "attach_grace",
-                     "poll"):
+        for name in ("heartbeat_grace", "attach_grace", "poll"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.spool_budget_results is not None \
                 and self.spool_budget_results < 0:
             raise ValueError("spool_budget_results must be >= 0")
 
-
-def coerce_dist_options(
-    value: Union[DistOptions, str, os.PathLike]
-) -> DistOptions:
-    """``run_grid(dist=...)`` accepts options or a bare spool path."""
-    if isinstance(value, DistOptions):
-        return value
-    return DistOptions(spool=Path(value))

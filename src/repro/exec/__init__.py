@@ -6,9 +6,9 @@ iterative refinement, enhancement analyses — runs through
 :func:`run_grid`, which adds worker-pool parallelism,
 content-addressed result caching, and fault tolerance (supervised
 workers, bounded retries, checkpoint/resume journals) while
-guaranteeing results identical to the serial path.  See
-:mod:`repro.exec.engine` for the execution model,
-:mod:`repro.exec.cache` for the cache design,
+guaranteeing results identical to the serial path; its knobs are one
+:class:`ExecOptions` value.  See :mod:`repro.exec.engine` for the
+execution model, :mod:`repro.exec.cache` for the cache design,
 :mod:`repro.exec.fault` for failure semantics, and
 :mod:`repro.exec.journal` for the resume journal; the deterministic
 fault injector the fault paths are tested with lives in
@@ -22,7 +22,7 @@ from .cache import (
     core_family,
     task_key,
 )
-from .engine import SimTask, grid_tasks, run_grid
+from .engine import ExecOptions, SimTask, grid_tasks, run_grid
 from .fault import (
     FailureRecord,
     GridError,
@@ -37,6 +37,7 @@ from .journal import (
 )
 
 __all__ = [
+    "ExecOptions",
     "FailureRecord",
     "GridError",
     "GridResult",

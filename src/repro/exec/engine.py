@@ -5,7 +5,8 @@ screen, its foldover and replicated variants, parameter sweeps,
 iterative refinement, enhancement before/after studies — reduces to
 the same primitive: simulate a grid of independent (configuration,
 trace) pairs and collect one :class:`~repro.cpu.stats.CoreStats` per
-cell.  :func:`run_grid` is that primitive, shared by all of them.
+cell.  :func:`run_grid` is that primitive, shared by all of them, and
+:class:`ExecOptions` is its one set of knobs.
 
 Guarantees:
 
@@ -61,16 +62,17 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
-    Set, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional,
+    Sequence, Set, Tuple, Union,
 )
 
 from repro.cpu import MachineConfig, SIMULATOR_VERSION
 from repro.cpu.pipeline import simulate
 from repro.cpu.stats import CoreStats
 from repro.guard import faults
-from repro.guard.audit import AuditPolicy, coerce_policy, verify_restored
+from repro.guard.audit import AuditPolicy, verify_restored
 from repro.guard.errors import AuditMismatch
 from repro.workloads import Trace
 
@@ -86,7 +88,10 @@ from .fault import (
 )
 from .journal import Journal
 
-__all__ = ["SimTask", "run_grid", "grid_tasks"]
+if TYPE_CHECKING:  # loaded at run time only when ``dist`` is set
+    from repro.dist.options import DistOptions
+
+__all__ = ["ExecOptions", "SimTask", "run_grid", "grid_tasks"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,74 +394,146 @@ class _Observer:
 
 
 # ---------------------------------------------------------------------------
+# Engine options
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How :func:`run_grid` executes a grid: the engine's one options value.
+
+    Every grid entry point — :meth:`repro.core.PBExperiment.run`, the
+    sweeps, the workflow, the enhancement and replication studies —
+    takes these fields as keyword arguments and hands them on
+    untouched to :func:`run_grid`, which builds this value (an unknown
+    keyword raises ``TypeError`` there).  Construction validates and
+    normalizes, so a built value is ready to run.
+
+    Parameters
+    ----------
+    jobs:
+        Worker processes, ``>= 1``.  ``1`` runs in-process; higher
+        values fan pending cells out over a supervised fork pool
+        (in-process where ``fork`` is unavailable).  Results are
+        identical at any value.
+    cache:
+        Optional :class:`~repro.exec.cache.ResultCache`: hits skip
+        simulation, misses are written back.  A failing cache write is
+        reported once as a :class:`RuntimeWarning` and never aborts
+        the grid.
+    journal:
+        A :class:`~repro.exec.journal.Journal` or a path to one.  Cells
+        it holds are restored without simulation and every newly
+        completed cell is appended, so an interrupted grid resumes.
+    retry:
+        :class:`~repro.exec.fault.RetryPolicy` for failing cells.
+        ``None`` resolves to no retries under ``on_error="raise"``
+        (which then fails fast, re-raising the cell's own exception)
+        and to the default policy (3 attempts, no backoff) under
+        ``"retry"``/``"skip"``.
+    timeout:
+        Per-cell wall-clock budget in seconds, ``> 0``; ``None`` sets
+        none.  Enforced on the pool path (an in-process cell cannot be
+        preempted): a cell over budget has its worker killed and
+        counts as one failed attempt of kind ``"timeout"``.
+    on_error:
+        ``"raise"`` propagates a cell's failure; ``"retry"`` retries
+        per policy, then raises :class:`~repro.exec.fault.GridError`;
+        ``"skip"`` retries, then records a
+        :class:`~repro.exec.fault.FailureRecord` and leaves ``None``
+        in that cell of the result.
+    audit:
+        An :class:`~repro.guard.audit.AuditPolicy` or a bare fraction
+        in ``[0, 1]``; ``None`` audits nothing.  A seeded subset of
+        restored cells (a pure function of the policy seed and the
+        task key) is re-simulated on the normal path and compared
+        bit-exact; a divergence raises
+        :class:`~repro.guard.errors.AuditMismatch` carrying both
+        payloads.  Counters land under ``audit.*``.
+    dist:
+        A :class:`repro.dist.DistOptions` or a spool directory: pending
+        cells are published as sealed tickets, claimed by ``repro
+        worker`` processes and harvested back through the same store
+        and retry bookkeeping as every other path.  A broker no worker
+        attaches to degrades to the local path; results are identical
+        either way.  See :mod:`repro.dist`.
+    max_worker_deaths:
+        Unexpected worker deaths tolerated before the pool is declared
+        unhealthy and the remaining cells run in-process; ``None``
+        resolves to ``2 * jobs + 2``.  Timeout kills do not count.
+    version:
+        Simulator version tag mixed into task keys.
+    """
+
+    jobs: int = 1
+    cache: Optional[ResultCache] = None
+    journal: Union[Journal, str, os.PathLike, None] = None
+    retry: Optional[RetryPolicy] = None
+    timeout: Optional[float] = None
+    on_error: str = "raise"
+    audit: Union[AuditPolicy, float, None] = None
+    dist: Union["DistOptions", str, os.PathLike, None] = None
+    max_worker_deaths: Optional[int] = None
+    version: str = SIMULATOR_VERSION
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.on_error not in ON_ERROR_MODES:
+            raise ValueError(
+                f"on_error must be one of {ON_ERROR_MODES}, "
+                f"got {self.on_error!r}"
+            )
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError(
+                f"timeout must be > 0 seconds, got {self.timeout}"
+            )
+        resolve = partial(object.__setattr__, self)
+        if self.journal is not None \
+                and not isinstance(self.journal, Journal):
+            resolve("journal", Journal(self.journal))
+        if not isinstance(self.audit, AuditPolicy):
+            resolve("audit", AuditPolicy(float(self.audit or 0.0)))
+        if self.dist is not None:
+            # Imported only here: single-host grids never load the
+            # distributed runtime.
+            from repro.dist.options import DistOptions
+
+            if not isinstance(self.dist, DistOptions):
+                resolve("dist", DistOptions(spool=self.dist))
+        if self.retry is None:
+            resolve("retry", NO_RETRY_POLICY if self.on_error == "raise"
+                    else DEFAULT_RETRY_POLICY)
+        if self.max_worker_deaths is None:
+            resolve("max_worker_deaths", 2 * self.jobs + 2)
+
+    @property
+    def fail_fast(self) -> bool:
+        """True when a failing cell re-raises its own exception: the
+        ``on_error="raise"`` default, which no explicit policy (not
+        even a one-attempt one) selects."""
+        return self.on_error == "raise" and self.retry is NO_RETRY_POLICY
+
+
+# ---------------------------------------------------------------------------
 # run_grid
 # ---------------------------------------------------------------------------
 
 def run_grid(
     tasks: Iterable[SimTask],
     *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    version: str = SIMULATOR_VERSION,
-    retry: Optional[RetryPolicy] = None,
-    timeout: Optional[float] = None,
-    on_error: str = "raise",
-    journal: Optional[Union[Journal, str, os.PathLike]] = None,
-    max_worker_deaths: Optional[int] = None,
     telemetry=None,
-    audit: Union[AuditPolicy, float, None] = None,
-    dist=None,
+    **options,
 ) -> GridResult:
     """Simulate every task; return stats in task order.
 
-    Parameters
-    ----------
-    tasks:
-        The grid cells to run (order defines result order).
-    jobs:
-        Worker processes.  ``1`` (the default) runs in-process; higher
-        values fan pending tasks out over a supervised fork pool.  On
-        platforms without ``fork`` the engine silently falls back to
-        in-process execution rather than paying spawn's re-import and
-        task-pickling costs.
-    cache:
-        Optional :class:`ResultCache`; hits skip simulation entirely,
-        misses are computed and written back.  Cache *write* failures
-        (disk full, read-only directory) are reported once as a
-        :class:`RuntimeWarning` and never abort the grid.
+    ``options`` are the fields of :class:`ExecOptions`.  The two
+    observers stay outside it, since neither changes a result:
+
     progress:
         ``(done, total)`` callback, invoked once per finished task
         (cache/journal hits and permanently skipped cells included)
         from the calling process.
-    version:
-        Simulator version tag mixed into cache keys; defaults to
-        :data:`~repro.cpu.SIMULATOR_VERSION`.
-    retry:
-        :class:`RetryPolicy` for failing cells.  ``None`` selects no
-        retries under ``on_error="raise"`` and the default policy (3
-        attempts, no backoff) under ``"retry"``/``"skip"``.
-    timeout:
-        Per-task wall-clock budget in seconds, enforced on the pool
-        path (an in-process task cannot be preempted): a task over
-        budget has its worker killed and counts as one failed attempt
-        of kind ``"timeout"``.
-    on_error:
-        ``"raise"`` (default) propagates a cell's failure immediately;
-        ``"retry"`` retries per policy and raises
-        :class:`~repro.exec.fault.GridError` on exhaustion; ``"skip"``
-        retries, then records a
-        :class:`~repro.exec.fault.FailureRecord` and carries on,
-        leaving ``None`` in that cell of the result.
-    journal:
-        A :class:`~repro.exec.journal.Journal` (or a path to one).
-        Completed cells present in the journal are restored without
-        simulation; every newly completed cell is appended, so an
-        interrupted run resumes where it stopped.
-    max_worker_deaths:
-        Unexpected worker deaths tolerated before the pool is declared
-        unhealthy and the remaining cells run in-process (default
-        ``2 * jobs + 2``).  Deliberate timeout kills do not count.
     telemetry:
         Optional :class:`repro.obs.Telemetry`.  Its tracer receives
         the grid/preload phase spans, one ``run`` span per simulated
@@ -471,86 +548,149 @@ def run_grid(
         and ``timeout`` deadline start, when it becomes its worker's
         running cell — not when it is sent ahead.  All hooks run on
         the same guarded path as ``progress``; see :class:`_Observer`.
-    audit:
-        Sampled re-execution audit of cache/journal hits: an
-        :class:`~repro.guard.audit.AuditPolicy` or a bare fraction in
-        ``[0, 1]``.  A deterministic, seeded subset of restored cells
-        (selection is a pure function of the policy seed and the task
-        key) is re-simulated in-process and compared bit-exact against
-        the restored stats; any divergence raises
-        :class:`~repro.guard.errors.AuditMismatch` carrying both
-        payloads — a stale or tampered store must stop the run.
-        Audited cells take the normal (possibly parallel) execution
-        path, so a clean audit changes nothing but wall time; counters
-        land under ``audit.*``.
-    dist:
-        A :class:`repro.dist.DistOptions` (or a spool directory path)
-        selecting the distributed execution path: pending cells are
-        published as sealed tickets into the shared spool, claimed by
-        independent ``repro worker`` processes under atomic-rename
-        leases, and harvested back through the same ``_store`` /
-        retry machinery as every other path — so caching, journaling,
-        auditing, telemetry and failure semantics are unchanged.  When
-        no worker ever attaches the broker degrades to the local path
-        (pool or in-process per ``jobs``), and any cells left behind
-        by a degrading broker are finished locally; results stay
-        bit-identical either way.  See :mod:`repro.dist`.
     """
-    tasks = list(tasks)
-    total = len(tasks)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if on_error not in ON_ERROR_MODES:
-        raise ValueError(
-            f"on_error must be one of {ON_ERROR_MODES}, got {on_error!r}"
+    return _Grid(list(tasks), ExecOptions(**options),
+                 _Observer(progress, telemetry)).run()
+
+
+class _Grid:
+    """One :func:`run_grid` call: its state and the bookkeeping every
+    dispatch path shares.
+
+    The preload restores what the journal and cache hold; then each
+    dispatch path — distributed, pool, serial, in that order — takes
+    ``(grid, pending)`` and returns the cells it left over.  A path
+    hands a finished cell to :meth:`store` and a failed attempt to
+    :meth:`failed`, which applies the retry policy once for all of
+    them.
+    """
+
+    def __init__(self, tasks: List[SimTask], options: ExecOptions,
+                 obs: _Observer):
+        self.tasks = tasks
+        self.options = options
+        self.obs = obs
+        total = len(tasks)
+        self.results: List[Optional[CoreStats]] = [None] * total
+        self.failures: List[FailureRecord] = []
+        self.keys: List[Optional[str]] = [None] * total
+        self.resolved: Set[int] = set()
+        self.error_counts: Dict[int, int] = {}
+        self.death_counts: Dict[int, int] = {}
+        #: index -> (restored stats, source) for cells the audit
+        #: selected; the re-executed result is compared against this
+        #: in :meth:`store`.
+        self.audit_expect: Dict[int, Tuple[CoreStats, str]] = {}
+        self.done = 0
+
+    def run(self) -> GridResult:
+        options, obs = self.options, self.obs
+        cache = options.cache
+        total = len(self.tasks)
+        cache_before = cache.counters() if cache is not None else None
+        grid_span = obs.begin("grid", "grid", tasks=total,
+                              jobs=options.jobs)
+        obs.count("grid.tasks", total)
+        if options.audit.fraction > 0:
+            # Register the audit instruments up front so snapshots have
+            # a stable shape even when no cell is selected or violated.
+            obs.count("audit.selected", 0)
+            obs.count("audit.passed", 0)
+            obs.count("audit.violations", 0)
+        pending = self._preload()
+        try:
+            if options.dist is not None and pending:
+                # Imported lazily: the distributed runtime is optional
+                # machinery and single-host grids must not pay for it.
+                from repro.dist.broker import run_dist
+                pending = run_dist(self, pending)
+            if options.jobs > 1 and len(pending) > 1 \
+                    and _fork_available():
+                pending = _run_pool(self, pending)
+            _run_serial(self, pending)
+        finally:
+            # Surface the cache's own counters as this grid's deltas,
+            # so a registry shared across grids accumulates true totals.
+            if cache is not None and obs.metrics is not None:
+                for name, value in cache.counters().items():
+                    obs.count(f"cache.{name}",
+                              value - cache_before[name])
+            obs.finish(grid_span, completed=self.done,
+                       failures=len(self.failures))
+        return GridResult(self.results, self.failures)
+
+    def key(self, i: int) -> str:
+        """Task ``i``'s content key, computed once."""
+        if self.keys[i] is None:
+            self.keys[i] = task_key(self.tasks[i],
+                                    version=self.options.version)
+        return self.keys[i]
+
+    def _preload(self) -> List[int]:
+        """Restore from the journal (the resume source), then the
+        cache; return the cells still to run."""
+        obs = self.obs
+        cache, journal = self.options.cache, self.options.journal
+        pending: List[int] = []
+        preload_span = obs.begin(
+            "preload", "phase",
+            probing=("journal+cache" if journal is not None
+                     and cache is not None
+                     else "journal" if journal is not None
+                     else "cache" if cache is not None else "none"),
         )
-    if retry is not None:
-        policy = retry
-    elif on_error in ("retry", "skip"):
-        policy = DEFAULT_RETRY_POLICY
-    else:
-        policy = NO_RETRY_POLICY
-    fail_fast = on_error == "raise" and retry is None
-    if journal is not None and not isinstance(journal, Journal):
-        journal = Journal(journal)
-    if max_worker_deaths is None:
-        max_worker_deaths = 2 * jobs + 2
+        for i in range(len(self.tasks)):
+            if cache is None and journal is None:
+                pending.append(i)
+                continue
+            key = self.key(i)
+            hit = None
+            source = ""
+            if journal is not None:
+                hit = journal.get(key)
+                if hit is not None:
+                    source = "journal"
+                    obs.count("tasks.restored.journal")
+                    obs.event("restore", "cache", index=i,
+                              source="journal")
+            if hit is None and cache is not None:
+                hit = cache.get(key)
+                if hit is not None:
+                    source = "cache"
+                    obs.count("tasks.restored.cache")
+                    obs.event("restore", "cache", index=i,
+                              source="cache")
+            if hit is None:
+                pending.append(i)
+            elif self.options.audit.selects(key):
+                # Keep the restored value aside and re-execute the
+                # cell on the normal path; ``store`` compares.
+                self.audit_expect[i] = (hit, source)
+                obs.count("audit.selected")
+                obs.event("audit-selected", "guard", index=i,
+                          source=source)
+                pending.append(i)
+            else:
+                self.store(i, hit)
+        obs.finish(preload_span,
+                   restored=len(self.tasks) - len(pending),
+                   audited=len(self.audit_expect),
+                   pending=len(pending))
+        return pending
 
-    audit_policy = coerce_policy(audit)
+    def _advance(self) -> None:
+        self.done += 1
+        self.obs.progress(self.done, len(self.tasks))
 
-    results: List[Optional[CoreStats]] = [None] * total
-    failures: List[FailureRecord] = []
-    keys: List[Optional[str]] = [None] * total
-    state = {"done": 0}
-    error_counts: Dict[int, int] = {}
-    death_counts: Dict[int, int] = {}
-    resolved: Set[int] = set()
-    #: index -> (restored stats, source) for cells the audit selected;
-    #: the re-executed result is compared against this in ``_store``.
-    audit_expect: Dict[int, Tuple[CoreStats, str]] = {}
-
-    obs = _Observer(progress, telemetry)
-    cache_before = cache.counters() if cache is not None else None
-    grid_span = obs.begin("grid", "grid", tasks=total, jobs=jobs)
-    obs.count("grid.tasks", total)
-    if audit_policy.fraction > 0:
-        # Register the audit instruments up front so snapshots have a
-        # stable shape even when no cell is selected or violated.
-        obs.count("audit.selected", 0)
-        obs.count("audit.passed", 0)
-        obs.count("audit.violations", 0)
-
-    def _advance() -> None:
-        state["done"] += 1
-        obs.progress(state["done"], total)
-
-    def _store(i: int, stats: CoreStats, simulated: bool = False) -> None:
+    def store(self, i: int, stats: CoreStats,
+              simulated: bool = False) -> None:
         """A completed cell: result list, cache, journal, progress."""
-        expected = audit_expect.pop(i, None)
+        obs, cache = self.obs, self.options.cache
+        expected = self.audit_expect.pop(i, None)
         if expected is not None:
             restored, source = expected
             try:
-                verify_restored(keys[i], i, source, restored, stats)
+                verify_restored(self.keys[i], i, source, restored, stats)
             except AuditMismatch:
                 obs.count("audit.violations")
                 obs.event("audit-violation", "guard", index=i,
@@ -558,11 +698,11 @@ def run_grid(
                 raise
             obs.count("audit.passed")
             obs.event("audit-passed", "guard", index=i, source=source)
-        results[i] = stats
-        resolved.add(i)
+        self.results[i] = stats
+        self.resolved.add(i)
         if cache is not None and cache.put_failures == 0:
             try:
-                cache.put(keys[i], stats)
+                cache.put(self.keys[i], stats)
             except Exception as exc:
                 # The counter doubles as the "writes are down" switch:
                 # one failure stops further attempts on this cache.
@@ -574,195 +714,96 @@ def run_grid(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        if journal is not None:
-            journal.record(keys[i], stats)
+        if self.options.journal is not None:
+            self.options.journal.record(self.keys[i], stats)
         obs.completed(stats, simulated)
-        _advance()
+        self._advance()
 
-    def _attempt_number(i: int) -> int:
-        return error_counts.get(i, 0) + death_counts.get(i, 0)
+    def attempt(self, i: int) -> int:
+        """Attempts task ``i`` has spent so far: its attempt number."""
+        return self.error_counts.get(i, 0) + self.death_counts.get(i, 0)
 
-    def _give_up(i: int, kind: str, error_type: str,
+    def _give_up(self, i: int, kind: str, error_type: str,
                  message: str) -> None:
         """All attempts spent: record (skip) or raise (retry/raise)."""
         record = FailureRecord(
             index=i, kind=kind, error_type=error_type,
-            message=message, attempts=_attempt_number(i),
+            message=message, attempts=self.attempt(i),
         )
-        obs.count("tasks.failed")
-        obs.event("task-failed", "fault", index=i, kind=kind,
-                  error=error_type)
-        if on_error == "skip":
-            failures.append(record)
-            resolved.add(i)
-            _advance()
-        else:
+        self.obs.count("tasks.failed")
+        self.obs.event("task-failed", "fault", index=i, kind=kind,
+                       error=error_type)
+        if self.options.on_error != "skip":
             raise GridError(record)
+        self.failures.append(record)
+        self.resolved.add(i)
+        self._advance()
 
-    def _task_failed(i: int, kind: str, error_type: str,
-                     message: str) -> bool:
+    def failed(self, i: int, kind: str, error_type: str,
+               message: str) -> bool:
         """Register one failed attempt; True means try again."""
+        obs = self.obs
         if kind == "timeout":
             obs.count("tasks.timeouts")
         if kind == "worker-died":
-            death_counts[i] = death_counts.get(i, 0) + 1
-            if death_counts[i] <= _MAX_RESUBMITS:
+            deaths = self.death_counts[i] = \
+                self.death_counts.get(i, 0) + 1
+            if deaths <= _MAX_RESUBMITS:
                 obs.count("tasks.resubmitted")
                 obs.event("resubmit", "fault", index=i,
-                          attempt=_attempt_number(i))
+                          attempt=self.attempt(i))
                 return True
         else:
-            error_counts[i] = error_counts.get(i, 0) + 1
-            if error_counts[i] < policy.max_attempts:
+            errors = self.error_counts[i] = \
+                self.error_counts.get(i, 0) + 1
+            if errors < self.options.retry.max_attempts:
                 obs.count("tasks.retried")
                 obs.event("retry", "fault", index=i, kind=kind,
-                          attempt=_attempt_number(i))
-                policy.pause(error_counts[i], token=i)
+                          attempt=self.attempt(i))
+                self.options.retry.pause(errors, token=i)
                 return True
-        _give_up(i, kind, error_type, message)
+        self._give_up(i, kind, error_type, message)
         return False
 
-    # -- preload: journal first (the resume source), then cache -----
-    pending: List[int] = []
-    preload_span = obs.begin(
-        "preload", "phase",
-        probing=("journal+cache" if journal is not None
-                 and cache is not None
-                 else "journal" if journal is not None
-                 else "cache" if cache is not None else "none"),
-    )
-    for i, task in enumerate(tasks):
-        if cache is not None or journal is not None:
-            keys[i] = task_key(task, version=version)
-        hit = None
-        source = ""
-        if journal is not None:
-            hit = journal.get(keys[i])
-            if hit is not None:
-                source = "journal"
-                obs.count("tasks.restored.journal")
-                obs.event("restore", "cache", index=i,
-                          source="journal")
-        if hit is None and cache is not None:
-            hit = cache.get(keys[i])
-            if hit is not None:
-                source = "cache"
-                obs.count("tasks.restored.cache")
-                obs.event("restore", "cache", index=i, source="cache")
-        if hit is not None:
-            if audit_policy.selects(keys[i]):
-                # Keep the restored value aside and re-execute the
-                # cell on the normal path; ``_store`` compares.
-                audit_expect[i] = (hit, source)
-                obs.count("audit.selected")
-                obs.event("audit-selected", "guard", index=i,
-                          source=source)
-                pending.append(i)
-                continue
-            _store(i, hit)
+
+def _run_serial(grid: _Grid, pending: List[int]) -> List[int]:
+    """Run ``pending`` in-process, in order; leaves nothing over."""
+    obs = grid.obs
+    for i in pending:
+        if i in grid.resolved:
             continue
-        pending.append(i)
-    obs.finish(preload_span,
-               restored=total - len(pending),
-               audited=len(audit_expect),
-               pending=len(pending))
-
-    def _run_serial(indices: Iterable[int]) -> None:
-        for i in indices:
-            if i in resolved:
-                continue
-            while True:
-                attempt = _attempt_number(i)
-                span = obs.begin("run", "task", index=i,
-                                 attempt=attempt)
-                started = time.monotonic()
-                try:
-                    stats = _execute_cell(tasks[i], i, attempt)
-                except KeyboardInterrupt:
-                    # Never a task failure: completed cells are already
-                    # journaled, so the caller can resume.
-                    obs.finish(span, outcome="interrupted")
+        while True:
+            attempt = grid.attempt(i)
+            span = obs.begin("run", "task", index=i, attempt=attempt)
+            started = time.monotonic()
+            try:
+                stats = _execute_cell(grid.tasks[i], i, attempt)
+            except KeyboardInterrupt:
+                # Never a task failure: completed cells are already
+                # journaled, so the caller can resume.
+                obs.finish(span, outcome="interrupted")
+                raise
+            except Exception as exc:
+                obs.finish(span, outcome="error",
+                           error=type(exc).__name__)
+                if grid.options.fail_fast:
                     raise
-                except Exception as exc:
-                    obs.finish(span, outcome="error",
-                               error=type(exc).__name__)
-                    if fail_fast:
-                        raise
-                    error_counts[i] = error_counts.get(i, 0) + 1
-                    if error_counts[i] < policy.max_attempts:
-                        obs.count("tasks.retried")
-                        obs.event("retry", "fault", index=i,
-                                  kind="error",
-                                  attempt=_attempt_number(i))
-                        policy.pause(error_counts[i], token=i)
-                        continue
-                    try:
-                        _give_up(i, "error", type(exc).__name__, str(exc))
-                    except GridError as failure:
-                        raise failure from exc
-                    break
-                else:
-                    obs.finish(span, outcome="ok")
-                    obs.observe("task.seconds",
-                                time.monotonic() - started)
-                    _store(i, stats, simulated=True)
-                    break
-
-    try:
-        if dist is not None and pending:
-            # Imported lazily: the distributed runtime is optional
-            # machinery and single-host grids must not pay for it.
-            from repro.dist import coerce_dist_options
-            from repro.dist.broker import run_dist
-            for i in pending:
-                if keys[i] is None:
-                    keys[i] = task_key(tasks[i], version=version)
-            pending = run_dist(
-                tasks, pending,
-                options=coerce_dist_options(dist),
-                keys=keys, version=version,
-                store=_store, task_failed=_task_failed,
-                attempt_number=_attempt_number, resolved=resolved,
-                obs=obs, policy=policy,
-            )
-        if jobs > 1 and len(pending) > 1 and _fork_available():
-            remaining = _run_pool(
-                tasks, pending,
-                jobs=jobs, timeout=timeout,
-                max_worker_deaths=max_worker_deaths,
-                store=_store, task_failed=_task_failed,
-                attempt_number=_attempt_number, resolved=resolved,
-                obs=obs,
-            )
-            if remaining:
-                _run_serial(remaining)
-        else:
-            _run_serial(pending)
-    finally:
-        # Surface the cache's own counters as this grid's deltas, so
-        # a registry shared across grids accumulates true totals.
-        if cache is not None and obs.metrics is not None:
-            for name, value in cache.counters().items():
-                obs.count(f"cache.{name}",
-                          value - cache_before[name])
-        obs.finish(grid_span, completed=state["done"],
-                   failures=len(failures))
-    return GridResult(results, failures)
+                try:
+                    again = grid.failed(i, "error", type(exc).__name__,
+                                        str(exc))
+                except GridError as failure:
+                    raise failure from exc
+                if again:
+                    continue
+                break
+            obs.finish(span, outcome="ok")
+            obs.observe("task.seconds", time.monotonic() - started)
+            grid.store(i, stats, simulated=True)
+            break
+    return []
 
 
-def _run_pool(
-    tasks: List[SimTask],
-    pending: List[int],
-    *,
-    jobs: int,
-    timeout: Optional[float],
-    max_worker_deaths: int,
-    store: Callable[..., None],
-    task_failed: Callable[[int, str, str, str], bool],
-    attempt_number: Callable[[int], int],
-    resolved: Set[int],
-    obs: _Observer,
-) -> List[int]:
+def _run_pool(grid: _Grid, pending: List[int]) -> List[int]:
     """Supervise a fork pool over ``pending``; returns leftovers.
 
     The return value is normally empty; when the pool is declared
@@ -792,6 +833,7 @@ def _run_pool(
     # load the socket machinery behind it.
     from multiprocessing.connection import wait as wait_for
 
+    obs, options = grid.obs, grid.options
     context = multiprocessing.get_context("fork")
     todo = deque(pending)
     workers: Dict[int, _Worker] = {}
@@ -806,7 +848,7 @@ def _run_pool(
 
     def _enqueue_span(i: int) -> None:
         queue_spans[i] = obs.begin_async(
-            "queue", "task", index=i, attempt=attempt_number(i),
+            "queue", "task", index=i, attempt=grid.attempt(i),
         )
 
     for i in todo:
@@ -821,9 +863,9 @@ def _run_pool(
         return held
 
     def _remaining() -> List[int]:
-        left = [i for i in todo if i not in resolved]
+        left = [i for i in todo if i not in grid.resolved]
         for i in _held():
-            if i not in resolved and i not in left:
+            if i not in grid.resolved and i not in left:
                 left.append(i)
         return left
 
@@ -832,11 +874,11 @@ def _run_pool(
         ``todo``; None if there is none or the worker is gone."""
         while todo:
             i = todo.popleft()
-            if i in resolved:
+            if i in grid.resolved:
                 obs.finish_open(queue_spans.pop(i, None),
                                 outcome="superseded")
                 continue
-            attempt = attempt_number(i)
+            attempt = grid.attempt(i)
             try:
                 worker.send(i, attempt)
             except OSError:
@@ -850,7 +892,8 @@ def _run_pool(
         """Cell ``i`` becomes the one ``worker`` runs: its queue span
         ends, its run span and deadline begin."""
         now = time.monotonic()
-        worker.current = (i, now + timeout if timeout else None)
+        worker.current = (i, now + options.timeout
+                          if options.timeout is not None else None)
         obs.finish_open(queue_spans.pop(i, None), outcome="dispatched")
         run_spans[i] = obs.begin(
             "run", "task", track=wid + 1, index=i, attempt=attempt,
@@ -866,7 +909,7 @@ def _run_pool(
             if sent is None:
                 return
             _start(wid, worker, *sent)
-        if worker.queued is None and len(todo) > jobs:
+        if worker.queued is None and len(todo) > options.jobs:
             worker.queued = _send(worker)
 
     def _requeue(worker: _Worker) -> None:
@@ -892,15 +935,15 @@ def _run_pool(
                 worker.queued = None
             if alive:
                 _feed(wid, worker)
-        if i in resolved:
+        if i in grid.resolved:
             return
         if ok:
             if started is not None:
                 obs.observe("task.seconds", time.monotonic() - started)
-            store(i, payload, simulated=True)
+            grid.store(i, payload, simulated=True)
         else:
             error_type, message_text = payload
-            if task_failed(i, "error", error_type, message_text):
+            if grid.failed(i, "error", error_type, message_text):
                 todo.append(i)
                 _enqueue_span(i)
 
@@ -933,9 +976,10 @@ def _run_pool(
                     obs.finish_open(run_spans.pop(i, None),
                                     outcome="timeout")
                     run_started.pop(i, None)
-                    if i not in resolved and task_failed(
+                    if i not in grid.resolved and grid.failed(
                         i, "timeout", "",
-                        f"exceeded {timeout:.3g}s wall-clock budget",
+                        f"exceeded {options.timeout:.3g}s wall-clock "
+                        "budget",
                     ):
                         todo.append(i)
                         _enqueue_span(i)
@@ -955,14 +999,14 @@ def _run_pool(
                     obs.finish_open(run_spans.pop(i, None),
                                     outcome="worker-died")
                     run_started.pop(i, None)
-                    if i not in resolved and task_failed(
+                    if i not in grid.resolved and grid.failed(
                         i, "worker-died",
                         "", f"worker exited with code {code} "
                             f"while running task {i}",
                     ):
                         todo.append(i)
                         _enqueue_span(i)
-                if deaths > max_worker_deaths:
+                if deaths > options.max_worker_deaths:
                     warnings.warn(
                         f"worker pool unhealthy ({deaths} worker "
                         "deaths); running remaining cells "
@@ -982,10 +1026,10 @@ def _run_pool(
                 break
             # Keep the pool sized to the work left; replace dead
             # workers here too (spawn failure => degrade).
-            want = min(jobs, len(todo) + len(held))
+            want = min(options.jobs, len(todo) + len(held))
             while len(workers) < want:
                 try:
-                    workers[next_id] = _Worker(context, tasks)
+                    workers[next_id] = _Worker(context, grid.tasks)
                 except OSError as exc:
                     warnings.warn(
                         f"cannot spawn simulation worker ({exc}); "

@@ -35,7 +35,6 @@ verifier stays behind an explicit ``from repro.guard import verify``.
 
 from .audit import (
     AuditPolicy,
-    coerce_policy,
     differing_fields,
     verify_restored,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "StatsInvalid",
     "TraceCorrupt",
     "check",
-    "coerce_policy",
     "differing_fields",
     "read_header",
     "seal",

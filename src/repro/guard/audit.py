@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields, is_dataclass
-from typing import List, Union
+from typing import List
 
 from .errors import AuditMismatch
 
@@ -70,20 +70,6 @@ class AuditPolicy:
         ).digest()
         draw = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return draw < self.fraction
-
-
-def coerce_policy(audit: Union["AuditPolicy", float, None]) -> \
-        "AuditPolicy":
-    """Normalize ``run_grid(audit=...)``'s argument to a policy.
-
-    Accepts a ready :class:`AuditPolicy`, a bare fraction, or
-    ``None`` (no auditing).
-    """
-    if audit is None:
-        return AuditPolicy(0.0)
-    if isinstance(audit, AuditPolicy):
-        return audit
-    return AuditPolicy(float(audit))
 
 
 def differing_fields(expected, actual) -> List[str]:

@@ -6,7 +6,7 @@ resume, and the disk-fault contracts of the cache, journal, spool,
 event stream and sealed artifacts — is only trustworthy if it can be
 *demonstrated*, repeatedly and bit-for-bit, against real failures.
 This module is that test substrate: one injector whose schedule
-covers four channels.
+covers five channels.
 
 ``task``
     The engine (and the distributed worker) hands every cell to
@@ -29,6 +29,10 @@ covers four channels.
     the channel's running counter falls inside ``[index, index + n)``.
     Counters are per-process: a fork worker starts from the parent's
     snapshot.
+``harvest``
+    The distributed broker consumes one operation index per result it
+    is about to store; ``crash`` fires there as ``os._exit(86)``, the
+    scripted broker death the distributed chaos tests resume from.
 
 No randomness at fire time, no wall clock: the same spec against the
 same run always faults the same cells and operations.
@@ -105,6 +109,7 @@ _CHANNELS = {
     "torn": "write",
     "fsync": "fsync",
     "rename": "rename",
+    "crash": "harvest",
 }
 
 #: The actions that sleep, and so take a ``seconds`` field.
@@ -151,6 +156,12 @@ class Fault:
         must treat the data as not durable);
         ``"rename"`` — the ``os.replace`` raises ``OSError(EIO)`` (the
         publish never happened; the temp file is the only residue).
+
+        Harvest channel (the distributed broker):
+        ``"crash"`` — the broker exits (``os._exit``) instead of
+        storing result number ``index`` (0-based), so ``crash:30``
+        dies with exactly 30 results harvested, leaving the spool as
+        a real broker death would.
     index:
         The task index (task channel), or the first operation index on
         the action's channel.
@@ -253,8 +264,8 @@ class FaultInjector:
         in-process runs.
     counts:
         Live per-channel operation counters (``write``, ``fsync``,
-        ``rename``) — how many operations of each kind have crossed
-        the seam in this process.
+        ``rename``, and ``harvest`` once a broker polls it) — how many
+        operations of each kind have crossed the seam in this process.
     """
 
     def __init__(self, faults: Iterable[Fault] = (), *,
@@ -281,7 +292,9 @@ class FaultInjector:
         items, e.g. ``"kill:5,raise:12:2,delay:20:1:0.25,rename:0:3"``
         — kill the worker running task 5 once, fail task 12 on its
         first two attempts, delay task 20's first attempt by 0.25 s,
-        fail the first three renames.  ``n`` may be ``always``.  A bad
+        fail the first three renames; ``"crash:30"`` makes a
+        distributed broker die after 30 harvested results.  ``n`` may
+        be ``always``.  A bad
         item raises ``ValueError`` naming it: an unknown action, a
         non-integer or negative index, trailing fields, or ``seconds``
         on an action other than ``delay``/``stall``.
@@ -332,10 +345,11 @@ class FaultInjector:
 
     def poll(self, channel: str) -> Optional[str]:
         """Consume one operation index on ``channel``; the action to
-        inject there, or ``None``.  Called by the seam helpers only.
+        inject there, or ``None``.  Called by the seam helpers and,
+        on the ``harvest`` channel, by the distributed broker.
         """
         with self._lock:
-            index = self.counts[channel]
+            index = self.counts.get(channel, 0)
             self.counts[channel] = index + 1
             for fault in self.faults:
                 if fault.channel == channel and \

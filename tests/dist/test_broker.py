@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import PBExperiment
 from repro.cpu import MachineConfig, SIMULATOR_VERSION
-from repro.dist import DistOptions, coerce_dist_options
+from repro.dist import DistOptions
 from repro.dist.spool import Spool
 from repro.dist.worker import DistWorker
 from repro.exec import (
@@ -79,17 +79,8 @@ def attach_workers(options, count=1, **kwargs):
 
 
 class TestOptions:
-    def test_coerce_accepts_path(self, tmp_path):
-        options = coerce_dist_options(tmp_path / "spool")
-        assert options.spool == tmp_path / "spool"
-
-    def test_coerce_passes_options_through(self, tmp_path):
-        options = dist_options(tmp_path)
-        assert coerce_dist_options(options) is options
-
     def test_nonpositive_knobs_rejected(self, tmp_path):
-        for name in ("lease_ttl", "heartbeat_grace", "attach_grace",
-                     "poll"):
+        for name in ("heartbeat_grace", "attach_grace", "poll"):
             with pytest.raises(ValueError, match=name):
                 DistOptions(spool=tmp_path, **{name: 0.0})
 
@@ -170,6 +161,39 @@ class TestDistributedRun:
         # the dead broker's sealed result before it was harvested.
         assert not spool.result_path(key).exists() \
             or spool.result_path(key).read_bytes() == sentinel
+
+    def test_crash_fault_then_restart_finishes(self, tmp_path, tasks,
+                                               clean, monkeypatch):
+        # ``crash:2`` ends the broker (os._exit, stubbed here) as it
+        # is about to store its third result; a restarted broker
+        # restores the two it journaled and finishes the grid.
+        from repro.dist import broker
+
+        class Crashed(Exception):
+            pass
+
+        exits = []
+
+        def fake_exit(code):
+            exits.append(code)
+            raise Crashed
+
+        monkeypatch.setattr(broker.os, "_exit", fake_exit)
+        options = dist_options(tmp_path)
+        journal = tmp_path / "grid.journal"
+        threads = attach_workers(options)
+        with faults.injected(FaultInjector.from_spec("crash:2")):
+            with pytest.raises(Crashed):
+                run_grid(tasks, dist=options, journal=journal)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert exits == [broker.CHAOS_EXIT_CODE]
+        assert len(Journal(journal)) == 2
+        threads = attach_workers(options)
+        grid = run_grid(tasks, dist=options, journal=journal)
+        assert cycles(grid) == clean
+        for thread in threads:
+            thread.join(timeout=10.0)
 
 
 class TestDegradation:

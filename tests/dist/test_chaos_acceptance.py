@@ -70,8 +70,8 @@ def reference_run(tmp_path_factory):
 def chaos_run(tmp_path_factory):
     """The run under test: broker + 3 faulty workers + broker crash.
 
-    Broker one is scripted (``--dist-chaos-exit-after``) to die after
-    30 harvested results; broker two resumes the same run directory
+    Broker one is scripted (``REPRO_FAULT_SPEC=crash:30``) to die
+    after 30 harvested results; broker two resumes the same run directory
     and spool and must finish the screen from sealed state alone.
     Streaming is armed throughout (``--run-dir`` streams by default)
     and broker two also profiles, so the byte-identity claim below
@@ -88,9 +88,9 @@ def chaos_run(tmp_path_factory):
               "--dist-attach-grace", "30"]
     try:
         crashed = subprocess.run(
-            [sys.executable, "-m", "repro", *screen,
-             "--dist-chaos-exit-after", "30"],
-            env=_env(), timeout=600, stdout=subprocess.DEVNULL,
+            [sys.executable, "-m", "repro", *screen],
+            env=_env("crash:30"), timeout=600,
+            stdout=subprocess.DEVNULL,
         )
         # Mid-run, post-crash: the fleet view must work against the
         # live spool while the (orphaned) workers are still attached.

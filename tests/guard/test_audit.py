@@ -11,7 +11,6 @@ import repro.exec.engine as engine
 from repro.guard import (
     AuditMismatch,
     AuditPolicy,
-    coerce_policy,
     differing_fields,
     verify_restored,
 )
@@ -55,12 +54,6 @@ class TestPolicy:
             AuditPolicy(fraction=1.5)
         with pytest.raises(ValueError):
             AuditPolicy(fraction=-0.1)
-
-    def test_coerce(self):
-        assert coerce_policy(None).fraction == 0.0
-        assert coerce_policy(0.25).fraction == 0.25
-        policy = AuditPolicy(0.5, seed=3)
-        assert coerce_policy(policy) is policy
 
 
 @dataclasses.dataclass

@@ -162,6 +162,37 @@ class TestFiring:
                                   ("task", 0, "raise")]
 
 
+
+class TestHarvestChannel:
+    """``crash`` is the distributed broker's one fault: it fires on the
+    ``harvest`` channel, polled once per result about to be stored."""
+
+    def test_crash_parses_onto_the_harvest_channel(self):
+        injector = FaultInjector.from_spec("crash:30")
+        assert injector.faults == [Fault("crash", 30)]
+        assert injector.faults[0].channel == "harvest"
+        assert str(injector) == "crash:30"
+
+    def test_crash_fires_with_exactly_index_results_harvested(self):
+        injector = FaultInjector.from_spec("crash:3")
+        polls = [injector.poll("harvest") for _ in range(5)]
+        assert polls == [None, None, None, "crash", None]
+        assert injector.fired == [("harvest", 3, "crash")]
+
+    def test_crash_never_fires_on_a_cell_or_at_the_seam(self, tmp_path):
+        injector = FaultInjector.from_spec("crash:0")
+        with injected(injector):
+            injector.fire(0, 0)
+            with open(tmp_path / "f", "wb") as handle:
+                vfs_write(handle, b"x")
+            vfs_replace(tmp_path / "f", tmp_path / "g")
+        assert injector.fired == []
+
+    def test_crash_takes_no_seconds(self):
+        with pytest.raises(ValueError, match="takes no seconds"):
+            FaultInjector.from_spec("crash:3:1:0.5")
+
+
 class TestInstallation:
     @pytest.fixture
     def fresh_env(self, monkeypatch):

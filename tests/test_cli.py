@@ -114,6 +114,35 @@ class TestExecFlags:
         with pytest.raises(SystemExit):
             main(["screen", "--retry", "0"])
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_task_timeout_is_a_usage_error(
+            self, value, tmp_path, monkeypatch, capsys):
+        # Rejected before any cell runs: a negative budget used to
+        # time out every cell, and 0 silently meant "no budget".
+        import repro.exec.engine as engine
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(engine, "_execute_cell", no_cells)
+        with pytest.raises(SystemExit, match="--task-timeout") as err:
+            main(["screen", "-b", "gzip", "-n", "300", "--jobs", "2",
+                  "--task-timeout", value, "--on-error", "skip",
+                  "--run-dir", str(tmp_path / "run")])
+        assert err.value.code == 2
+        assert "--task-timeout" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "journal.jsonl").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--jobs", "0"], "--jobs"),
+        (["--retry", "0"], "--retry"),
+        (["--audit", "1.5"], "--audit"),
+    ])
+    def test_library_rejection_names_the_flag(self, argv, flag):
+        with pytest.raises(SystemExit, match=flag) as err:
+            main(["screen", *argv])
+        assert err.value.code == 2
+
     def test_existing_journal_needs_resume(self, tmp_path):
         journal = tmp_path / "screen.journal"
         journal.write_text("")
@@ -476,7 +505,6 @@ class TestDistFlags:
         assert args.dist is None
         assert args.dist_attach_grace == 10.0
         assert args.dist_heartbeat_grace == 2.5
-        assert args.dist_chaos_exit_after is None
 
     def test_bad_dist_options_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="--dist"):
