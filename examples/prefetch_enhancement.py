@@ -13,11 +13,7 @@ Runtime: ~1 minute.
 Run:  python examples/prefetch_enhancement.py
 """
 
-from repro.core import (
-    EnhancementAnalysis,
-    PBExperiment,
-    rank_parameters_from_result,
-)
+from repro.core import analyze_enhancement
 from repro.reporting import render_enhancement
 from repro.workloads import benchmark_trace
 
@@ -26,10 +22,9 @@ def main():
     names = ["art", "equake", "ammp", "mcf"]
     traces = {name: benchmark_trace(name, 3000) for name in names}
 
-    print("running the PB experiment without prefetching ...")
-    before = PBExperiment(traces).run()
-    print("running it again with a next-2-line data prefetcher ...")
-    after = PBExperiment(traces, prefetch_lines=2).run()
+    print("running the PB experiment without, then with, a next-2-line "
+          "data prefetcher ...")
+    analysis, before, after = analyze_enhancement(traces, prefetch_lines=2)
 
     speedup = {
         n: sum(before.responses[n]) / sum(after.responses[n])
@@ -39,10 +34,6 @@ def main():
     for n, s in speedup.items():
         print(f"  {n:8s}: {s:.3f}x")
 
-    analysis = EnhancementAnalysis(
-        rank_parameters_from_result(before),
-        rank_parameters_from_result(after),
-    )
     print()
     print(render_enhancement(
         analysis, top=12,

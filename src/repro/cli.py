@@ -53,17 +53,20 @@ def _add_workload_args(parser, default_length=4000):
     )
 
 
-def _traces(args):
-    from repro.workloads import benchmark_suite
-
+def _benchmark_names(args):
     if args.benchmarks.strip().lower() == "all":
-        names = list(BENCHMARK_NAMES)
-    else:
-        names = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
+        return list(BENCHMARK_NAMES)
+    names = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
     unknown = [n for n in names if n not in BENCHMARK_NAMES]
     if unknown:
         raise SystemExit(f"unknown benchmarks: {', '.join(unknown)}")
-    return benchmark_suite(length=args.length, names=names)
+    return names
+
+
+def _traces(args):
+    from repro.workloads import benchmark_suite
+
+    return benchmark_suite(length=args.length, names=_benchmark_names(args))
 
 
 def _positive_int(text: str) -> int:
@@ -277,12 +280,11 @@ def _apply_run_dir(args):
     and ``results.json`` under one directory — leaving any flag the
     user set explicitly alone.  The journal is the run dir's only
     result store (a shared ``--cache-dir`` stays opt-in), and it
-    exists to be resumed, so ``--resume`` is implied for it.  Returns
-    the results path (or ``None`` when no run dir was requested).
+    exists to be resumed, so ``--resume`` is implied for it.
     """
     run_dir = getattr(args, "run_dir", None)
     if not run_dir:
-        return None
+        return
     from pathlib import Path
 
     base = Path(run_dir)
@@ -299,7 +301,6 @@ def _apply_run_dir(args):
         # reads, so a verifiable run dir always streams; --profile
         # stays opt-in (profiling has real overhead).
         args.stream = str(base / "stream")
-    return base / "results.json"
 
 
 class _Obs:
@@ -407,11 +408,6 @@ class _Obs:
                 artifacts=artifacts,
             )
 
-    def phase(self, name, **attributes):
-        from repro.obs.telemetry import phase_of
-
-        return phase_of(self.telemetry, name, **attributes)
-
     def finish(self, status="completed"):
         """Write every requested artifact; called exactly once.
 
@@ -467,7 +463,6 @@ class _CellProgress:
 def _interrupt_summary(args, progress):
     """One line telling the user what survived and how to resume."""
     done = progress.cells_done
-    hint = ""
     if getattr(args, "journal", None):
         hint = (f"; resume with --journal {args.journal} --resume "
                 "(completed cells are checkpointed)")
@@ -484,31 +479,65 @@ def _interrupt_summary(args, progress):
 EXIT_INTERRUPTED = 130
 
 
-def cmd_screen(args) -> int:
-    from repro.core import PBExperiment, rank_parameters_from_result
-    from repro.doe import lenth_test
-    from repro.reporting import render_ranking
+def _run_study(args, command, study, grids=1):
+    """Run ``study(traces, core=, progress=, telemetry=, **options)``
+    with the workload, engine options and telemetry ``args`` ask for.
 
-    results_path = _apply_run_dir(args)
+    A study has the calling shape of
+    :func:`repro.core.analyze_enhancement` and, like it, returns its
+    analysis followed by its experiment results, whose failed cells
+    are warned about.  Returns ``(obs, outcome)``, ``obs`` still open
+    for the command's own phases.  After an interrupt the artifacts
+    are written as ``interrupted``, stderr says where to resume from,
+    and the result is ``None``.
+    """
+    _apply_run_dir(args)
     traces = _traces(args)
     options = _exec_options(args)
-    obs = _Obs(args, "screen")
+    obs = _Obs(args, command)
     progress = _CellProgress()
-    print(f"running 88 configurations x {len(traces)} benchmarks ...",
-          file=sys.stderr)
+    times = f"{grids} x " if grids > 1 else ""
+    print(f"running {times}88 configurations x {len(traces)} "
+          "benchmarks ...", file=sys.stderr)
     try:
-        result = PBExperiment(traces, core=args.core,
-                              progress=progress) \
-            .run(telemetry=obs.telemetry, **options)
+        outcome = study(traces, core=args.core, progress=progress,
+                        telemetry=obs.telemetry, **options)
     except KeyboardInterrupt:
         obs.finish(status="interrupted")
         _interrupt_summary(args, progress)
+        return None
+    finally:
+        if options["journal"] is not None:
+            options["journal"].close()
+    for result in outcome[1:]:
+        for failure in result.failures:
+            print(f"warning: {failure.describe()}", file=sys.stderr)
+    return obs, outcome
+
+
+def _screen(traces, *, core, progress, telemetry, **options):
+    """The §4.1 PB screen as a study: ``(ranking, result)``."""
+    from repro.core import PBExperiment, rank_parameters_from_result
+    from repro.obs.telemetry import phase_of
+
+    result = PBExperiment(traces, core=core, progress=progress) \
+        .run(telemetry=telemetry, **options)
+    with phase_of(telemetry, "rank"):
+        return rank_parameters_from_result(result), result
+
+
+def cmd_screen(args) -> int:
+    from repro.doe import lenth_test
+    from repro.reporting import render_ranking
+
+    run = _run_study(args, "screen", _screen)
+    if run is None:
         return EXIT_INTERRUPTED
-    for failure in result.failures:
-        print(f"warning: {failure.describe()}", file=sys.stderr)
-    with obs.phase("rank"):
-        ranking = rank_parameters_from_result(result)
-    if results_path is not None:
+    obs, (ranking, result) = run
+    if args.run_dir:
+        from pathlib import Path
+
+        results_path = Path(args.run_dir) / "results.json"
         if result.complete:
             from repro.guard.verify import write_results
 
@@ -543,38 +572,23 @@ def cmd_screen(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from repro.core import (
-        PAPER_SIMILARITY_THRESHOLD,
-        PBExperiment,
-        rank_parameters_from_result,
-    )
+    from repro.core import PAPER_SIMILARITY_THRESHOLD
+    from repro.obs.telemetry import phase_of
     from repro.reporting import render_distance_matrix, render_groups
 
-    obs = _Obs(args, "classify")
     if args.paper:
         from repro.core.paper_data import paper_table9_ranking
 
+        obs = _Obs(args, "classify")
         ranking = paper_table9_ranking()
     else:
-        traces = _traces(args)
-        options = _exec_options(args)
-        progress = _CellProgress()
-        print(f"running 88 configurations x {len(traces)} benchmarks ...",
-              file=sys.stderr)
-        try:
-            result = PBExperiment(traces, core=args.core,
-                                  progress=progress) \
-                .run(telemetry=obs.telemetry, **options)
-        except KeyboardInterrupt:
-            obs.finish(status="interrupted")
-            _interrupt_summary(args, progress)
+        run = _run_study(args, "classify", _screen)
+        if run is None:
             return EXIT_INTERRUPTED
-        for failure in result.failures:
-            print(f"warning: {failure.describe()}", file=sys.stderr)
-        with obs.phase("rank"):
-            ranking = rank_parameters_from_result(result)
+        obs, (ranking, _) = run
     threshold = args.threshold or PAPER_SIMILARITY_THRESHOLD
-    with obs.phase("classify", threshold=round(threshold, 3)):
+    with phase_of(obs.telemetry, "classify",
+                  threshold=round(threshold, 3)):
         matrix = render_distance_matrix(ranking,
                                         title="Distance matrix")
         groups = render_groups(ranking, threshold, title="Groups")
@@ -586,56 +600,19 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enhance(args) -> int:
-    from repro.core import (
-        EnhancementAnalysis,
-        PBExperiment,
-        rank_parameters_from_result,
-    )
-    from repro.cpu import build_precompute_table
+    from functools import partial
+
+    from repro.core import analyze_enhancement
     from repro.reporting import render_enhancement
 
-    traces = _traces(args)
-    options = _exec_options(args)
-    obs = _Obs(args, "enhance")
-    progress = _CellProgress()
-    print(f"running 2 x 88 configurations x {len(traces)} benchmarks ...",
-          file=sys.stderr)
-    try:
-        with obs.phase("enhance-before"):
-            before = PBExperiment(traces, core=args.core,
-                                  progress=progress) \
-                .run(telemetry=obs.telemetry, **options)
-        if args.kind == "precompute":
-            with obs.phase("precompute-tables",
-                           entries=args.table_entries):
-                tables = {
-                    name: build_precompute_table(
-                        trace, args.table_entries
-                    )
-                    for name, trace in traces.items()
-                }
-            with obs.phase("enhance-after"):
-                after = PBExperiment(
-                    traces, precompute_tables=tables,
-                    core=args.core, progress=progress,
-                ).run(telemetry=obs.telemetry, **options)
-        else:
-            with obs.phase("enhance-after"):
-                after = PBExperiment(
-                    traces, prefetch_lines=args.lines,
-                    core=args.core, progress=progress,
-                ).run(telemetry=obs.telemetry, **options)
-    except KeyboardInterrupt:
-        obs.finish(status="interrupted")
-        _interrupt_summary(args, progress)
+    prefetch = args.lines if args.kind == "prefetch" else 0
+    run = _run_study(args, "enhance", partial(
+        analyze_enhancement, table_entries=args.table_entries,
+        prefetch_lines=prefetch,
+    ), grids=2)
+    if run is None:
         return EXIT_INTERRUPTED
-    for failure in before.failures + after.failures:
-        print(f"warning: {failure.describe()}", file=sys.stderr)
-    with obs.phase("rank"):
-        analysis = EnhancementAnalysis(
-            rank_parameters_from_result(before),
-            rank_parameters_from_result(after),
-        )
+    obs, (analysis, _, _) = run
     obs.finish()
     print(render_enhancement(
         analysis, top=args.top,
@@ -677,15 +654,7 @@ def cmd_simulate(args) -> int:
 def cmd_characterize(args) -> int:
     from repro.workloads import benchmark_trace, characterization_report
 
-    if args.benchmarks.strip().lower() == "all":
-        names = list(BENCHMARK_NAMES)
-    else:
-        names = [b.strip() for b in args.benchmarks.split(",")
-                 if b.strip()]
-    unknown = [n for n in names if n not in BENCHMARK_NAMES]
-    if unknown:
-        raise SystemExit(f"unknown benchmarks: {', '.join(unknown)}")
-    for name in names:
+    for name in _benchmark_names(args):
         print(characterization_report(
             benchmark_trace(name, args.length)
         ))
@@ -1031,6 +1000,16 @@ def _default_sim_version():
     return SIMULATOR_VERSION
 
 
+def _add_study_parser(sub, name, help):
+    """A cell-executing command's parser: what :func:`_run_study` reads."""
+    p = sub.add_parser(name, help=help)
+    _add_workload_args(p)
+    _add_core_arg(p)
+    _add_exec_args(p)
+    _add_obs_args(p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1038,11 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("screen", help="PB parameter screen (§4.1)")
-    _add_workload_args(p)
-    _add_core_arg(p)
-    _add_exec_args(p)
-    _add_obs_args(p)
+    p = _add_study_parser(sub, "screen", "PB parameter screen (§4.1)")
     p.add_argument("--lenth", action="store_true",
                    help="also report Lenth-significant factors")
     p.add_argument("--alpha", type=float, default=0.05,
@@ -1058,28 +1033,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_screen)
 
-    p = sub.add_parser("classify", help="benchmark classification (§4.2)")
-    _add_workload_args(p)
-    _add_core_arg(p)
-    _add_exec_args(p)
-    _add_obs_args(p)
+    p = _add_study_parser(sub, "classify", "benchmark classification (§4.2)")
     p.add_argument("--paper", action="store_true",
                    help="use the paper's published Table 9 data")
     p.add_argument("--threshold", type=float, default=None,
                    help="similarity threshold (default sqrt(4000))")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("enhance", help="enhancement analysis (§4.3)")
-    _add_workload_args(p)
-    _add_core_arg(p)
-    _add_exec_args(p)
-    _add_obs_args(p)
+    p = _add_study_parser(sub, "enhance", "enhancement analysis (§4.3)")
     p.add_argument("--kind", choices=["precompute", "prefetch"],
                    default="precompute")
     p.add_argument("--table-entries", type=int, default=128,
                    help="precomputation table size (default 128)")
-    p.add_argument("--lines", type=int, default=2,
-                   help="prefetch lines (default 2)")
+    p.add_argument("--lines", type=_positive_int, default=2,
+                   help="prefetch lines, at least 1 (default 2)")
     p.add_argument("--top", type=int, default=12,
                    help="shifts to display (default 12)")
     p.set_defaults(func=cmd_enhance)

@@ -12,17 +12,14 @@ significant parameters, because precomputed instructions skip the ALUs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.cpu import MachineConfig, build_precompute_table
+from repro.cpu import PARAMETER_NAMES, MachineConfig, build_precompute_table
 from repro.obs.telemetry import phase_of
 from repro.workloads import Trace
 
 from .experiment import PBExperiment, PBExperimentResult
-from .parameter_selection import (
-    ParameterRanking,
-    rank_parameters_from_result,
-)
+from .parameter_selection import ParameterRanking, rank_parameters
 
 
 @dataclass(frozen=True)
@@ -45,6 +42,12 @@ class EnhancementAnalysis:
 
     before: ParameterRanking
     after: ParameterRanking
+
+    def __post_init__(self):
+        if self.before.benchmarks != self.after.benchmarks:
+            raise ValueError("before and after must rank the same "
+                             f"benchmarks: {self.before.benchmarks} vs "
+                             f"{self.after.benchmarks}")
 
     def shifts(self) -> List[FactorShift]:
         """Per-factor sum-of-ranks movement, largest |shift| first."""
@@ -89,58 +92,59 @@ def analyze_enhancement(
     base_config: MachineConfig = MachineConfig(),
     table_entries: int = 128,
     precompute_tables: Optional[Mapping[str, Set[int]]] = None,
-    parameter_names=None,
+    prefetch_lines: int = 0,
+    parameter_names: Sequence[str] = PARAMETER_NAMES,
+    core: str = "batched",
     progress=None,
     telemetry=None,
     **options,
 ) -> Tuple[EnhancementAnalysis, PBExperimentResult, PBExperimentResult]:
-    """Run the full §4.3 study: PB before and after precomputation.
-
-    ``precompute_tables`` may be supplied directly (for enhancements
-    other than instruction precomputation, any benchmark -> key-set
-    mapping); by default the tables are built from each trace's
-    redundancy profile with ``table_entries`` entries, as in the paper.
-
-    ``options`` (:class:`repro.exec.ExecOptions`) go untouched to both
-    experiment runs.  With a persistent cache, the "before" half of
-    the study shares keys with any previous base-machine screen of the
-    same traces and is not re-simulated; a single journal file
-    checkpoints the whole 2 x 88-run study, because entries are
-    content-keyed (the "before" and "after" grids never collide).
-    Rank comparison requires complete effect tables, so a benchmark
-    with skipped cells drops out of both rankings.
-
-    ``telemetry`` wraps the halves in ``enhance-before`` /
-    ``enhance-after`` phase spans (plus ``precompute-tables`` around
-    profile building) and flows into both experiment runs.
-
+    """Run the full §4.3 study: PB before and after one enhancement.
     Returns the analysis plus both raw experiment results.
+
+    The enhancement is instruction precomputation, or next-N-line data
+    prefetching when ``prefetch_lines > 0`` (not both: a study tests
+    one enhancement).  ``precompute_tables`` may be supplied directly
+    (any benchmark -> key-set mapping); by default the tables are
+    built from each trace's redundancy profile with ``table_entries``
+    entries, as in the paper.  ``core`` is both halves' simulator core.
+
+    ``options`` (:class:`repro.exec.ExecOptions`) are resolved once
+    for both runs.  With a persistent cache, the "before" half shares
+    keys with any previous base-machine screen of the same traces; one
+    journal checkpoints the whole content-keyed 2 x 88-run study.
+    Ranking needs complete effect tables, so a benchmark with skipped
+    cells in either half drops out of both rankings.  ``telemetry``
+    opens the phases ``precompute-tables`` (when the tables are built
+    here), ``enhance-before``, ``enhance-after`` and ``rank``.
     """
-    if precompute_tables is None:
+    from repro.exec.engine import _Resolved
+
+    if prefetch_lines > 0 and precompute_tables is not None:
+        raise ValueError("a study tests one enhancement: pass "
+                         "precompute_tables or prefetch_lines, not both")
+    if prefetch_lines <= 0 and precompute_tables is None:
         with phase_of(telemetry, "precompute-tables",
                       entries=table_entries):
             precompute_tables = {
                 name: build_precompute_table(trace, table_entries)
                 for name, trace in traces.items()
             }
-    kwargs = {}
-    if parameter_names is not None:
-        kwargs["parameter_names"] = parameter_names
-    with phase_of(telemetry, "enhance-before"):
-        before = PBExperiment(
-            traces, base_config=base_config, progress=progress,
-            **kwargs
-        ).run(telemetry=telemetry, **options)
-    with phase_of(telemetry, "enhance-after"):
-        after = PBExperiment(
-            traces,
-            base_config=base_config,
-            precompute_tables=precompute_tables,
-            progress=progress,
-            **kwargs,
-        ).run(telemetry=telemetry, **options)
-    analysis = EnhancementAnalysis(
-        rank_parameters_from_result(before),
-        rank_parameters_from_result(after),
-    )
+    kwargs = dict(base_config=base_config, parameter_names=parameter_names,
+                  core=core, progress=progress)
+    with _Resolved(options) as resolved:
+        with phase_of(telemetry, "enhance-before"):
+            before = PBExperiment(traces, **kwargs) \
+                .run(telemetry=telemetry, **vars(resolved))
+        with phase_of(telemetry, "enhance-after"):
+            after = PBExperiment(
+                traces, precompute_tables=precompute_tables,
+                prefetch_lines=prefetch_lines, **kwargs,
+            ).run(telemetry=telemetry, **vars(resolved))
+    with phase_of(telemetry, "rank"):
+        common = [b for b in before.effects if b in after.effects]
+        analysis = EnhancementAnalysis(
+            rank_parameters({b: before.effects[b] for b in common}),
+            rank_parameters({b: after.effects[b] for b in common}),
+        )
     return analysis, before, after

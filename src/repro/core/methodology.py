@@ -146,23 +146,27 @@ def recommended_workflow(
     ``max_critical`` caps how many of the PB-critical parameters enter
     the full-factorial step (2^k cost); the paper's own gap rule picks
     the candidates, the cap keeps the factorial tractable.  ``options``
-    (:class:`repro.exec.ExecOptions`) go untouched to both the screen
-    and the factorial; one journal file checkpoints the whole workflow
-    since entries are content-keyed.
+    (:class:`repro.exec.ExecOptions`) are resolved once and shared by
+    the screen and the factorial; one journal file checkpoints the
+    whole workflow since entries are content-keyed.
     """
+    from repro.exec.engine import _Resolved
+
     experiment = PBExperiment(
         traces, base_config=base_config, progress=progress
     )
-    ranking = rank_parameters_from_result(
-        experiment.run(telemetry=telemetry, **options)
-    )
-    critical = ranking.significant_factors()[:max_critical]
-    # Only real machine parameters can enter the factorial (a dummy
-    # factor in the critical set would indicate a broken experiment).
-    critical = [f for f in critical if _is_real_parameter(f)]
-    sensitivity = sensitivity_analysis(
-        traces, critical, base_config, telemetry=telemetry, **options
-    )
+    with _Resolved(options) as resolved:
+        ranking = rank_parameters_from_result(
+            experiment.run(telemetry=telemetry, **vars(resolved))
+        )
+        # Only real machine parameters can enter the factorial (a
+        # dummy factor in the critical set would indicate a broken
+        # experiment).
+        critical = [f for f in ranking.significant_factors()[:max_critical]
+                    if _is_real_parameter(f)]
+        sensitivity = sensitivity_analysis(
+            traces, critical, base_config, telemetry=telemetry,
+            **vars(resolved))
     final_config = choose_final_values(ranking, sensitivity, base_config)
     return WorkflowResult(
         ranking, tuple(critical), sensitivity, final_config

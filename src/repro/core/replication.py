@@ -16,12 +16,11 @@ effect real, or trace noise?"
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.cpu import MachineConfig
-from repro.doe import compute_effects
+from repro.cpu import PARAMETER_NAMES, MachineConfig
 from repro.workloads import SyntheticProgram, Trace, profile
 
 from .experiment import PBExperiment, PBExperimentResult
@@ -130,8 +129,9 @@ def run_replicated(
     traces: Mapping[str, Sequence[Trace]],
     *,
     base_config: MachineConfig = MachineConfig(),
-    parameter_names=None,
+    parameter_names: Sequence[str] = PARAMETER_NAMES,
     progress=None,
+    telemetry=None,
     **options,
 ) -> ReplicatedResult:
     """Run the PB design once per replicate and infer per-factor stats.
@@ -139,11 +139,13 @@ def run_replicated(
     Each factor's R effect estimates are treated as an i.i.d. sample;
     the returned inference carries mean, standard error, t-statistic
     (against zero effect) and two-sided p-value with R-1 degrees of
-    freedom.  ``options`` (:class:`repro.exec.ExecOptions`, plus
-    ``telemetry``) go untouched to every replicate's
+    freedom.  ``options`` (:class:`repro.exec.ExecOptions`) are
+    resolved once and shared, with ``telemetry``, by every replicate's
     :meth:`PBExperiment.run` (replicate traces differ by seed, so only
     repeated *studies* hit the cache, not replicates of one study).
     """
+    from repro.exec.engine import _Resolved
+
     benchmarks = list(traces.keys())
     reps = {b: list(ts) for b, ts in traces.items()}
     counts = {len(ts) for ts in reps.values()}
@@ -153,18 +155,15 @@ def run_replicated(
     if n_reps < 2:
         raise ValueError("replication needs at least 2 replicates")
 
-    results: List[PBExperimentResult] = []
-    for r in range(n_reps):
-        kwargs = {}
-        if parameter_names is not None:
-            kwargs["parameter_names"] = parameter_names
-        experiment = PBExperiment(
-            {b: reps[b][r] for b in benchmarks},
-            base_config=base_config,
-            progress=progress,
-            **kwargs,
-        )
-        results.append(experiment.run(**options))
+    with _Resolved(options) as resolved:
+        results: List[PBExperimentResult] = [
+            PBExperiment(
+                {b: reps[b][r] for b in benchmarks},
+                base_config=base_config, parameter_names=parameter_names,
+                progress=progress,
+            ).run(telemetry=telemetry, **vars(resolved))
+            for r in range(n_reps)
+        ]
 
     inference: Dict[str, Dict[str, FactorInference]] = {}
     factor_names = results[0].design.factor_names

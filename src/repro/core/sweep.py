@@ -187,14 +187,16 @@ def iterative_refinement(
     always runs against a result cache: the supplied ``cache``, or a
     process-local in-memory one when ``None``.
 
-    The other ``options`` (:class:`repro.exec.ExecOptions`) go
-    untouched to every underlying sweep; with ``on_error="skip"`` a
-    value whose cell
-    failed permanently simply cannot be chosen (see
-    :meth:`SweepResult.best_value`), so one broken configuration
-    cannot sink a whole refinement.  ``telemetry`` wraps each round in
-    a ``refinement-round`` phase span and flows into every sweep.
+    The other ``options`` (:class:`repro.exec.ExecOptions`) are
+    resolved once and shared by every underlying sweep; with
+    ``on_error="skip"`` a value whose cell failed permanently simply
+    cannot be chosen (see :meth:`SweepResult.best_value`), so one
+    broken configuration cannot sink a whole refinement.
+    ``telemetry`` wraps each round in a ``refinement-round`` phase
+    span and flows into every sweep.
     """
+    from repro.exec.engine import _Resolved
+
     if not sweeps:
         raise ValueError("need at least one parameter to refine")
     if cache is None:
@@ -202,25 +204,26 @@ def iterative_refinement(
     config = base_config
     result = RefinementResult(final_config=config)
     previous: Dict[str, object] = {}
-    for round_index in range(max_rounds):
-        result.rounds = round_index + 1
-        changed = False
-        with phase_of(telemetry, "refinement-round",
-                      round=round_index + 1):
-            for field_name, values in sweeps.items():
-                outcome = sweep(
-                    traces, field_name, values, config,
-                    cache=cache, telemetry=telemetry, **options,
-                )
-                chosen = outcome.best_value()
-                result.steps.append(
-                    RefinementStep(field_name, outcome, chosen)
-                )
-                if previous.get(field_name) != chosen:
-                    changed = True
-                previous[field_name] = chosen
-                config = config.evolve(**{field_name: chosen})
-        if not changed:
-            break
+    with _Resolved(dict(options, cache=cache)) as resolved:
+        for round_index in range(max_rounds):
+            result.rounds = round_index + 1
+            changed = False
+            with phase_of(telemetry, "refinement-round",
+                          round=round_index + 1):
+                for field_name, values in sweeps.items():
+                    outcome = sweep(
+                        traces, field_name, values, config,
+                        telemetry=telemetry, **vars(resolved),
+                    )
+                    chosen = outcome.best_value()
+                    result.steps.append(
+                        RefinementStep(field_name, outcome, chosen)
+                    )
+                    if previous.get(field_name) != chosen:
+                        changed = True
+                    previous[field_name] = chosen
+                    config = config.evolve(**{field_name: chosen})
+            if not changed:
+                break
     result.final_config = config
     return result

@@ -549,8 +549,29 @@ def run_grid(
         running cell — not when it is sent ahead.  All hooks run on
         the same guarded path as ``progress``; see :class:`_Observer`.
     """
-    return _Grid(list(tasks), ExecOptions(**options),
-                 _Observer(progress, telemetry)).run()
+    with _Resolved(options) as resolved:
+        return _Grid(list(tasks), resolved,
+                     _Observer(progress, telemetry)).run()
+
+
+class _Resolved:
+    """``with _Resolved(options) as resolved:`` — one
+    :class:`ExecOptions` for every grid of one call (a study forwards
+    ``**vars(resolved)``; resolved fields rebuild idempotently).
+    Whoever turns a journal path into a :class:`Journal` closes it: on
+    exit, but never a ``Journal`` the caller passed in.
+    """
+
+    def __init__(self, options):
+        self.options = ExecOptions(**options)
+        self.opened = self.options.journal is not options.get("journal")
+
+    def __enter__(self) -> ExecOptions:
+        return self.options
+
+    def __exit__(self, *exc_info) -> None:
+        if self.opened:
+            self.options.journal.close()
 
 
 class _Grid:

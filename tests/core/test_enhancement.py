@@ -8,10 +8,11 @@ conclusion: the Int-ALU parameter loses significance.
 import numpy as np
 import pytest
 
-from repro.core import EnhancementAnalysis, analyze_enhancement
+from repro.core import EnhancementAnalysis, PBExperiment, analyze_enhancement
 from repro.core.parameter_selection import ranking_from_rank_table
 from repro.cpu import build_precompute_table
-from repro.workloads import benchmark_trace
+from repro.guard import faults
+from repro.workloads import benchmark_suite, benchmark_trace
 
 
 def ranking_of(grid, factors, benchmarks):
@@ -33,6 +34,13 @@ class TestFactorShift:
         after = ranking_of([[4], [2], [3], [1]], list("abcd"), ["x"])
         shifts = EnhancementAnalysis(before, after).shifts()
         assert abs(shifts[0].shift) >= abs(shifts[-1].shift)
+
+
+    def test_rankings_over_different_benchmarks_rejected(self):
+        before = ranking_of([[1, 2], [2, 1]], ["a", "b"], ["x", "y"])
+        after = ranking_of([[1], [2]], ["a", "b"], ["x"])
+        with pytest.raises(ValueError, match="same benchmarks"):
+            EnhancementAnalysis(before, after)
 
 
 class TestStability:
@@ -126,3 +134,36 @@ class TestAnalyzeEnhancementApi:
         )
         # An empty precomputation table cannot change any response.
         assert before.responses == after.responses
+
+    def test_prefetch_and_precompute_tables_are_exclusive(self):
+        traces = {"gzip": benchmark_trace("gzip", 300)}
+        with pytest.raises(ValueError, match="one enhancement"):
+            analyze_enhancement(traces, prefetch_lines=2,
+                                precompute_tables={"gzip": frozenset()})
+
+
+class TestBothHalvesRanking:
+    """A benchmark incomplete in either half drops out of both
+    rankings, so every sum of ranks covers the same benchmarks."""
+
+    def test_failure_in_one_half_drops_the_benchmark_from_both(
+            self, tmp_path):
+        traces = benchmark_suite(length=400, names=["gzip", "mcf"])
+        journal = tmp_path / "study.journal"
+        # The base grid is restored from the journal, so the injected
+        # failure of task 0 (row 0 on gzip) hits only the after half.
+        PBExperiment(traces).run(journal=journal)
+        with faults.injected(faults.FaultInjector.from_spec(
+                "raise:0:always")):
+            analysis, before, after = analyze_enhancement(
+                traces, journal=journal, on_error="skip")
+        assert before.complete and set(before.effects) == {"gzip", "mcf"}
+        assert after.failed_cells() == [(0, "gzip")]
+        assert analysis.before.benchmarks == ("mcf",)
+        assert analysis.after.benchmarks == ("mcf",)
+        # Both sums are one-benchmark sums: each is mcf's own rank.
+        shift = analysis.biggest_shift_among_significant()
+        assert shift.sum_before == analysis.before.rank_of(
+            shift.factor, "mcf")
+        assert shift.sum_after == analysis.after.rank_of(
+            shift.factor, "mcf")

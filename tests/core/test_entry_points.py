@@ -3,7 +3,8 @@
 Each of the nine ways into :func:`repro.exec.run_grid` accepts any
 :class:`repro.exec.ExecOptions` field and hands it on untouched, so
 one journal path checkpoints any study and a second call restores
-every cell.
+every cell.  The path is opened once per call, however many grids the
+study runs, and closed on return; a caller's own journal stays open.
 """
 
 import pytest
@@ -83,6 +84,52 @@ def test_journal_fills_then_restores_every_cell(entry, traces, tmp_path):
     assert _counter(second, "tasks.simulated") == 0
     assert _counter(second, "tasks.restored.journal") \
         == _counter(second, "tasks.completed") > 0
+
+
+class _JournalLog:
+    """Every :class:`Journal` constructed, and every ``close`` call,
+    while the test runs."""
+
+    def __init__(self, monkeypatch):
+        self.opened, self.closed = [], []
+        init, close = Journal.__init__, Journal.close
+
+        def tracked_init(journal, *args, **kwargs):
+            init(journal, *args, **kwargs)
+            self.opened.append(journal)
+
+        def tracked_close(journal):
+            self.closed.append(journal)
+            close(journal)
+
+        monkeypatch.setattr(Journal, "__init__", tracked_init)
+        monkeypatch.setattr(Journal, "close", tracked_close)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_journal_path_opens_one_journal_and_closes_it(
+        entry, traces, tmp_path, monkeypatch):
+    """Whoever turns a path into a Journal closes it: a study of any
+    number of grids opens the path once, and closes it on return."""
+    log = _JournalLog(monkeypatch)
+    ENTRY_POINTS[entry](traces, journal=tmp_path / "study.journal")
+    assert len(log.opened) == 1
+    assert log.opened[0] in log.closed
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_caller_journal_is_left_open(entry, traces, tmp_path,
+                                     monkeypatch):
+    journal = Journal(tmp_path / "study.journal")
+    log = _JournalLog(monkeypatch)
+    ENTRY_POINTS[entry](traces, journal=journal)
+    assert log.opened == [] and journal not in log.closed
+    # Still the caller's to use: a rerun through it restores every cell.
+    telemetry = Telemetry.armed(trace=False)
+    ENTRY_POINTS[entry](traces, journal=journal, telemetry=telemetry)
+    assert _counter(telemetry, "tasks.simulated") == 0
+    assert _counter(telemetry, "tasks.restored.journal") > 0
+    journal.close()
 
 
 def test_unknown_option_is_a_type_error(traces):

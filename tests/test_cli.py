@@ -311,6 +311,36 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         assert "Sum-of-ranks shifts under prefetch" in out
 
+    @pytest.mark.parametrize("kind, library", [
+        ("precompute", {}),
+        ("prefetch", {"prefetch_lines": 2}),
+    ])
+    def test_enhance_is_the_library_study(self, capsys, kind, library):
+        """``repro enhance`` prints the rendering of
+        :func:`analyze_enhancement` on the same traces: one path."""
+        from repro.core import analyze_enhancement
+        from repro.reporting import render_enhancement
+        from repro.workloads import benchmark_suite
+
+        assert main(["enhance", "-b", "gzip,mcf", "-n", "400",
+                     "--kind", kind]) == 0
+        out = capsys.readouterr().out
+        analysis, _, _ = analyze_enhancement(
+            benchmark_suite(length=400, names=["gzip", "mcf"]),
+            **library)
+        shift = analysis.biggest_shift_among_significant()
+        assert out == render_enhancement(
+            analysis, top=12,
+            title=f"Sum-of-ranks shifts under {kind}",
+        ) + ("\n\nbiggest shift among significant parameters: "
+             f"{shift.factor} ({shift.sum_before} -> "
+             f"{shift.sum_after})\n")
+
+    def test_enhance_prefetch_needs_a_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enhance", "--kind", "prefetch", "--lines", "0"])
+        assert exc.value.code == 2
+
     def test_screen_with_journal_then_resume(self, capsys, tmp_path,
                                              monkeypatch):
         journal = str(tmp_path / "screen.journal")
