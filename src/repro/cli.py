@@ -489,7 +489,9 @@ def _run_study(args, command, study, grids=1):
     are warned about.  Returns ``(obs, outcome)``, ``obs`` still open
     for the command's own phases.  After an interrupt the artifacts
     are written as ``interrupted``, stderr says where to resume from,
-    and the result is ``None``.
+    and the result is ``None``.  Any other exception is re-raised once
+    the artifacts are written as ``failed``: open spans closed as
+    interrupted, the event lane sealed, the manifest stamped.
     """
     _apply_run_dir(args)
     traces = _traces(args)
@@ -506,6 +508,9 @@ def _run_study(args, command, study, grids=1):
         obs.finish(status="interrupted")
         _interrupt_summary(args, progress)
         return None
+    except Exception:
+        obs.finish(status="failed")
+        raise
     finally:
         if options["journal"] is not None:
             options["journal"].close()
@@ -837,28 +842,20 @@ def cmd_obs_export(args) -> int:
     if not os.path.isdir(args.root):
         raise SystemExit(f"no such directory: {args.root}")
     if args.format == "prometheus":
+        from collections import Counter
+
         from repro.obs.export import prometheus_text
         from repro.obs.fleet import fleet_snapshot
 
         snap = fleet_snapshot(args.root)
-        synthesized = {
-            name: {"type": "counter", "value": value}
-            for name, value in snap.counters.items()
-        }
-        for name, value in snap.gauges.items():
-            synthesized[name] = {"type": "gauge", "value": value}
+        metrics = snap.metrics
         for key in ("done", "total"):
-            synthesized[f"progress.{key}"] = {
-                "type": "gauge", "value": snap.progress.get(key, 0),
-            }
-        states = {}
-        for view in snap.workers:
-            states[view.state] = states.get(view.state, 0) + 1
+            metrics.set_gauge(f"progress.{key}",
+                              snap.progress.get(key, 0))
+        states = Counter(view.state for view in snap.workers)
         for state, count in states.items():
-            synthesized[f"fleet.workers.{state}"] = {
-                "type": "gauge", "value": count,
-            }
-        text = prometheus_text(synthesized)
+            metrics.set_gauge(f"fleet.workers.{state}", count)
+        text = prometheus_text(metrics.snapshot())
     else:
         from repro.obs.stream import (
             find_stream_lanes,
@@ -877,9 +874,11 @@ def cmd_obs_export(args) -> int:
     if args.out:
         from pathlib import Path
 
+        from repro.guard import faults
+
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        faults.publish_text(out, text, retries=2)
         print(f"wrote {args.format} export to {out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -20,7 +20,7 @@ callback.  :mod:`repro.obs` adds the measurement layer:
 * :mod:`repro.obs.profile` — opt-in per-phase cProfile capture with
   flamegraph-ready collapsed-stack export;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto),
-  metrics JSONL, Prometheus text format, and text summary tables;
+  metrics JSONL and the Prometheus text format;
 * :mod:`repro.obs.manifest` — one JSON provenance record per run;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade threaded
   through ``run_grid(telemetry=...)`` and the CLI's
@@ -41,7 +41,6 @@ from .clock import elapsed, monotonic, wall_time
 from .export import (
     chrome_trace,
     prometheus_text,
-    render_metrics_table,
     scrub_trace,
     write_chrome_trace,
     write_metrics_jsonl,
@@ -87,7 +86,6 @@ __all__ = [
     "monotonic",
     "phase_of",
     "prometheus_text",
-    "render_metrics_table",
     "scan_stream",
     "scrub_trace",
     "trace_from_streams",

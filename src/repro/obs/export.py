@@ -1,6 +1,4 @@
-"""Exporters: Chrome trace JSON, metrics JSONL, text summary tables.
-
-Three audiences, three formats:
+"""Exporters: Chrome trace JSON, metrics JSONL, Prometheus text.
 
 * **Perfetto / ``about:tracing``** — :func:`chrome_trace` renders a
   :class:`~repro.obs.span.Tracer` as Chrome trace-event JSON
@@ -10,11 +8,13 @@ Three audiences, three formats:
   pairs keyed by their deterministic identity; instant events become
   ``"i"`` marks.  Load the file via "Open trace file" in
   https://ui.perfetto.dev or ``chrome://tracing``.
+  :func:`repro.obs.stream.trace_from_streams` replays event lanes into
+  spans and renders them through the same code.
 * **Tools** — :func:`write_metrics_jsonl` dumps a
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot as one JSON
-  object per line, sorted by metric name, alongside the run's journal.
-* **Humans** — :func:`render_metrics_table` renders the same snapshot
-  as an aligned text table through :func:`repro.reporting.format_table`.
+  object per line, sorted by metric name, alongside the run's journal;
+  :func:`prometheus_text` renders a snapshot in the Prometheus text
+  exposition format.
 
 :func:`scrub_trace` is the determinism half: it reduces a trace to its
 *structure* (names, categories, attributes — no timestamps, no track
@@ -27,17 +27,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.guard import faults
 
 from .metrics import MetricsRegistry
-from .span import Span, Tracer
+from .span import SUPERVISOR_TRACK, Span, Tracer
 
 __all__ = [
     "chrome_trace",
     "prometheus_text",
-    "render_metrics_table",
     "scrub_trace",
     "write_chrome_trace",
     "write_metrics_jsonl",
@@ -63,10 +62,33 @@ def chrome_trace(tracer: Tracer) -> Dict[str, object]:
     still accounts for the time spent.
     """
     tracer.close_open_spans()
+    spans = tracer.spans()
+    tracks = sorted({SUPERVISOR_TRACK} | {span.track for span in spans})
+    return _trace_document(
+        spans,
+        threads={track: "supervisor" if track == SUPERVISOR_TRACK
+                 else f"worker-{track - 1}" for track in tracks},
+        process="repro",
+        other={"producer": "repro.obs",
+               "epoch_wall_time": tracer.epoch_wall},
+    )
+
+
+def _trace_document(spans: Sequence[Span], *, threads: Dict[int, str],
+                    process: str, other: Dict[str, object],
+                    gauges: Sequence[Tuple[str, int, float, object]] = (),
+                    ) -> Dict[str, object]:
+    """The one Chrome trace-event renderer, for spans from a
+    :class:`~repro.obs.span.Tracer` or replayed from event lanes.
+
+    A span's ``track`` is its thread id; ``threads`` names every
+    thread.  Sync spans become ``"X"`` events, async spans ``"b"`` /
+    ``"e"`` pairs keyed by :meth:`Span.ident`, instants ``"i"`` marks,
+    and each ``(name, tid, seconds, value)`` gauge sample a ``"C"``
+    counter event.
+    """
     events: List[Dict[str, object]] = []
-    tracks = {0}
-    for span in tracer.spans():
-        tracks.add(span.track)
+    for span in spans:
         common = {
             "name": span.name,
             "cat": span.category,
@@ -91,23 +113,25 @@ def chrome_trace(tracer: Tracer) -> Dict[str, object]:
                 "dur": _microseconds(span.duration),
                 "args": _args(span),
             })
+    for name, tid, seconds, value in gauges:
+        events.append({
+            "name": name, "cat": "metric", "ph": "C", "pid": _PID,
+            "tid": tid, "ts": _microseconds(seconds),
+            "args": {"value": value},
+        })
     metadata = [{
         "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
-        "args": {"name": "repro"},
+        "args": {"name": process},
     }]
-    for track in sorted(tracks):
-        label = "supervisor" if track == 0 else f"worker-{track - 1}"
+    for tid in sorted(threads):
         metadata.append({
             "name": "thread_name", "ph": "M", "pid": _PID,
-            "tid": track, "args": {"name": label},
+            "tid": tid, "args": {"name": threads[tid]},
         })
     return {
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.obs",
-            "epoch_wall_time": tracer.epoch_wall,
-        },
+        "otherData": other,
     }
 
 
@@ -239,46 +263,3 @@ def prometheus_text(snapshot: Dict[str, Dict[str, object]],
                 lines.append(f"{base}_{extreme}{label_text} "
                              f"{_prom_value(fields.get(extreme))}")
     return "\n".join(lines) + "\n"
-
-
-def _format_value(value: object) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def render_metrics_table(registry: MetricsRegistry,
-                         title: Optional[str] = "Run metrics") -> str:
-    """The registry snapshot as an aligned text table.
-
-    Counters and gauges print their value (gauges add the peak);
-    histograms print count and mean/min/max.  Rendering goes through
-    :func:`repro.reporting.format_table` so metric summaries look like
-    every other exhibit this repository prints.
-    """
-    # Imported lazily: repro.reporting pulls in NumPy and the core
-    # analysis stack, which the rest of repro.obs must not require.
-    from repro.reporting import format_table
-
-    rows = []
-    for name, fields in registry.snapshot().items():
-        kind = fields["type"]
-        if kind == "counter":
-            detail = ""
-            value = _format_value(fields["value"])
-        elif kind == "gauge":
-            detail = f"peak {_format_value(fields['peak'])}"
-            value = _format_value(fields["value"])
-        else:
-            detail = (
-                f"mean {_format_value(fields['mean'])}  "
-                f"min {_format_value(fields['min'])}  "
-                f"max {_format_value(fields['max'])}"
-            )
-            value = _format_value(fields["count"])
-        rows.append((name, kind, value, detail))
-    return format_table(
-        ("Metric", "Kind", "Value", "Detail"), rows, title=title
-    )

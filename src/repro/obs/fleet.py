@@ -34,13 +34,17 @@ files, lease deadlines and stream timestamps all use the clock shared
 by every process on the host (:func:`repro.obs.clock.monotonic`), so
 no wall-clock arithmetic enters the state machine.
 
-Counter roll-ups sum, per lane, the deltas of the *latest writer
-generation only* (counters reset at each ``stream-open``): a
-restarted broker re-counts the cells it restores from the journal, so
-summing across its generations would double-count — the latest
-generation is the authoritative tally for that lane.  Per-name and
-folded ``counter`` records sum alike
-(:func:`~repro.obs.stream.counter_deltas`).
+Metrics are replayed into one :class:`~repro.obs.metrics.MetricsRegistry`
+from each lane's *latest writer generation only* (a registry starts
+empty at each ``stream-open``): a restarted broker re-counts the
+cells it restores from the journal, so summing across its generations
+would double-count — the latest generation is the authoritative tally
+for that lane.  Counter deltas (per-name and folded alike, see
+:func:`~repro.obs.stream.counter_deltas`) sum across lanes, gauges
+keep the last lane's value and the peak of all, and observations fill
+the same histograms the writing process held, so the replayed
+snapshot equals that process's ``metrics.jsonl`` in counters, gauge
+values and peaks, and histogram count, sum, min and max.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import clock
+from .metrics import MetricsRegistry
 from .stream import (
-    StreamScan, counter_deltas, find_stream_lanes, scan_stream,
+    EventRecord, StreamScan, counter_deltas, find_stream_lanes,
+    scan_stream,
 )
 
 __all__ = ["FleetSnapshot", "WorkerView", "fleet_snapshot"]
@@ -97,8 +103,8 @@ class FleetSnapshot:
 
     root: Path
     workers: List[WorkerView]
-    counters: Dict[str, int]
-    gauges: Dict[str, object]
+    #: Every lane's latest generation, replayed.
+    metrics: MetricsRegistry
     #: ``{"done": N, "total": M}`` from the supervisor's progress
     #: records, or counter/manifest fallbacks; empty when unknown.
     progress: Dict[str, int]
@@ -108,6 +114,20 @@ class FleetSnapshot:
     lanes: Dict[str, Dict[str, object]]
     #: Wall-clock stamp of snapshot creation (annotation only).
     generated: float
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Counter name -> value."""
+        return {name: instrument.value
+                for name, instrument in self.metrics.items()
+                if instrument.kind == "counter"}
+
+    @property
+    def gauges(self) -> Dict[str, object]:
+        """Gauge name -> last value."""
+        return {name: instrument.value
+                for name, instrument in self.metrics.items()
+                if instrument.kind == "gauge"}
 
     @property
     def complete(self) -> bool:
@@ -199,40 +219,38 @@ def _find_spool(root: Path) -> Optional[Path]:
     return None
 
 
-def _latest_generation_rollup(scan: StreamScan):
-    """Counters / gauges / progress from the lane's last generation."""
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, object] = {}
+def _replay(generation: Sequence[EventRecord],
+            registry: MetricsRegistry) -> Dict[str, int]:
+    """Feed one writer generation's metric records into ``registry``
+    through the calls that wrote them; returns its last progress."""
     progress: Dict[str, int] = {}
-    generations = scan.generations()
-    for record in (generations[-1] if generations else ()):
+    for record in generation:
         if record.kind == "counter":
-            for name, delta in counter_deltas(record).items():
-                counters[name] = counters.get(name, 0) + delta
+            registry.count_many(counter_deltas(record))
         elif record.kind == "gauge":
-            gauges[record.name] = record.attrs.get("value")
+            registry.set_gauge(record.name, record.attrs.get("value"))
+        elif record.kind == "observe":
+            registry.observe(record.name, record.attrs.get("value"))
         elif record.kind == "progress":
             progress = {"done": int(record.attrs.get("done", 0)),
                         "total": int(record.attrs.get("total", 0))}
-    return counters, gauges, progress
+    return progress
 
 
 def _task_tallies(scan: StreamScan):
-    """(done, failed, durations) from a worker lane's task spans."""
+    """(done, failed, durations) from a worker lane's closed task
+    spans; one left dangling by a crash counts as neither."""
     done = failed = 0
     durations: List[float] = []
-    for gen in scan.generations():
-        opens: Dict[int, float] = {}
-        for record in gen:
-            if record.kind == "span-open" and record.name == "task":
-                opens[record.sid] = record.t
-            elif record.kind == "span-close" \
-                    and record.sid in opens:
-                durations.append(record.t - opens.pop(record.sid))
-                if record.attrs.get("ok"):
-                    done += 1
-                else:
-                    failed += 1
+    for span in scan.spans():
+        if span.name != "task" or span.instant \
+                or span.attributes.get("interrupted"):
+            continue
+        durations.append(span.duration)
+        if span.attributes.get("ok"):
+            done += 1
+        else:
+            failed += 1
     return done, failed, durations
 
 
@@ -288,19 +306,16 @@ def fleet_snapshot(
         if manifest:
             spool_total = int(manifest.get("n_tasks", 0)) or None
 
-    counters: Dict[str, int] = {}
-    gauges: Dict[str, object] = {}
+    metrics = MetricsRegistry()
     progress: Dict[str, int] = {}
     lane_info: Dict[str, Dict[str, object]] = {}
     durations: List[float] = []
     worker_tallies: Dict[str, Tuple[int, int]] = {}
 
     for lane, scan in sorted(scans.items()):
-        lane_counters, lane_gauges, lane_progress = \
-            _latest_generation_rollup(scan)
-        for name, value in lane_counters.items():
-            counters[name] = counters.get(name, 0) + value
-        gauges.update(lane_gauges)
+        generations = scan.generations()
+        lane_progress = _replay(generations[-1] if generations else (),
+                                metrics)
         if lane == "main" and lane_progress:
             progress = lane_progress
         done, failed, lane_durations = _task_tallies(scan)
@@ -310,16 +325,14 @@ def fleet_snapshot(
         lane_info[lane] = {
             "path": str(scan.path),
             "records": len(scan.records),
-            "generations": len(scan.generations()),
+            "generations": len(generations),
             "torn_tail": scan.torn_tail,
             "damage": len(scan.damage),
         }
 
-    if not progress:
-        done = counters.get("tasks.completed")
-        total = spool_total
-        if done is not None and total:
-            progress = {"done": done, "total": total}
+    if not progress and spool_total and "tasks.completed" in metrics:
+        progress = {"done": metrics.counter("tasks.completed").value,
+                    "total": spool_total}
 
     workers: List[WorkerView] = []
     names = sorted(set(beats) | set(leases) - {""}
@@ -371,7 +384,7 @@ def fleet_snapshot(
             eta = 0.0
 
     return FleetSnapshot(
-        root=root, workers=workers, counters=counters,
-        gauges=gauges, progress=progress, eta_seconds=eta,
+        root=root, workers=workers, metrics=metrics,
+        progress=progress, eta_seconds=eta,
         lanes=lane_info, generated=clock.wall_time(),
     )

@@ -35,7 +35,9 @@ and its failure policy: one attempt per record.
 
 Event kinds (:data:`EVENT_KINDS`): ``stream-open`` / ``stream-close``
 (writer lifecycle), ``span-open`` / ``span-close`` (paired by ``sid``
-within a generation), ``instant``, ``counter`` (deltas), ``gauge``
+within a generation; an open carries ``attrs.async`` for an async
+span and ``attrs.track`` off the supervisor track, as does an
+``instant``), ``instant``, ``counter`` (deltas), ``gauge``
 (emitted on value change only), ``observe`` (histogram samples), and
 ``progress`` (tasks done/total — the ETA inputs).  A ``counter``
 record carries either one ``name`` with ``attrs.delta`` or, since
@@ -49,10 +51,11 @@ The stream is **strictly observational**, like everything in this
 package: the writer never raises into the run (a failing disk warns
 once and disables the lane), record identity derives from run
 content, and the 88-run screen is bit-identical with streaming armed
-or bare.  :func:`trace_from_streams` reconstructs a Chrome/Perfetto
-trace from the log alone — including for interrupted runs, where
-dangling ``span-open`` records are closed at their lane's last
-observed instant and marked ``interrupted``.
+or bare.  :func:`trace_from_streams` replays the log into spans and
+renders the Chrome/Perfetto trace ``--trace`` would have written —
+including for interrupted runs, where dangling ``span-open`` records
+are closed at their generation's last observed instant and marked
+``interrupted``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ from repro.guard import lines
 from repro.guard.lines import LineScan
 
 from . import clock
+from .export import _trace_document
+from .span import SUPERVISOR_TRACK, Span
 
 __all__ = [
     "EVENT_KINDS",
@@ -170,6 +175,18 @@ def counter_deltas(record: "EventRecord") -> Dict[str, int]:
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
+
+
+def _placed(span: Span) -> Dict[str, object]:
+    """``span``'s attributes plus what the tracer knows of its place:
+    ``async`` if it is, and its ``track`` off the supervisor's (read
+    back by :meth:`StreamScan.spans`)."""
+    attrs = dict(span.attributes)
+    if span.asynchronous:
+        attrs["async"] = True
+    if span.track != SUPERVISOR_TRACK:
+        attrs["track"] = span.track
+    return attrs
 
 
 class EventWriter:
@@ -291,10 +308,7 @@ class EventWriter:
         self._next_sid += 1
         self._sids[id(span)] = self._next_sid
         self.emit("span-open", span.name, span.category,
-                  sid=self._next_sid,
-                  **dict(span.attributes,
-                         **({"async": True} if span.asynchronous
-                            else {})))
+                  sid=self._next_sid, **_placed(span))
 
     def span_close(self, span) -> None:
         """Tracer sink: a span ended (attributes are final)."""
@@ -304,8 +318,7 @@ class EventWriter:
 
     def instant(self, span) -> None:
         """Tracer sink: an instant event was recorded."""
-        self.emit("instant", span.name, span.category,
-                  **span.attributes)
+        self.emit("instant", span.name, span.category, **_placed(span))
 
     def counter(self, name: str, amount: int) -> None:
         """Metrics sink: a counter moved by ``amount``."""
@@ -395,6 +408,47 @@ class StreamScan(LineScan):
             out[-1].append(record)
         return [tuple(gen) for gen in out]
 
+    def spans(self, epoch: float = 0.0) -> List[Span]:
+        """The lane's spans and instants, replayed per generation.
+
+        ``span-open`` / ``span-close`` pair by ``sid`` within a
+        generation; an open whose close never reached the disk (a
+        killed worker, a crashed broker) is closed at its generation's
+        last instant and marked ``interrupted``.  ``track`` and
+        ``async``, which the writer stores beside a span's attributes,
+        become :class:`~repro.obs.span.Span` fields again.  Times are
+        seconds since ``epoch``.
+        """
+        spans: List[Span] = []
+        for gen in self.generations():
+            opened: Dict[int, Span] = {}
+            for record in gen:
+                if record.kind == "span-close":
+                    span = opened.pop(record.sid, None)
+                    if span is not None:
+                        span.end = record.t - epoch
+                        span.attributes.update(record.attrs)
+                    continue
+                if record.kind not in ("span-open", "instant"):
+                    continue
+                attrs = dict(record.attrs)
+                span = Span(
+                    name=record.name, category=record.category,
+                    attributes=attrs, start=record.t - epoch,
+                    track=int(attrs.pop("track", SUPERVISOR_TRACK)),
+                    asynchronous=bool(attrs.pop("async", False)),
+                    instant=record.kind == "instant",
+                )
+                if span.instant:
+                    span.end = span.start
+                else:
+                    opened[record.sid] = span
+                spans.append(span)
+            for span in opened.values():
+                span.end = gen[-1].t - epoch
+                span.attributes["interrupted"] = True
+        return spans
+
 
 def _parse_line(raw: bytes) -> Tuple[Optional[EventRecord], Optional[str]]:
     try:
@@ -476,98 +530,51 @@ def find_stream_lanes(root: Union[str, os.PathLike]) -> List[Path]:
 # Trace reconstruction
 # ---------------------------------------------------------------------------
 
-#: Synthetic process id for reconstructed trace events.
-_PID = 1
-
-
-def _microseconds(seconds: float) -> int:
-    return int(round(seconds * 1e6))
-
 
 def trace_from_streams(scans: Sequence[StreamScan]) -> Dict[str, object]:
     """A Chrome trace-event document rebuilt from the event log alone.
 
-    This is what makes interrupted runs finally produce usable
-    traces: span pairing happens per lane and per generation, and a
-    ``span-open`` whose close never made it to disk (a killed worker,
-    a crashed broker) is closed at its lane's last observed instant
-    with ``interrupted: true`` — accounted for, and honest about it.
-    Gauges become Perfetto counter tracks (``ph: "C"``); instants
-    become ``"i"`` marks.
+    Each lane's spans (:meth:`StreamScan.spans`) are rendered by the
+    code that renders :func:`~repro.obs.export.chrome_trace`, so a
+    streamed run's export equals its ``--trace`` file after
+    :func:`~repro.obs.export.scrub_trace`, and an interrupted run
+    still gets a trace with its dangling spans marked
+    ``interrupted``.  Every lane is one thread (the ``main`` lane
+    first) and each pool worker track within it another; gauges
+    become Perfetto counter tracks (``ph: "C"``).
     """
     lanes = sorted({scan.lane for scan in scans},
                    key=lambda lane: (lane != "main", lane))
-    tids = {lane: n for n, lane in enumerate(lanes)}
     instants = [record.t for scan in scans for record in scan.records]
     epoch = min(instants) if instants else 0.0
-    wall_anchor = None
-    events: List[Dict[str, object]] = []
-
+    wall_anchor = next(
+        (record.attrs.get("wall") for scan in scans
+         if scan.lane == "main" for record in scan.records
+         if record.kind == "stream-open"), None)
+    spans = {lane: [] for lane in lanes}
     for scan in scans:
-        tid = tids[scan.lane]
-        for gen in scan.generations():
-            open_spans: Dict[int, EventRecord] = {}
-            last_t = gen[-1].t if gen else epoch
-            for record in gen:
-                ts = _microseconds(record.t - epoch)
-                if record.kind == "stream-open":
-                    if wall_anchor is None and scan.lane == "main":
-                        wall_anchor = record.attrs.get("wall")
-                    continue
-                if record.kind == "span-open":
-                    open_spans[record.sid] = record
-                elif record.kind == "span-close":
-                    opened = open_spans.pop(record.sid, None)
-                    if opened is None:
-                        continue
-                    events.append(_complete(
-                        opened, record.attrs, tid, epoch, record.t))
-                elif record.kind == "instant":
-                    events.append({
-                        "name": record.name, "cat": record.category,
-                        "ph": "i", "s": "t", "pid": _PID, "tid": tid,
-                        "ts": ts, "args": dict(record.attrs),
-                    })
-                elif record.kind == "gauge":
-                    events.append({
-                        "name": record.name, "cat": "metric",
-                        "ph": "C", "pid": _PID, "tid": tid, "ts": ts,
-                        "args": {"value": record.attrs.get("value")},
-                    })
-            for opened in open_spans.values():
-                closed = dict(opened.attrs)
-                closed["interrupted"] = True
-                events.append(_complete(opened, closed, tid, epoch,
-                                        last_t))
-
-    metadata = [{
-        "name": "process_name", "ph": "M", "pid": _PID, "tid": 0,
-        "args": {"name": "repro (reconstructed from event stream)"},
-    }]
+        spans[scan.lane].extend(scan.spans(epoch))
+    tids: Dict[Tuple[str, int], int] = {}
     for lane in lanes:
-        metadata.append({
-            "name": "thread_name", "ph": "M", "pid": _PID,
-            "tid": tids[lane], "args": {"name": lane},
-        })
-    return {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.obs.stream",
-            "event_schema": EVENT_SCHEMA,
-            "epoch_wall_time": wall_anchor,
-        },
-    }
-
-
-def _complete(opened: EventRecord, close_attrs: Dict[str, object],
-              tid: int, epoch: float, end: float) -> Dict[str, object]:
-    args = dict(opened.attrs)
-    args.update(close_attrs)
-    return {
-        "name": opened.name, "cat": opened.category, "ph": "X",
-        "pid": _PID, "tid": tid,
-        "ts": _microseconds(opened.t - epoch),
-        "dur": _microseconds(max(0.0, end - opened.t)),
-        "args": args,
-    }
+        for track in sorted({SUPERVISOR_TRACK}
+                            | {span.track for span in spans[lane]}):
+            tids[lane, track] = len(tids)
+        for span in spans[lane]:
+            span.track = tids[lane, span.track]
+    gauges = [
+        (record.name, tids[scan.lane, SUPERVISOR_TRACK],
+         record.t - epoch, record.attrs.get("value"))
+        for scan in scans for record in scan.records
+        if record.kind == "gauge"
+    ]
+    return _trace_document(
+        [span for lane in lanes for span in spans[lane]],
+        threads={tid: lane if track == SUPERVISOR_TRACK
+                 else f"{lane}/worker-{track - 1}"
+                 for (lane, track), tid in tids.items()},
+        process="repro (reconstructed from event stream)",
+        other={"producer": "repro.obs.stream",
+               "event_schema": EVENT_SCHEMA,
+               "epoch_wall_time": wall_anchor},
+        gauges=gauges,
+    )

@@ -84,12 +84,6 @@ class Telemetry:
             stream=stream, profiler=profiler,
         )
 
-    @property
-    def enabled(self) -> bool:
-        """True when at least one component is collecting."""
-        return (self.tracer is not None or self.metrics is not None
-                or self.stream is not None)
-
     def phase(self, name: str, **attributes) -> ContextManager:
         """A coarse phase span, or a no-op without a tracer::
 

@@ -4,7 +4,6 @@ import json
 
 from repro.obs.export import (
     chrome_trace,
-    render_metrics_table,
     scrub_trace,
     write_chrome_trace,
     write_metrics_jsonl,
@@ -115,16 +114,3 @@ class TestFileWriters:
         assert lines[1] == {"name": "tasks.completed",
                             "type": "counter", "value": 7}
 
-
-class TestRenderMetricsTable:
-    def test_all_kinds_render(self):
-        registry = MetricsRegistry()
-        registry.count("tasks.completed", 3)
-        registry.set_gauge("queue.depth", 2)
-        registry.observe("task.seconds", 0.5)
-        text = render_metrics_table(registry)
-        assert "tasks.completed" in text
-        assert "queue.depth" in text
-        assert "task.seconds" in text
-        assert "peak" in text
-        assert "mean" in text

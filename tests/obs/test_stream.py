@@ -2,11 +2,14 @@
 tolerant reader, generation repair, and trace reconstruction."""
 
 import json
+import multiprocessing
 import warnings
 
 import pytest
 
 from repro.obs import Telemetry
+from repro.obs.export import scrub_trace
+from repro.obs.fleet import fleet_snapshot
 from repro.obs.stream import (
     EVENT_SCHEMA,
     EventWriter,
@@ -333,3 +336,129 @@ class TestInterruptedFlush:
         closes = [r for r in scan_stream(path).records
                   if r.kind == "stream-close"]
         assert len(closes) == 1
+
+
+class TestSpanReplay:
+    """The writer records a span's track; the reader rebuilds the
+    span, so an export renders through chrome_trace's own code."""
+
+    def test_track_recorded_off_the_supervisor_track_only(self, tmp_path):
+        path = lane_path(tmp_path)
+        telemetry = Telemetry.armed(
+            stream=EventWriter(path, lane="main", version="v"))
+        tracer = telemetry.tracer
+        tracer.finish(tracer.begin("grid", "grid"))
+        tracer.finish(tracer.begin("run", "task", track=2, index=0))
+        tracer.event("worker-attach", "dist", track=3)
+        tracer.finish(tracer.begin("queue", "task", asynchronous=True))
+        telemetry.close()
+        scan = scan_stream(path)
+        attrs = {r.name: r.attrs for r in scan.records
+                 if r.kind in ("span-open", "instant")}
+        assert attrs == {"grid": {}, "run": {"index": 0, "track": 2},
+                         "worker-attach": {"track": 3},
+                         "queue": {"async": True}}
+        spans = {span.name: span for span in scan.spans()}
+        assert (spans["run"].track, spans["run"].attributes) \
+            == (2, {"index": 0})
+        assert spans["worker-attach"].instant
+        assert spans["queue"].asynchronous
+        assert spans["queue"].attributes == {}
+
+    def test_lane_without_track_attrs_still_exports(self, tmp_path):
+        """A lane written before tracks were recorded: pool runs land
+        on the lane's own thread, queue waits still pair as async."""
+        path = lane_path(tmp_path)
+        with EventWriter(path, lane="main", version="v") as writer:
+            grid = writer.open_span("grid", "grid", tasks=1)
+            queue = writer.open_span("queue", "task", index=0,
+                                     **{"async": True})
+            writer.close_span(queue, index=0, outcome="dispatched")
+            run = writer.open_span("run", "task", index=0, attempt=0)
+            writer.close_span(run, index=0, attempt=0, outcome="ok")
+            writer.close_span(grid, tasks=1, completed=1)
+        doc = trace_from_streams([scan_stream(path)])
+        events = doc["traceEvents"]
+        threads = {e["tid"]: e["args"]["name"] for e in events
+                   if e["name"] == "thread_name"}
+        assert threads == {0: "main"}
+        phases = sorted((e["name"], e["ph"], e["tid"]) for e in events
+                        if e["ph"] != "M")
+        assert phases == [("grid", "X", 0), ("queue", "b", 0),
+                          ("queue", "e", 0), ("run", "X", 0)]
+
+
+fork_available = "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.fixture(scope="module")
+def pool_run(tmp_path_factory):
+    """The smoke-obs grid: a streamed, traced ``--jobs 2`` screen with
+    a worker kill, a task raising twice and a delayed task."""
+    from repro.cli import main
+
+    base = tmp_path_factory.mktemp("pool")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_FAULT_SPEC",
+                     "kill:5,raise:12:2,delay:20:1:0.2")
+        assert main([
+            "screen", "-b", "gzip,mcf", "-n", "300", "--jobs", "2",
+            "--retry", "4", "--on-error", "retry",
+            "--run-dir", str(base / "run"),
+            "--trace", str(base / "trace.json"),
+        ]) == 0
+    metrics = {entry.pop("name"): entry for entry in map(
+        json.loads, (base / "run" / "metrics.jsonl").open())}
+    assert metrics["workers.deaths"]["value"] == 1
+    assert metrics["tasks.retried"]["value"] >= 2
+    return {
+        "run": base / "run",
+        "trace": json.loads((base / "trace.json").read_text()),
+        "metrics": metrics,
+    }
+
+
+@pytest.mark.skipif(not fork_available, reason="needs fork")
+class TestExportParity:
+    """``repro obs export`` renders what ``--trace`` and ``--metrics``
+    render, from the run dir's event lane alone."""
+
+    def _export(self, pool_run):
+        scans = [scan_stream(path)
+                 for path in find_stream_lanes(pool_run["run"])]
+        return trace_from_streams(scans)
+
+    def test_perfetto_scrubs_equal_to_the_trace(self, pool_run):
+        export = self._export(pool_run)
+        without_gauges = {**export, "traceEvents": [
+            e for e in export["traceEvents"] if e["ph"] != "C"]}
+        assert scrub_trace(without_gauges) \
+            == scrub_trace(pool_run["trace"])
+        assert any(e["ph"] == "C" for e in export["traceEvents"])
+
+    def test_each_thread_nests_its_slices(self, pool_run):
+        slices = {}
+        for event in self._export(pool_run)["traceEvents"]:
+            if event["ph"] == "X":
+                slices.setdefault(event["tid"], []).append(
+                    (event["ts"], -event["dur"]))
+        # main, its two pool workers and the killed one's successor
+        assert len(slices) == 4
+        for spans in slices.values():
+            ends = []
+            for ts, negative in sorted(spans):
+                while ends and ends[-1] <= ts:
+                    ends.pop()
+                assert not ends or ts - negative <= ends[-1]
+                ends.append(ts - negative)
+
+    def test_replayed_metrics_equal_the_registry(self, pool_run):
+        replayed = fleet_snapshot(pool_run["run"]).metrics.snapshot()
+        recorded = pool_run["metrics"]
+        assert replayed.keys() == recorded.keys()
+        for name, fields in recorded.items():
+            # A lane streams a gauge only when its value changes.
+            fields.pop("samples", None)
+            assert {k: v for k, v in replayed[name].items()
+                    if k != "samples"} == fields, name
+        assert recorded["task.seconds"]["count"] == 176

@@ -30,19 +30,16 @@ class TestTelemetryFacade:
         assert isinstance(telemetry.tracer, Tracer)
         assert isinstance(telemetry.metrics, MetricsRegistry)
         assert telemetry.simulator_counters
-        assert telemetry.enabled
 
     def test_partial_arming(self):
         telemetry = Telemetry.armed(trace=False)
         assert telemetry.tracer is None
         assert telemetry.metrics is not None
-        assert telemetry.enabled
 
     def test_phase_without_tracer_is_noop(self):
         telemetry = Telemetry()
         with telemetry.phase("x"):
             pass
-        assert not telemetry.enabled
         assert telemetry.snapshot() == {}
 
     def test_phase_of_accepts_none(self):

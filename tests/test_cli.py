@@ -236,6 +236,45 @@ class TestInterruptHandling:
         assert "interrupted" in capsys.readouterr().err
 
 
+class TestFailureFinishesTelemetry:
+    """A study that raises still writes its run dir's artifacts, as
+    ``failed``, before the exception leaves the command (exit 1)."""
+
+    def _assert_failed_run_dir(self, run_dir):
+        import json
+
+        from repro.obs.stream import scan_stream
+
+        run = json.loads((run_dir / "manifest.json").read_text())
+        assert run["outcome"]["exit_status"] == "failed"
+        assert (run_dir / "metrics.jsonl").read_text()
+        scan = scan_stream(run_dir / "stream" / "main.events.jsonl")
+        assert scan.records[-1].kind == "stream-close"
+        assert scan.records[-1].attrs["status"] == "failed"
+        opened = {r.sid for r in scan.records if r.kind == "span-open"}
+        closed = {r.sid for r in scan.records if r.kind == "span-close"}
+        assert opened == closed
+        assert not (run_dir / "results.json").exists()
+
+    def test_ranking_nothing_under_skip(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "raise:0:always")
+        run_dir = tmp_path / "run"
+        with pytest.raises(ValueError, match="at least one benchmark"):
+            main(["screen", "-b", "gzip", "-n", "300",
+                  "--on-error", "skip", "--run-dir", str(run_dir)])
+        self._assert_failed_run_dir(run_dir)
+
+    def test_fault_raised_out_of_the_grid(self, tmp_path, monkeypatch):
+        from repro.guard.faults import InjectedFault
+
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "raise:0:always")
+        run_dir = tmp_path / "run"
+        with pytest.raises(InjectedFault):
+            main(["screen", "-b", "gzip", "-n", "300",
+                  "--run-dir", str(run_dir)])
+        self._assert_failed_run_dir(run_dir)
+
+
 class TestLintCommand:
     """``repro lint`` — the determinism analysis as a subcommand.
 
