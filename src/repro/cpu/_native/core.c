@@ -40,6 +40,13 @@
  *    busy stays busy for the rest of the cycle, because issuing only
  *    takes units, so the scan skips it outright.
  *
+ * 5. Functional warm-up is shared: the caller may pass a warm context
+ *    (repro_warm_new / repro_warm_free) that keeps, for one trace,
+ *    each component's warm state per distinct key (see "Warm
+ *    context" below).  A call without one warms for itself alone, so
+ *    outputs never depend on what ran before; a context handed
+ *    another trace is refused with status -4.
+ *
  * Every `goto done` is an allocation-failure exit (status is still
  * STATUS_NO_MEMORY there); the kernel coverage check in CI allows
  * those lines, and only those, to stay unexecuted.
@@ -99,7 +106,8 @@ enum {
 /* -- output vector indices (keep in sync with native.py) ----------------- */
 
 enum {
-    OUT_STATUS = 0,         /* 0 ok, 1 cycle budget, 2 hang, -3 no memory */
+    OUT_STATUS = 0,         /* 0 ok, 1 cycle budget, 2 hang, -3 no memory,
+                               -4 warm context of another trace */
     OUT_CYCLES,
     OUT_INSTRUCTIONS,
     OUT_BRANCHES,
@@ -146,6 +154,7 @@ enum {
 #define STATUS_CYCLE_BUDGET 1
 #define STATUS_HANG 2
 #define STATUS_NO_MEMORY (-3)
+#define STATUS_BAD_CONTEXT (-4)     /* the warm context serves another trace */
 
 /* The trace and its static decode (repro.workloads.trace); the layout
  * matches native.py's _TraceArrays. */
@@ -912,6 +921,359 @@ static void ready_add(ReadySet *r, int64_t index, int64_t is_ready) {
 }
 
 /* ========================================================================
+ * Warm context: functional warm-up shared across one trace's machines
+ * ======================================================================== */
+
+/* Pipeline.warm replays the trace through six components that never
+ * read each other: the direction predictor, the BTB, both TLBs and
+ * both L1 caches (an L1 miss reads the L2, but nothing the L2 returns
+ * changes the L1).  So each component warms on its own, once per
+ * distinct key, and a key is exactly the configuration fields its pass
+ * reads.  A pass reads one of the trace's access streams, each also
+ * built once: the fetches (one per I-cache block entered, so keyed by
+ * the L1I block size), the loads and stores, and the conditional
+ * branches.  The L1 passes record the misses they send to the L2, the
+ * one shared structure; each machine replays the two miss streams,
+ * merged in program order, into its own L2. */
+
+enum { WARM_FETCH, WARM_MEM, WARM_COND,         /* the access streams */
+       WARM_PRED, WARM_BTB, WARM_ITLB, WARM_DTLB, WARM_L1I, WARM_L1D,
+       N_WARM };
+#define WARM_KEY_FIELDS 6
+
+/* The filled sets of a warmed set-associative structure, packed set by
+ * set: what a machine copies into its own fresh structure. */
+typedef struct {
+    int64_t n_used;
+    int64_t *set;               /* the filled sets */
+    int32_t *cnt;               /* their fill */
+    int64_t *tags;              /* their entries, MRU first */
+    int64_t *aux;               /* BTB targets, else NULL */
+    uint8_t *dirty;             /* cache dirty bits, else NULL */
+} SetSnapshot;
+
+/* Accesses in program order: the instruction behind each one and the
+ * address it reads (a program counter for fetches and branches). */
+typedef struct {
+    int64_t n, cap;
+    int32_t *index;
+    int64_t *addr;
+} Stream;
+
+typedef struct WarmState {
+    struct WarmState *next;
+    int64_t key[WARM_KEY_FIELDS];
+    Stream stream;              /* an access stream, or an L1's misses */
+    Predictor pred;             /* WARM_PRED */
+    SetSnapshot sets;           /* the BTB, TLBs and caches */
+    MT19937 rng;                /* caches under random replacement */
+} WarmState;
+
+/* One trace's warm states, found by component and key.  A context
+ * serves the trace it first warmed and refuses any other. */
+typedef struct {
+    const int64_t *pc;
+    int64_t n;
+    WarmState *states[N_WARM];
+} WarmContext;
+
+static int snapshot_take(SetSnapshot *s, int64_t n_sets, int32_t assoc,
+                         const int32_t *cnt, const int64_t *tags,
+                         const int64_t *aux, const uint8_t *dirty) {
+    int64_t entries = 0;
+    s->n_used = 0;
+    for (int64_t set = 0; set < n_sets; set++) {
+        s->n_used += cnt[set] > 0;
+        entries += cnt[set];
+    }
+    /* One spare slot each: malloc(0) may return NULL. */
+    s->set = (int64_t *)malloc((size_t)(s->n_used + 1) * sizeof(int64_t));
+    s->cnt = (int32_t *)malloc((size_t)(s->n_used + 1) * sizeof(int32_t));
+    s->tags = (int64_t *)malloc((size_t)(entries + 1) * sizeof(int64_t));
+    s->aux = aux ? (int64_t *)malloc((size_t)(entries + 1)
+                                     * sizeof(int64_t)) : NULL;
+    s->dirty = dirty ? (uint8_t *)malloc((size_t)(entries + 1)) : NULL;
+    if (!s->set || !s->cnt || !s->tags || (aux && !s->aux)
+            || (dirty && !s->dirty)) return 0;
+    int64_t used = 0, at = 0;
+    for (int64_t set = 0; set < n_sets; set++) {
+        int32_t c = cnt[set];
+        if (!c) continue;
+        s->set[used] = set;
+        s->cnt[used++] = c;
+        memcpy(s->tags + at, tags + set * assoc, (size_t)c * sizeof(int64_t));
+        if (aux) memcpy(s->aux + at, aux + set * assoc,
+                        (size_t)c * sizeof(int64_t));
+        if (dirty) memcpy(s->dirty + at, dirty + set * assoc, (size_t)c);
+        at += c;
+    }
+    return 1;
+}
+
+static void snapshot_put(const SetSnapshot *s, int32_t assoc, int32_t *cnt,
+                         int64_t *tags, int64_t *aux, uint8_t *dirty) {
+    int64_t at = 0;
+    for (int64_t k = 0; k < s->n_used; k++) {
+        int64_t set = s->set[k];
+        int32_t c = s->cnt[k];
+        memcpy(tags + set * assoc, s->tags + at, (size_t)c * sizeof(int64_t));
+        if (aux) memcpy(aux + set * assoc, s->aux + at,
+                        (size_t)c * sizeof(int64_t));
+        if (dirty) memcpy(dirty + set * assoc, s->dirty + at, (size_t)c);
+        cnt[set] = c;
+        at += c;
+    }
+}
+
+/* Resizes the stream to `cap` entries; returns 0, the stream still
+ * whole, when an array cannot be resized. */
+static int stream_reserve(Stream *m, int64_t cap) {
+    int32_t *index = (int32_t *)realloc(m->index,
+                                        (size_t)cap * sizeof(int32_t));
+    if (index) m->index = index;
+    int64_t *addr = (int64_t *)realloc(m->addr, (size_t)cap * sizeof(int64_t));
+    if (addr) m->addr = addr;
+    /* Both arrays hold at least the smaller of their sizes. */
+    int64_t index_cap = index ? cap : m->cap, addr_cap = addr ? cap : m->cap;
+    m->cap = index_cap < addr_cap ? index_cap : addr_cap;
+    return index && addr;
+}
+
+/* Returns 0 when the stream cannot grow. */
+static int stream_push(Stream *m, int64_t index, int64_t addr) {
+    if (m->n == m->cap && !stream_reserve(m, 2 * m->cap + 256)) return 0;
+    m->index[m->n] = (int32_t)index;
+    m->addr[m->n++] = addr;
+    return 1;
+}
+
+/* The trace's fetches under I-cache block size key[0] (Pipeline.warm
+ * fetches once per block entered), else its loads and stores, else
+ * its conditional branches.  Each instruction is written and kept only
+ * when it belongs, without a branch on the data. */
+static int stream_select(WarmState *s, const TraceArrays *t, int comp) {
+    Stream *m = &s->stream;
+    if (!stream_reserve(m, t->n + 1)) return 0;
+    if (comp == WARM_FETCH) {
+        Divisor block;
+        int64_t last_block = -1;
+        divisor_init(&block, s->key[0]);
+        for (int64_t i = 0; i < t->n; i++) {
+            int64_t b = floor_div(&block, t->pc[i]);
+            m->index[m->n] = (int32_t)i;
+            m->addr[m->n] = t->pc[i];
+            m->n += b != last_block;
+            last_block = b;
+        }
+    } else {
+        int memory = comp == WARM_MEM;
+        for (int64_t i = 0; i < t->n; i++) {
+            int op = t->op[i];
+            m->index[m->n] = (int32_t)i;
+            m->addr[m->n] = memory ? t->addr[i] : t->pc[i];
+            m->n += memory ? (op == OP_LOAD) | (op == OP_STORE)
+                           : (op == OP_BRANCH) & (t->kind[i] == KIND_COND);
+        }
+    }
+    stream_reserve(m, m->n + 1);    /* hand back the unused tail */
+    return 1;
+}
+
+static void warm_state_free(WarmState *s) {
+    pred_free(&s->pred);
+    free(s->sets.set); free(s->sets.cnt); free(s->sets.tags);
+    free(s->sets.aux); free(s->sets.dirty);
+    free(s->stream.index); free(s->stream.addr);
+    free(s);
+}
+
+static void warm_clear(WarmContext *w) {
+    for (int comp = 0; comp < N_WARM; comp++) {
+        while (w->states[comp]) {
+            WarmState *next = w->states[comp]->next;
+            warm_state_free(w->states[comp]);
+            w->states[comp] = next;
+        }
+    }
+}
+
+/* The configuration fields component `comp`'s warm-up pass reads, in
+ * the order its pass reads them from the key.  The predictor's history
+ * ends each branch at (history << 1) | taken under either update point
+ * for the 2-level predictor, but the tournament's speculative history
+ * shifts in gshare's guess, which a correct choice does not repair. */
+static void warm_key(int comp, const int64_t *cfg, int64_t *key) {
+    static const int fields[N_WARM][WARM_KEY_FIELDS] = {
+        [WARM_FETCH] = {CFG_L1I_BLOCK, -1, -1, -1, -1, -1},
+        [WARM_MEM] = {-1, -1, -1, -1, -1, -1},
+        [WARM_COND] = {-1, -1, -1, -1, -1, -1},
+        [WARM_PRED] = {CFG_PRED_KIND, CFG_SPECULATIVE, -1, -1, -1, -1},
+        [WARM_BTB] = {CFG_BTB_ENTRIES, CFG_BTB_ASSOC, -1, -1, -1, -1},
+        [WARM_ITLB] = {CFG_ITLB_ENTRIES, CFG_ITLB_PAGE, CFG_ITLB_ASSOC,
+                       CFG_L1I_BLOCK, -1, -1},
+        [WARM_DTLB] = {CFG_DTLB_ENTRIES, CFG_DTLB_PAGE, CFG_DTLB_ASSOC,
+                       -1, -1, -1},
+        [WARM_L1I] = {CFG_L1I_SIZE, CFG_L1I_ASSOC, CFG_L1I_BLOCK,
+                      CFG_REPLACEMENT, CFG_RNG_SEED, -1},
+        [WARM_L1D] = {CFG_L1D_SIZE, CFG_L1D_ASSOC, CFG_L1D_BLOCK,
+                      CFG_REPLACEMENT, CFG_RNG_SEED, CFG_PREFETCH_LINES},
+    };
+    for (int k = 0; k < WARM_KEY_FIELDS; k++) {
+        key[k] = fields[comp][k] < 0 ? 0 : cfg[fields[comp][k]];
+    }
+    if (comp == WARM_PRED && key[0] != PRED_TOURNAMENT) key[1] = 0;
+}
+
+/* The access stream each component's pass reads (streams read none). */
+static const int WARM_INPUT[N_WARM] = {
+    [WARM_FETCH] = -1, [WARM_MEM] = -1, [WARM_COND] = -1,
+    [WARM_PRED] = WARM_COND, [WARM_BTB] = WARM_COND,
+    [WARM_ITLB] = WARM_FETCH, [WARM_DTLB] = WARM_MEM,
+    [WARM_L1I] = WARM_FETCH, [WARM_L1D] = WARM_MEM,
+};
+
+static int warm_predictor(WarmState *s, const TraceArrays *t,
+                          const Stream *branches) {
+    Predictor *p = &s->pred;
+    int ok = pred_init(p, (int)s->key[0], (int)s->key[1]);
+    if (s->key[0] == PRED_PERFECT) return ok;
+    for (int64_t k = 0; ok && k < branches->n; k++) {
+        int64_t pc = branches->addr[k];
+        int taken = t->taken[branches->index[k]];
+        int64_t hist = pred_history(p);
+        int predicted = pred_predict(p, pc, &ok);
+        pred_update(p, pc, taken, hist);
+        if (predicted != taken) pred_repair(p, hist, taken);
+    }
+    return ok;
+}
+
+static int warm_btb(WarmState *s, const TraceArrays *t,
+                    const Stream *branches) {
+    BTB b;
+    int ok = btb_init(&b, s->key[0], s->key[1]);
+    for (int64_t k = 0; ok && k < branches->n; k++) {
+        int64_t i = branches->index[k];
+        if (t->taken[i]) btb_insert(&b, branches->addr[k], t->target[i]);
+    }
+    if (ok) ok = snapshot_take(&s->sets, b.sets.value, b.assoc, b.cnt,
+                               b.pcs, b.targets, NULL);
+    btb_free(&b);
+    return ok;
+}
+
+static int warm_tlb(WarmState *s, const Stream *accesses) {
+    TLBLevel tlb;
+    int ok = tlb_init(&tlb, s->key[0], s->key[1], s->key[2], 0);
+    for (int64_t k = 0; ok && k < accesses->n; k++) {
+        tlb_access(&tlb, accesses->addr[k]);
+    }
+    if (ok) ok = snapshot_take(&s->sets, tlb.sets.value, tlb.assoc,
+                               tlb.cnt, tlb.tags, NULL, NULL);
+    tlb_free(&tlb);
+    return ok;
+}
+
+/* One L1 on its own (no level below), recording each miss; key[5] is
+ * the data side's next-N-line prefetch. */
+static int warm_cache(WarmState *s, const TraceArrays *t,
+                      const Stream *accesses, int instruction) {
+    static const MainMemory unused = {0, 0, 1};
+    CacheLevel c;
+    int ok = cache_init(&c, s->key[0], s->key[1], s->key[2], 0,
+                        (int)s->key[3], (uint32_t)s->key[4], NULL, &unused);
+    for (int64_t k = 0; ok && k < accesses->n; k++) {
+        int64_t i = accesses->index[k];
+        int64_t addr = accesses->addr[k];
+        int64_t misses = c.miss;
+        cache_access(&c, addr, !instruction && t->op[i] == OP_STORE);
+        if (c.miss == misses) continue;
+        ok = stream_push(&s->stream, i, addr);
+        /* A prefetch's misses follow the demand miss to the L2. */
+        for (int64_t line = 1; ok && line <= s->key[5]; line++) {
+            int64_t next = addr + line * c.block.value;
+            misses = c.miss;
+            cache_access(&c, next, 0);
+            if (c.miss > misses) ok = stream_push(&s->stream, i, next);
+        }
+    }
+    if (ok) ok = snapshot_take(&s->sets, c.sets.value, c.assoc, c.cnt,
+                               c.tags, NULL, c.dirty);
+    if (c.policy == POLICY_RANDOM) s->rng = c.rng;
+    cache_free(&c);
+    return ok;
+}
+
+/* Component `comp`'s warm state for `cfg`, warmed on first use from
+ * the stream `in`; NULL when out of memory. */
+static WarmState *warm_get(WarmContext *w, int comp, const int64_t *cfg,
+                           const TraceArrays *t, const WarmState *in) {
+    int64_t key[WARM_KEY_FIELDS];
+    warm_key(comp, cfg, key);
+    for (WarmState *s = w->states[comp]; s; s = s->next) {
+        if (!memcmp(s->key, key, sizeof(key))) return s;
+    }
+    WarmState *s = (WarmState *)calloc(1, sizeof(WarmState));
+    if (!s) return NULL;
+    memcpy(s->key, key, sizeof(key));
+    int ok;
+    switch (comp) {
+    case WARM_FETCH: case WARM_MEM: case WARM_COND:
+        ok = stream_select(s, t, comp);
+        break;
+    case WARM_PRED: ok = warm_predictor(s, t, &in->stream); break;
+    case WARM_BTB: ok = warm_btb(s, t, &in->stream); break;
+    case WARM_ITLB: case WARM_DTLB: ok = warm_tlb(s, &in->stream); break;
+    default: ok = warm_cache(s, t, &in->stream, comp == WARM_L1I); break;
+    }
+    if (!ok) { warm_state_free(s); return NULL; }
+    s->next = w->states[comp];
+    w->states[comp] = s;
+    return s;
+}
+
+static void pred_restore(Predictor *p, const Predictor *warm) {
+    const CounterTable *from[3] = {&warm->gtable, &warm->btable,
+                                   &warm->chooser};
+    CounterTable *to[3] = {&p->gtable, &p->btable, &p->chooser};
+    for (int k = 0; k < 3; k++) {
+        if (from[k]->counters) memcpy(to[k]->counters, from[k]->counters,
+                                      (size_t)from[k]->mask + 1);
+    }
+    p->history = warm->history;
+}
+
+static void cache_restore(CacheLevel *c, const WarmState *s) {
+    snapshot_put(&s->sets, c->assoc, c->cnt, c->tags, NULL, c->dirty);
+    if (c->policy == POLICY_RANDOM) c->rng = s->rng;
+}
+
+/* Replays both L1s' warm-up misses into the L2 in program order: an
+ * instruction's I-side miss before its D-side ones. */
+static void l2_replay(CacheLevel *l2, const Stream *i_side,
+                      const Stream *d_side) {
+    int64_t a = 0, b = 0;
+    while (a < i_side->n || b < d_side->n) {
+        if (b == d_side->n
+                || (a < i_side->n && i_side->index[a] <= d_side->index[b])) {
+            cache_access(l2, i_side->addr[a++], 0);
+        } else {
+            cache_access(l2, d_side->addr[b++], 0);
+        }
+    }
+}
+
+WarmContext *repro_warm_new(void) {
+    return (WarmContext *)calloc(1, sizeof(WarmContext));
+}
+
+void repro_warm_free(WarmContext *w) {
+    if (!w) return;
+    warm_clear(w);
+    free(w);
+}
+
+/* ========================================================================
  * The simulator
  * ======================================================================== */
 
@@ -937,6 +1299,7 @@ int64_t repro_simulate(
     const int64_t *cfg,
     const TraceArrays *trace,
     const uint8_t *pre_flag,     /* NULL when precomputation is off */
+    WarmContext *warm,           /* NULL: warm for this call alone */
     int64_t *out)
 {
     int64_t status = STATUS_NO_MEMORY;  /* until proven otherwise */
@@ -973,6 +1336,8 @@ int64_t repro_simulate(
     memset(&funits, 0, sizeof(funits));
     ReadySet ready;
     memset(&ready, 0, sizeof(ready));
+    WarmContext own;
+    memset(&own, 0, sizeof(own));
 
     /* Per-instruction arrays; each entry is written before it is read
      * (state, deps and wake_head at dispatch, mispred and history at
@@ -1054,34 +1419,31 @@ int64_t repro_simulate(
         bucket_tail[b] = (int32_t)(n + b);
     }
 
-    /* -- functional warm-up (Pipeline.warm) ----------------------------- */
+    /* -- functional warm-up (Pipeline.warm), from the warm context --- */
     if (cfg[CFG_WARMUP]) {
-        int64_t last_block = -1;
-        int ok = 1;
-        for (int64_t i = 0; i < n; i++) {
-            int64_t pc = pc_arr[i];
-            int64_t block = floor_div(&hier.l1i.block, pc);
-            if (block != last_block) {
-                instruction_fetch(&hier, pc);
-                last_block = block;
-            }
-            int op = op_arr[i];
-            if (op == OP_LOAD || op == OP_STORE) {
-                data_access(&hier, addr_arr[i], op == OP_STORE);
-            } else if (op == OP_BRANCH && kind_arr[i] == KIND_COND) {
-                int taken = taken_arr[i];
-                if (!perfect) {
-                    int64_t hist = pred_history(&pred);
-                    int predicted = pred_predict(&pred, pc, &ok);
-                    pred_update(&pred, pc, taken, hist);
-                    if (predicted != taken) {
-                        pred_repair(&pred, hist, taken);
-                    }
-                }
-                if (taken) btb_insert(&btb, pc, target_arr[i]);
-            }
+        if (!warm) warm = &own;
+        if (warm->pc && (warm->pc != trace->pc || warm->n != n)) {
+            status = STATUS_BAD_CONTEXT;
+            goto done;
         }
-        if (!ok) goto done;
+        warm->pc = trace->pc;
+        warm->n = n;
+        WarmState *s[N_WARM];
+        for (int comp = 0; comp < N_WARM; comp++) {
+            int in = WARM_INPUT[comp];
+            s[comp] = warm_get(warm, comp, cfg, trace, in < 0 ? NULL : s[in]);
+            if (!s[comp]) goto done;
+        }
+        pred_restore(&pred, &s[WARM_PRED]->pred);
+        snapshot_put(&s[WARM_BTB]->sets, btb.assoc, btb.cnt, btb.pcs,
+                     btb.targets, NULL);
+        snapshot_put(&s[WARM_ITLB]->sets, hier.itlb.assoc, hier.itlb.cnt,
+                     hier.itlb.tags, NULL, NULL);
+        snapshot_put(&s[WARM_DTLB]->sets, hier.dtlb.assoc, hier.dtlb.cnt,
+                     hier.dtlb.tags, NULL, NULL);
+        cache_restore(&hier.l1i, s[WARM_L1I]);
+        cache_restore(&hier.l1d, s[WARM_L1D]);
+        l2_replay(&hier.l2, &s[WARM_L1I]->stream, &s[WARM_L1D]->stream);
         hierarchy_reset_stats(&hier);
     }
 
@@ -1461,6 +1823,7 @@ done:
     free(state_mem); free(deps); free(mispred); free(history);
     free(wake_mem); free(edge_to); free(edge_next);
     free(bucket_tail); free(comp_next);
+    warm_clear(&own);
     out[OUT_STATUS] = status;
     return status;
 }

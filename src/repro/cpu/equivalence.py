@@ -21,7 +21,9 @@ handles.  This module is the harness that earns that claim:
 * :func:`compare_cores` runs one pair on the kernel and the oracle
   and reports the exact fields that disagree (empty = equivalent);
 * :func:`differential_sweep` drives N randomized pairs and collects
-  every divergence.
+  every divergence; its pairs come in shuffled groups of machines on
+  one trace whose warm-up keys partly repeat, so the kernel's shared
+  warm-up meets both warm states it holds and new ones.
 
 ``repro diffcore`` is the CLI face of the sweep; CI runs it as a
 smoke on every push.  Both functions demand the kernel: without it
@@ -372,46 +374,85 @@ def differential_sweep(
 ) -> List[Divergence]:
     """Run ``pairs`` randomized (config, trace) comparisons.
 
-    Deterministic in ``seed``.  Returns every divergence found (an
-    empty list is the pass verdict, so ``pairs`` must be at least 1).
-    ``progress(done, total, div)`` is called after each pair, ``div``
-    non-None when it diverged.
+    Pairs come in groups of two to five machines on one random trace
+    (:func:`sibling_machines`), run in shuffled order, so the kernel's
+    warm context meets both warm states it already holds and new ones.
+    Deterministic in ``seed``; a divergence's ``seed`` names its group.
+    Returns every divergence found (an empty list is the pass verdict,
+    so ``pairs`` must be at least 1).  ``progress(done, total, div)``
+    is called after each pair, ``div`` non-None when it diverged.
     """
     if pairs < 1:
         raise ValueError(f"pairs must be at least 1, got {pairs}")
     rng = random.Random(seed)
     found: List[Divergence] = []
-    for k in range(pairs):
-        pair_seed = rng.randrange(1 << 30)
-        pair_rng = random.Random(pair_seed)
-        config = random_machine(pair_rng)
-        trace = random_trace(pair_rng)
-        warmup = pair_rng.random() < 0.7
-        prefetch = pair_rng.choice((0, 0, 0, 1, 2))
-        table = None
-        keys = None
-        if pair_rng.random() < 0.3:
-            counts = trace.redundancy_counts()
-            if counts:
-                universe = sorted(counts)
-                keys = pair_rng.sample(
-                    universe, min(len(universe), 32)
-                )
-                table = frozenset(keys)
-        expected, actual = _run_pair(
-            config, trace, precompute_table=table, warmup=warmup,
-            prefetch_lines=prefetch,
-        )
-        diff = differing_fields(expected, actual)
-        div = None
-        if diff:
-            div = Divergence(
-                seed=pair_seed, trace_name=trace.name, config=config,
-                fields=diff, expected=expected, actual=actual,
-                warmup=warmup, prefetch_lines=prefetch,
-                precompute_keys=keys,
+    done = 0
+    while done < pairs:
+        group_seed = rng.randrange(1 << 30)
+        group_rng = random.Random(group_seed)
+        trace = random_trace(group_rng)
+        size = min(pairs - done, group_rng.randint(2, 5))
+        cells = [_random_cell(group_rng, config, trace)
+                 for config in sibling_machines(group_rng, size)]
+        group_rng.shuffle(cells)
+        for config, warmup, prefetch, keys in cells:
+            expected, actual = _run_pair(
+                config, trace, warmup=warmup, prefetch_lines=prefetch,
+                precompute_table=None if keys is None else frozenset(keys),
             )
-            found.append(div)
-        if progress is not None:
-            progress(k + 1, pairs, div)
+            diff = differing_fields(expected, actual)
+            div = None
+            if diff:
+                div = Divergence(
+                    seed=group_seed, trace_name=trace.name, config=config,
+                    fields=diff, expected=expected, actual=actual,
+                    warmup=warmup, prefetch_lines=prefetch,
+                    precompute_keys=keys,
+                )
+                found.append(div)
+            done += 1
+            if progress is not None:
+                progress(done, pairs, div)
     return found
+
+
+#: Disjoint groups of the fields that key functional warm-up (core.c's
+#: ``warm_key``): the predictor, BTB, I-TLB, D-TLB, L1I and L1D passes
+#: read these, and the prefetch depth besides.
+WARM_GROUPS = (
+    ("branch_predictor", "speculative_update"),
+    ("btb_entries", "btb_assoc"),
+    ("itlb_entries", "itlb_page_size", "itlb_assoc"),
+    ("dtlb_entries", "dtlb_page_size", "dtlb_assoc"),
+    ("l1i_size", "l1i_assoc", "l1i_block"),
+    ("l1d_size", "l1d_assoc", "l1d_block"),
+    ("replacement_policy",),
+)
+
+
+def sibling_machines(rng: random.Random, size: int) -> List[MachineConfig]:
+    """``size`` random machines of which all but the first take each
+    warm-up field group from the first with probability 1/2: their
+    warm keys repeat for some components and differ for others."""
+    first = random_machine(rng)
+    machines = [first]
+    while len(machines) < size:
+        other = random_machine(rng)
+        shared = {name: getattr(first, name)
+                  for group in WARM_GROUPS if rng.random() < 0.5
+                  for name in group}
+        machines.append(other.evolve(**shared) if shared else other)
+    return machines
+
+
+def _random_cell(rng: random.Random, config: MachineConfig, trace: Trace):
+    """``(config, warmup, prefetch lines, precompute keys or None)``."""
+    warmup = rng.random() < 0.7
+    prefetch = rng.choice((0, 0, 0, 1, 2))
+    keys = None
+    if rng.random() < 0.3:
+        counts = trace.redundancy_counts()
+        if counts:
+            universe = sorted(counts)
+            keys = rng.sample(universe, min(len(universe), 32))
+    return config, warmup, prefetch, keys

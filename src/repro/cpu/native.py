@@ -30,8 +30,14 @@ This module owns the build-and-load machinery:
 The compiled kernel is a pure function from (config vector, trace
 arrays) to a counter vector: no global state, no threads, no
 callbacks into Python — safe under ``fork`` and trivially
-deterministic.  The program build draws from the bit generator of the
-``numpy.random.Generator`` it is handed, under that generator's lock.
+deterministic.  Functional warm-up is shared through an explicit warm
+context: the kernel keeps each component's warm state per distinct
+key for one trace in the context it is handed, and this module keeps
+one live context per process (:class:`_LiveContext`), freed when a
+call brings another trace.  A result never depends on the context's
+contents, only the time it takes.  The program build draws from the
+bit generator of the ``numpy.random.Generator`` it is handed, under
+that generator's lock.
 The per-call Python work is kept to a minimum: the config vector is
 built once per :class:`MachineConfig` object and the trace pointers
 once per :class:`~repro.workloads.trace.DecodedTrace`.
@@ -46,6 +52,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import weakref
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -250,8 +257,13 @@ def _load():
             ctypes.c_void_p,                      # cfg
             ctypes.c_void_p,                      # _TraceArrays
             ctypes.c_void_p,                      # pre_flag (nullable)
+            ctypes.c_void_p,                      # WarmContext (nullable)
             ctypes.c_void_p,                      # out
         ]
+        lib.repro_warm_new.restype = ctypes.c_void_p
+        lib.repro_warm_new.argtypes = []
+        lib.repro_warm_free.restype = None
+        lib.repro_warm_free.argtypes = [ctypes.c_void_p]
         lib.repro_synthesize.restype = None
         lib.repro_synthesize.argtypes = [ctypes.c_void_p]  # _SynthArgs
         if hasattr(lib, "repro_build_program"):  # built with the samplers
@@ -445,6 +457,43 @@ def _hang_dump_from(trace, n: int, out: list) -> dict:
     return dump
 
 
+class _LiveContext:
+    """The process's one live warm context (core.c's ``WarmContext``).
+
+    The kernel warms each component of a machine (predictor, BTB, both
+    TLBs, both L1s) once per distinct key on a trace and keeps the
+    warm states in the context it is handed, so the grid's cells of one
+    trace share their functional warm-up.  A context serves one trace:
+    it is freed, and a new one made, when a call brings another decode.
+    The engine runs a trace's cells one after another, so one context
+    is live at a time.  ``lock`` keeps two threads out of it at once.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._decoded = None        # weak reference to the served decode
+        self._address = None
+
+    def serving(self, lib, decoded) -> Optional[int]:
+        """The context for ``decoded`` (the caller holds ``lock``), or
+        None when a new one cannot be allocated."""
+        if self._decoded is None or self._decoded() is not decoded:
+            self.drop(lib)
+            self._address = lib.repro_warm_new() or None
+            if self._address is not None:
+                self._decoded = weakref.ref(decoded)
+        return self._address
+
+    def drop(self, lib) -> None:
+        """Free the live context, if any."""
+        if self._address is not None:
+            lib.repro_warm_free(self._address)
+        self._decoded = self._address = None
+
+
+_live = _LiveContext()
+
+
 def simulate_native(
     config: MachineConfig,
     trace,
@@ -490,10 +539,18 @@ def simulate_native(
     )
     pre = _precompute_flags(trace, precompute_table)
     out = _OutVector()
-    status = lib.repro_simulate(
-        cfg, _trace_arrays(trace),
-        None if pre is None else pre.ctypes.data, out,
-    )
+    args = (cfg, _trace_arrays(trace),
+            None if pre is None else pre.ctypes.data)
+    if warmup and _live.lock.acquire(blocking=False):
+        try:
+            status = lib.repro_simulate(
+                *args, _live.serving(lib, trace.decoded()), out)
+        finally:
+            _live.lock.release()
+    else:
+        # No warm-up, or another thread is in the live context: the
+        # kernel warms for this call alone.
+        status = lib.repro_simulate(*args, None, out)
     values = out[:]
     if status == 1:
         committed = values[_O_ERR_COMMITTED]

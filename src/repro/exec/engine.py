@@ -618,7 +618,9 @@ class _Grid:
             obs.count("audit.selected", 0)
             obs.count("audit.passed", 0)
             obs.count("audit.violations", 0)
-        pending = self._preload()
+        pending = _dispatch_order(self.tasks, self._preload())
+        #: How the grid ended, when it raised: its span says so.
+        ending: Dict[str, str] = {}
         try:
             if options.dist is not None and pending:
                 # Imported lazily: the distributed runtime is optional
@@ -629,6 +631,12 @@ class _Grid:
                     and _fork_available():
                 pending = _run_pool(self, pending)
             _run_serial(self, pending)
+        except KeyboardInterrupt:
+            ending = {"outcome": "interrupted"}
+            raise
+        except Exception as exc:
+            ending = {"outcome": "error", "error": type(exc).__name__}
+            raise
         finally:
             # Surface the cache's own counters as this grid's deltas,
             # so a registry shared across grids accumulates true totals.
@@ -637,7 +645,7 @@ class _Grid:
                     obs.count(f"cache.{name}",
                               value - cache_before[name])
             obs.finish(grid_span, completed=self.done,
-                       failures=len(self.failures))
+                       failures=len(self.failures), **ending)
         return GridResult(self.results, self.failures)
 
     def key(self, i: int) -> str:
@@ -785,6 +793,22 @@ class _Grid:
                 return True
         self._give_up(i, kind, error_type, message)
         return False
+
+
+def _dispatch_order(tasks: List[SimTask], pending: List[int]) -> List[int]:
+    """``pending`` grouped by trace: traces in the order of their first
+    pending cell, each trace's cells in index order.
+
+    The compiled kernel shares functional warm-up among the cells of
+    one trace that run one after another in a process (see
+    :mod:`repro.cpu.native`), so every dispatch path takes them so.
+    Results stay indexed by cell; only the order of journal lines and
+    events follows dispatch.
+    """
+    by_trace: Dict[int, List[int]] = {}
+    for i in pending:
+        by_trace.setdefault(id(tasks[i].trace), []).append(i)
+    return [i for cells in by_trace.values() for i in cells]
 
 
 def _run_serial(grid: _Grid, pending: List[int]) -> List[int]:

@@ -257,7 +257,10 @@ class DecodedTrace:
     are derived by the core at run start.
     """
 
-    __slots__ = ("n", "prod1", "prod2", "store_prod", "kernel_args")
+    # Weakly referenced by the kernel's live warm context
+    # (repro.cpu.native), which serves one decode at a time.
+    __slots__ = ("n", "prod1", "prod2", "store_prod", "kernel_args",
+                 "__weakref__")
 
     def __init__(self, trace: "Trace"):
         from repro.cpu.isa import OpClass

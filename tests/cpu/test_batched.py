@@ -225,6 +225,96 @@ class TestKernelCorners:
         assert compare_cores(CORNER_MACHINES[machine], trace) == []
 
 
+#: Corners laid over design rows, each over several rows so that
+#: their warm keys repeat: both other replacement policies, the
+#: tournament predictor at both update points, and geometry that is
+#: not a power of two.
+WARM_CORNERS = (
+    {"replacement_policy": "random"},
+    {"replacement_policy": "fifo"},
+    {"branch_predictor": "tournament", "speculative_update": "decode"},
+    {"branch_predictor": "tournament", "speculative_update": "commit"},
+    *ODD_GEOMETRIES,
+)
+
+
+def _warm_cells(design):
+    """``(config, prefetch lines)``: the design, corners over its first
+    rows, and those rows with one and two prefetched lines."""
+    rows = design[:3]
+    return ([(config, 0) for config in design]
+            + [(row.evolve(**corner), 0)
+               for corner in WARM_CORNERS for row in rows]
+            + [(row, lines) for lines in (1, 2) for row in rows])
+
+
+@needs_native
+class TestSharedWarmup:
+    """The kernel warms each component once per distinct key on a
+    trace and keeps the states in the process's live warm context, so
+    a cell must come out the same whatever ran before it."""
+
+    @staticmethod
+    def _run(trace, cell, *, fresh=False, core="batched-native"):
+        from repro.cpu import native
+
+        if fresh:
+            native._live.drop(native._load())
+        config, lines = cell
+        return _stats_dict(simulate(config, trace, warmup=True,
+                                    prefetch_lines=lines, core=core))
+
+    def test_field_exact_grouped_interleaved_and_fresh(self):
+        from repro.core import PBExperiment
+
+        traces = {name: benchmark_trace(name, 500)
+                  for name in ("gzip", "mcf")}
+        cells = _warm_cells(PBExperiment(traces).configs())
+        pairs = [(trace, cell) for trace in traces.values()
+                 for cell in cells]
+        grouped = [self._run(*pair) for pair in pairs]
+        shuffled = list(range(len(pairs)))
+        random.Random(3).shuffle(shuffled)
+        interleaved = {k: self._run(*pairs[k]) for k in shuffled}
+        fresh = [self._run(*pair, fresh=True) for pair in pairs]
+        reference = [self._run(*pair, core="reference") for pair in pairs]
+        for k, expected in enumerate(reference):
+            assert grouped[k] == expected, k
+            assert interleaved[k] == expected, k
+            assert fresh[k] == expected, k
+
+    def test_one_live_context_per_process(self):
+        from repro.cpu import native
+
+        gzip, mcf = (benchmark_trace(name, 300) for name in ("gzip", "mcf"))
+        simulate(MachineConfig(), gzip, warmup=True)
+        context = native._live._address
+        assert context is not None
+        simulate(MachineConfig(rob_entries=48), gzip, warmup=True)
+        assert native._live._address == context
+        simulate(MachineConfig(), mcf, warmup=True)
+        assert native._live._decoded() is mcf.decoded()
+
+    def test_context_refuses_another_trace(self):
+        from repro.cpu import native
+
+        lib = native._load()
+        gzip, mcf = (benchmark_trace(name, 300) for name in ("gzip", "mcf"))
+        cfg = native._ConfigVector.from_buffer_copy(
+            native._config_vector(MachineConfig()))
+        cfg[native._CFG_PER_CALL:native._CFG_PER_CALL + 4] = (
+            0, 1, 1_000_000, -1)
+        out = native._OutVector()
+        context = lib.repro_warm_new()
+        try:
+            assert lib.repro_simulate(cfg, native._trace_arrays(gzip), None,
+                                      context, out) == 0
+            assert lib.repro_simulate(cfg, native._trace_arrays(mcf), None,
+                                      context, out) == -4
+        finally:
+            lib.repro_warm_free(context)
+
+
 class TestNoKernelFallback:
     """Without the kernel (no toolchain, failed build, REPRO_NATIVE=0)
     ``batched`` runs the reference model and ``batched-native``

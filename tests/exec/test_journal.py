@@ -123,16 +123,20 @@ class TestGridResume:
     ):
         path = tmp_path / "grid.journal"
         clean = [s.cycles for s in run_grid(tasks)]
-        stop_at = 4
+        # Cells run grouped by trace; interrupt the fifth to run.
+        order = engine._dispatch_order(tasks, list(range(len(tasks))))
+        ran = 4
         with faults.injected(
-            FaultInjector([Fault("interrupt", stop_at)])
+            FaultInjector([Fault("interrupt", order[ran])])
         ):
             with pytest.raises(KeyboardInterrupt):
                 run_grid(tasks, journal=path)
-        assert len(Journal(path)) == stop_at
+        journal = Journal(path)
+        assert len(journal) == ran
+        assert all(task_key(tasks[i]) in journal for i in order[:ran])
         calls = _counting(monkeypatch)
         resumed = run_grid(tasks, journal=path)
-        assert calls["n"] == len(tasks) - stop_at
+        assert calls["n"] == len(tasks) - ran
         assert [s.cycles for s in resumed] == clean
         assert len(Journal(path)) == len(tasks)
 
@@ -167,16 +171,23 @@ class TestExperimentResume:
         experiment = PBExperiment(traces, parameter_names=SUBSET)
         reference = experiment.run()
         path = tmp_path / "screen.journal"
+        # Cells run grouped by trace; interrupt the eleventh to run,
+        # so the journal holds ten cells of the first trace.
+        tasks = grid_tasks(experiment.configs(), traces)
+        order = engine._dispatch_order(tasks, list(range(len(tasks))))
+        ran = 10
         with faults.injected(
-            FaultInjector([Fault("interrupt", 10)])
+            FaultInjector([Fault("interrupt", order[ran])])
         ):
             with pytest.raises(KeyboardInterrupt):
                 experiment.run(journal=path)
-        assert len(Journal(path)) == 10
+        journal = Journal(path)
+        assert len(journal) == ran
+        assert all(task_key(tasks[i]) in journal for i in order[:ran])
         calls = _counting(monkeypatch)
         resumed = experiment.run(journal=path)
         total = reference.design.n_runs * len(traces)
-        assert calls["n"] == total - 10
+        assert calls["n"] == total - ran
         assert resumed.responses == reference.responses
         for bench in reference.responses:
             assert resumed.effects[bench].effects == \

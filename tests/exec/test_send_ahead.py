@@ -45,6 +45,12 @@ def tasks():
 
 
 @pytest.fixture(scope="module")
+def order(tasks):
+    """The cells in dispatch order: grouped by trace."""
+    return engine._dispatch_order(tasks, list(range(len(tasks))))
+
+
+@pytest.fixture(scope="module")
 def clean(tasks):
     return [s.cycles for s in run_grid(tasks)]
 
@@ -66,35 +72,37 @@ def spans_of(telemetry, name, index):
 
 @needs_fork
 class TestSendAhead:
-    # With 10 cells and jobs=2, worker 0 starts on cell 0 with cell 1
-    # queued behind it, and worker 1 on cell 2 with cell 3 queued.
+    # With 10 cells and jobs=2, worker 0 starts on order[0] with
+    # order[1] queued behind it, and worker 1 on order[2] with order[3]
+    # queued (the cells of one trace, gzip's, come first).
 
-    def test_kill_requeues_queued_cell_uncharged(self, tasks, clean):
+    def test_kill_requeues_queued_cell_uncharged(self, tasks, order,
+                                                 clean):
         telemetry = Telemetry.armed()
-        with faults.injected(FaultInjector([Fault("kill", 0)])):
+        with faults.injected(FaultInjector([Fault("kill", order[0])])):
             grid = run_grid(tasks, jobs=2, telemetry=telemetry)
         assert cycles(grid) == clean
         snap = telemetry.snapshot()
         assert snap["workers.deaths"]["value"] == 1
         assert snap["tasks.resubmitted"]["value"] == 1
         assert [e.attributes["index"]
-                for e in instants(telemetry, "resubmit")] == [0]
-        # Cell 1 was queued on the dead worker: one queue wait, one
+                for e in instants(telemetry, "resubmit")] == [order[0]]
+        # order[1] was queued on the dead worker: one queue wait, one
         # run, both at attempt 0 — it was never charged.
-        queued = spans_of(telemetry, "queue", 1)
-        runs = spans_of(telemetry, "run", 1)
+        queued = spans_of(telemetry, "queue", order[1])
+        runs = spans_of(telemetry, "run", order[1])
         assert [s.attributes["attempt"] for s in queued] == [0]
         assert [(s.attributes["attempt"], s.attributes["outcome"])
                 for s in runs] == [(0, "ok")]
 
-    def test_queued_cell_deadline_starts_when_it_runs(self, tasks,
+    def test_queued_cell_deadline_starts_when_it_runs(self, tasks, order,
                                                       clean):
-        # Cells 0 and 1 each take 1 s against a 1.5 s budget.  Had
-        # cell 1's deadline started when it was sent (with cell 0),
-        # it would expire at 1.5 s, before cell 1 ends at 2 s.
+        # order[0] and order[1] each take 1 s against a 1.5 s budget.
+        # Had order[1]'s deadline started when it was sent (with
+        # order[0]), it would expire at 1.5 s, before it ends at 2 s.
         injector = FaultInjector([
-            Fault("delay", 0, seconds=1.0),
-            Fault("delay", 1, seconds=1.0),
+            Fault("delay", order[0], seconds=1.0),
+            Fault("delay", order[1], seconds=1.0),
         ])
         telemetry = Telemetry.armed()
         with faults.injected(injector):
@@ -102,19 +110,19 @@ class TestSendAhead:
                             telemetry=telemetry)
         assert cycles(grid) == clean
         assert "tasks.timeouts" not in telemetry.snapshot()
-        run = spans_of(telemetry, "run", 1)[0]
-        queue = spans_of(telemetry, "queue", 1)[0]
-        # The run span starts where the queue wait ends, after cell 0.
+        run = spans_of(telemetry, "run", order[1])[0]
+        queue = spans_of(telemetry, "queue", order[1])[0]
+        # The run span starts where the queue wait ends, after order[0].
         assert run.start >= queue.end
         assert queue.end - queue.start >= 0.9
 
-    def test_degradation_returns_queued_cells(self, tasks, clean):
-        # Worker 0 dies on cell 0; worker 1 is still busy with cell 2
-        # and holds cell 3 queued when the pool gives up, so the
-        # in-process fallback must pick up both.
+    def test_degradation_returns_queued_cells(self, tasks, order, clean):
+        # Worker 0 dies on order[0]; worker 1 is still busy with
+        # order[2] and holds order[3] queued when the pool gives up, so
+        # the in-process fallback must pick up both.
         injector = FaultInjector([
-            Fault("kill", 0),
-            Fault("delay", 2, seconds=0.5),
+            Fault("kill", order[0]),
+            Fault("delay", order[2], seconds=0.5),
         ])
         with faults.injected(injector):
             with pytest.warns(RuntimeWarning, match="unhealthy"):
@@ -139,7 +147,8 @@ class TestSendAhead:
         assert worker.process.exitcode == -signal.SIGTERM
         assert time.monotonic() - started < 1.0
 
-    def test_tail_is_never_sent_ahead(self, tasks, clean, monkeypatch):
+    def test_tail_is_never_sent_ahead(self, tasks, order, clean,
+                                      monkeypatch):
         sent = []
         original = engine._Worker.send
 
@@ -150,8 +159,9 @@ class TestSendAhead:
         monkeypatch.setattr(engine._Worker, "send", record)
         grid = run_grid(tasks, jobs=2)
         assert cycles(grid) == clean
-        assert sorted(i for i, _, _ in sent) == list(range(len(tasks)))
-        ahead = [i for i, current, _ in sent if current is not None]
+        assert [i for i, _, _ in sent] == order
+        ahead = [order.index(i) for i, current, _ in sent
+                 if current is not None]
         assert ahead, "no cell was sent ahead"
         # Only cells sent while more than `jobs` cells waited go ahead.
         assert max(ahead) < len(tasks) - 2

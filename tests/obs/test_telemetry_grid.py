@@ -7,6 +7,8 @@ import pytest
 
 from repro.cpu import MachineConfig
 from repro.exec import ResultCache, SimTask, run_grid
+from repro.guard import faults
+from repro.guard.faults import Fault, FaultInjector, InjectedFault
 from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.obs.telemetry import phase_of
 from repro.workloads import benchmark_trace
@@ -97,9 +99,28 @@ class TestGridTelemetry:
         run_grid(tasks, telemetry=telemetry)
         (grid_span,) = [s for s in telemetry.tracer.spans()
                         if s.name == "grid"]
-        assert grid_span.attributes["tasks"] == len(tasks)
-        assert grid_span.attributes["completed"] == len(tasks)
-        assert grid_span.attributes["failures"] == 0
+        assert grid_span.attributes == {
+            "tasks": len(tasks), "jobs": 1, "completed": len(tasks),
+            "failures": 0,
+        }
+
+    @pytest.mark.parametrize("action, ending", [
+        ("raise", {"outcome": "error", "error": "InjectedFault"}),
+        ("interrupt", {"outcome": "interrupted"}),
+    ])
+    def test_grid_span_marks_how_a_raising_grid_ended(self, traces,
+                                                      action, ending):
+        tasks = _tasks(traces, repeat=1)
+        telemetry = Telemetry.armed()
+        with faults.injected(FaultInjector([Fault(action, 1)])):
+            with pytest.raises((InjectedFault, KeyboardInterrupt)):
+                run_grid(tasks, telemetry=telemetry)
+        (grid_span,) = [s for s in telemetry.tracer.spans()
+                        if s.name == "grid"]
+        assert grid_span.attributes == {
+            "tasks": len(tasks), "jobs": 1, "completed": 1,
+            "failures": 0, **ending,
+        }
 
     def test_sim_counters_are_opt_in(self, traces):
         tasks = _tasks(traces, repeat=1)

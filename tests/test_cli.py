@@ -275,6 +275,28 @@ class TestFailureFinishesTelemetry:
         self._assert_failed_run_dir(run_dir)
 
 
+    @pytest.mark.parametrize("jobs, error", [(1, "InjectedFault"),
+                                             (2, "GridError")])
+    def test_grid_span_closes_marked_error(self, tmp_path, monkeypatch,
+                                           jobs, error):
+        from repro.exec import GridError
+        from repro.guard.faults import InjectedFault
+        from repro.obs.stream import scan_stream
+
+        monkeypatch.setenv("REPRO_FAULT_SPEC", "raise:0:always")
+        run_dir = tmp_path / "run"
+        with pytest.raises((InjectedFault, GridError)):
+            main(["screen", "-b", "gzip", "-n", "300", "--jobs", str(jobs),
+                  "--run-dir", str(run_dir)])
+        scan = scan_stream(run_dir / "stream" / "main.events.jsonl")
+        (grid,) = [r.sid for r in scan.records
+                   if r.kind == "span-open" and r.name == "grid"]
+        (close,) = [r.attrs for r in scan.records
+                    if r.kind == "span-close" and r.sid == grid]
+        assert close == {"completed": 0, "failures": 0, "jobs": jobs,
+                         "tasks": 88, "outcome": "error", "error": error}
+
+
 class TestLintCommand:
     """``repro lint`` — the determinism analysis as a subcommand.
 
