@@ -8,13 +8,13 @@ flags the code patterns which historically break it — unseeded
 randomness, wall-clock reads, iteration over unordered collections,
 closures shipped to fork workers, mutable defaults, undeclared
 environment inputs, and exception handlers broad enough to eat a
-``KeyboardInterrupt`` (REP001–REP007) — plus the flow-aware
-protocol rules guarding the artifact and distribution layers:
-checked sealed reads, canonical cache keys (REP102–REP103),
-writes through the fault-injectable seam (REP105), monotonic lease
-math, lock-window discipline, fork/thread ordering and sanctioned
-process control (REP201–REP204), and the stale-suppression audit (REP008).  All
-rules are documented in ``docs/analysis.md``.
+``KeyboardInterrupt`` (REP001–REP007) — plus the seam-ownership
+rules guarding the artifact and distribution layers: one table of
+which modules may make each protocol call (unpickling, hashing, raw
+writes and renames, the wall clock, ``flock``, threads, fork) with a
+few lexical checks inside the owners (REP102–REP105, REP201–REP203),
+sanctioned process control (REP204), and the stale-suppression audit
+(REP008).  All rules are documented in ``docs/analysis.md``.
 
 Run it as ``python -m repro.analysis [paths]`` or ``repro lint``;
 silence a sanctioned violation with an inline

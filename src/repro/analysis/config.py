@@ -16,14 +16,6 @@ both the tool table and top-level keys are accepted).  Keys:
     Extra callable names treated as worker-executing entry points by
     the fork-safety rule (REP004), on top of the built-ins
     (``run_grid``, ``Process``, ``submit``, ...).
-``artifact_roots``
-    Extra identifier patterns (fnmatch) naming artifact-root
-    directories for the write-seam rule (REP105), on top of the
-    built-ins (``pending_dir``, ``results_dir``, ...).
-``sealed_names``
-    Extra filename fragments marking sealed artifacts for the
-    checked-read rule (REP102), on top of the built-ins (``.task``,
-    ``.result``, ``.pkl``, ...).
 
 A **baseline** is a JSON file of finding fingerprints (see
 :meth:`~repro.analysis.findings.Finding.fingerprint`).  Findings
@@ -66,8 +58,6 @@ class AnalysisConfig:
     exclude: List[str] = field(default_factory=list)
     allow_calls: Set[str] = field(default_factory=set)
     executors: Set[str] = field(default_factory=set)
-    artifact_roots: List[str] = field(default_factory=list)
-    sealed_names: List[str] = field(default_factory=list)
 
     def selected_rules(self, known: Sequence[str]) -> Set[str]:
         """The rule codes to run, validating against ``known``."""
@@ -90,8 +80,7 @@ class AnalysisConfig:
 
 def _coerce(table: dict) -> AnalysisConfig:
     config = AnalysisConfig()
-    for key in ("select", "ignore", "exclude", "artifact_roots",
-                "sealed_names"):
+    for key in ("select", "ignore", "exclude"):
         value = table.get(key, [])
         if not isinstance(value, list) or \
                 not all(isinstance(v, str) for v in value):
@@ -103,8 +92,7 @@ def _coerce(table: dict) -> AnalysisConfig:
                 not all(isinstance(v, str) for v in value):
             raise ConfigError(f"'{key}' must be a list of strings")
         setattr(config, key, set(value))
-    known = {"select", "ignore", "exclude", "allow_calls", "executors",
-             "artifact_roots", "sealed_names"}
+    known = {"select", "ignore", "exclude", "allow_calls", "executors"}
     unknown = set(table) - known
     if unknown:
         raise ConfigError(

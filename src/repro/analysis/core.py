@@ -25,9 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .callgraph import ModuleInfo, PackageIndex, module_name_for
 from .config import AnalysisConfig
-from .dataflow import FunctionFlow
 from .findings import Finding, Severity
 
 #: Rule code reserved for files the analyzer cannot parse.
@@ -97,9 +95,7 @@ class FileContext:
     """
 
     def __init__(self, path: str, source: str, tree: ast.AST,
-                 config: AnalysisConfig,
-                 index: Optional[PackageIndex] = None,
-                 module_name: Optional[str] = None):
+                 config: AnalysisConfig):
         self.path = path
         self.source = source
         self.lines = source.splitlines()
@@ -109,17 +105,12 @@ class FileContext:
         self.findings: List[Finding] = []
         self.imports: Dict[str, str] = {}
         self.nested_functions: Set[str] = set()
-        #: Package-wide call-graph index (always present: a
-        #: single-file index is built for standalone sources).
-        self.index = index
-        self.module_name = module_name
         self._index_imports(tree)
         self._index_nested_functions(tree)
         self._parents: Dict[ast.AST, ast.AST] = {}
         for parent in ast.walk(tree):
             for child in ast.iter_child_nodes(parent):
                 self._parents[child] = parent
-        self._flows: Dict[ast.AST, FunctionFlow] = {}
 
     # -- prepass indexes -------------------------------------------
 
@@ -197,15 +188,6 @@ class FileContext:
             return f"{target}.{rest}" if rest else target
         return name
 
-    # -- flow services (protocol checkers) -------------------------
-
-    @property
-    def module_info(self) -> Optional[ModuleInfo]:
-        """This file's entry in the package index, when indexed."""
-        if self.index is None or self.module_name is None:
-            return None
-        return self.index.modules.get(self.module_name)
-
     def enclosing_scope(self, node: ast.AST) -> ast.AST:
         """The nearest enclosing function scope of ``node`` (or the
         module)."""
@@ -216,42 +198,6 @@ class FileContext:
                 return current
             current = self._parents.get(current)
         return self.tree
-
-    def enclosing_class(self, scope: ast.AST) -> Optional[str]:
-        """The class a function scope is a method of, if any."""
-        current = self._parents.get(scope)
-        while current is not None:
-            if isinstance(current, ast.ClassDef):
-                return current.name
-            if isinstance(current, (ast.FunctionDef,
-                                    ast.AsyncFunctionDef)):
-                return None
-            current = self._parents.get(current)
-        return None
-
-    def flow_for(self, node: ast.AST) -> FunctionFlow:
-        """The def-use flow of the scope containing ``node`` (cached;
-        function scopes chain to the module scope)."""
-        scope = node if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)
-        ) else self.enclosing_scope(node)
-        flow = self._flows.get(scope)
-        if flow is None:
-            parent = None
-            if scope is not self.tree:
-                parent = self.flow_for(self.enclosing_scope(scope))
-            flow = FunctionFlow(scope, resolve=self._resolver(scope),
-                                parent=parent)
-            self._flows[scope] = flow
-        return flow
-
-    def _resolver(self, scope: ast.AST):
-        mod = self.module_info
-        if mod is not None and self.index is not None:
-            cls = self.enclosing_class(scope)
-            index = self.index
-            return lambda call: index.resolve_in(mod, call, cls=cls)
-        return self.resolve_call
 
     def report(self, node: ast.AST, rule: str, severity: Severity,
                message: str) -> None:
@@ -358,15 +304,12 @@ class Analyzer:
 
     # -- single file -----------------------------------------------
 
-    def analyze_source(self, source: str, path: str = "<memory>",
-                       index: Optional[PackageIndex] = None,
-                       module_name: Optional[str] = None
-                       ) -> List[Finding]:
+    def analyze_source(self, source: str,
+                       path: str = "<memory>") -> List[Finding]:
         """All live findings for one source text (noqa applied).
 
-        Without an ``index`` a single-file call-graph index is built,
-        so same-module interprocedural reasoning (``self._decode``
-        sanctioning a read) works on standalone sources too.
+        ``path`` places the source in the package: the protocol rules
+        judge a call by the module it sits in (``dist/spool.py``).
         """
         self._last_suppressions = []
         self._last_unused = []
@@ -379,14 +322,7 @@ class Analyzer:
                 rule=PARSE_ERROR_RULE, severity=Severity.ERROR,
                 message=f"file does not parse: {exc.msg}",
             )]
-        if module_name is None:
-            module_name = Path(path).stem or "<memory>"
-        if index is None:
-            index = PackageIndex.from_trees(
-                [(module_name, tree, None)]
-            )
-        ctx = FileContext(path, source, tree, self.config,
-                          index=index, module_name=module_name)
+        ctx = FileContext(path, source, tree, self.config)
         for checker in self.checkers:
             checker.begin_file(ctx)
         for node in ast.walk(tree):
@@ -417,12 +353,7 @@ class Analyzer:
         """
         result = AnalysisResult()
         root = Path(root) if root is not None else Path(".")
-        files = _collect_files(paths, self.config)
-        # One package-wide index: cross-module edges (a spool helper
-        # wrapping seal.check, a path factory in another class) are
-        # visible from every file's walk.
-        index = PackageIndex.from_paths(files)
-        for file in files:
+        for file in _collect_files(paths, self.config):
             try:
                 source = file.read_text(encoding="utf-8")
             except (OSError, UnicodeDecodeError) as exc:
@@ -433,10 +364,7 @@ class Analyzer:
                 ))
                 result.files += 1
                 continue
-            findings = self.analyze_source(
-                source, _display(file, root), index=index,
-                module_name=module_name_for(file),
-            )
+            findings = self.analyze_source(source, _display(file, root))
             result.files += 1
             result.suppressed += len(self._last_suppressions)
             result.suppressions.extend(self._last_suppressions)

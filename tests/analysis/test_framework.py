@@ -120,7 +120,7 @@ class TestBaseline:
         )
         new = [f for f in fresh.findings
                if f.fingerprint() not in known]
-        assert [f.rule for f in new] == ["REP002"]
+        assert [f.rule for f in new] == ["REP002", "REP201"]
 
     def test_fingerprint_survives_line_shift(self, tmp_path):
         before = run_analyzer(tmp_path, {"a.py": DIRTY})

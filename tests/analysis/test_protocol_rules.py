@@ -2,17 +2,18 @@
 
 Each test plants exactly one protocol violation in a fixture copy of
 the *real* protocol code (``dist/spool.py``, ``guard/verify.py``,
-``exec/cache.py``, ``guard/lines.py``, ``dist/worker.py``) and
-asserts the lint names it — correct rule ID, correct file, correct
-line.  This is the
-mutation-style acceptance check from the PR issue: the rules must
-bite on the exact code they were written to defend, not only on toy
+``exec/cache.py``, ``exec/journal.py``, ``exec/engine.py``,
+``guard/lines.py``, ``dist/worker.py``) and asserts the lint names it
+— correct rule ID, correct file, correct line.  The rules must bite
+on the exact code they were written to defend, not only on toy
 snippets.  Each mutation's sibling assertion — that the *unmutated*
 source is clean — pins the zero-false-positive contract on the same
 files.
 """
 
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.analysis import Analyzer, default_checkers, load_config
@@ -86,9 +87,11 @@ class TestArtifactIntegrityGateBites:
         clean = _rules(_lint(source, "dist/spool.py"))
         assert "REP105" not in clean
         findings = _lint(mutated, "dist/spool.py")
-        assert _rules(findings) == ["REP105"], \
+        assert set(_rules(findings)) == {"REP105"}, \
             "the open-coded dance is atomic; only REP105 should bite"
         assert findings[0].line == line + 1  # the write_bytes line
+        # os.replace belongs to the spool's claim/quarantine only.
+        assert [f.line for f in findings] == [line + 1, line + 2]
 
     def test_rep102_read_result_skips_decode(self):
         """Parsing a sealed .result without the check-wrapping
@@ -194,6 +197,47 @@ class TestConcurrencyGateBites:
                 if f.rule == "REP204"]
         assert hits, "REP204 missed the unsanctioned os._exit"
         assert hits[0].line == line + 1
+
+
+#: Seam breaks a flow-based analysis missed: each plants one call in a
+#: module that does not own it, on a line inserted before ``anchor``.
+PLANTED = [
+    ("exec/journal.py",
+     "        blob = pickle.dumps(stats, pickle.HIGHEST_PROTOCOL)\n",
+     "        fcntl.flock(self._appender.fd, fcntl.LOCK_EX)\n", "REP202"),
+    ("exec/engine.py",
+     "    context = multiprocessing.get_context(\"fork\")\n",
+     "    threading.Thread(target=print).start()\n", "REP203"),
+    ("dist/spool.py",
+     "        deadline = time.monotonic() + float(ttl)\n",
+     "        stamp = clock.wall_time()\n", "REP201"),
+    ("guard/verify.py",
+     "    return json.loads(payload.decode(\"utf-8\"))\n",
+     "    pickle.loads(payload)\n", "REP102"),
+    ("exec/journal.py",
+     "        blob = pickle.dumps(stats, pickle.HIGHEST_PROTOCOL)\n",
+     "        os.replace(self.path, self.path.with_suffix(\".bak\"))\n",
+     "REP105"),
+]
+
+
+class TestSeamOwnershipGateBites:
+    @pytest.mark.parametrize(
+        "relpath,anchor,planted,rule", PLANTED,
+        ids=["flock-in-journal", "thread-in-engine",
+             "wall-time-in-spool", "pickle-in-verify",
+             "replace-in-journal"],
+    )
+    def test_call_outside_its_owner(self, relpath, anchor, planted,
+                                    rule):
+        """A protocol call planted outside its owner module is named
+        at the planted line, under the rule that owns it."""
+        source, mutated, line = _mutate(relpath, anchor,
+                                        planted + anchor)
+        assert rule not in _rules(_lint(source, relpath))
+        hits = [f for f in _lint(mutated, relpath) if f.rule == rule]
+        assert [f.line for f in hits] == [line], \
+            f"{rule} missed {planted.strip()} in {relpath}"
 
 
 class TestProtocolCodeStaysClean:
